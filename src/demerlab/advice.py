@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .amplify import binom_tail, build_inner, float_binom_tail, majority_threshold, min_majority_reps
+from .amplify import binom_tail, build_inner, majority_threshold, min_majority_reps
 from .protocol import OneWayQmaProtocol, rest_projector
-from .qcore import ATOL, StateVector, hermitize, top_eigenpair
+from .qcore import ATOL, StateVector, apply_kraus, hermitize, kron_power, top_eigenpair
 
 __all__ = [
     "PromiseViolationError",
@@ -44,7 +44,6 @@ __all__ = [
     "qma_fix_advice",
     "qcma_train",
     "j_fold_decision",
-    "float_binom_tail",
 ]
 
 
@@ -473,7 +472,7 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     amplified, ell, err = _amplify_for_training(v)
     dim_a = 2 ** amplified.alice_qubits
     rho = np.eye(dim_a, dtype=complex) / dim_a
-    true_amp = _true_advice_amplified(v, ell)
+    true_amp = kron_power(v.true_advice.amplitudes, ell)
     w = amplified.witness_qubits
 
     cand: list[tuple[str, str]] = []
@@ -493,7 +492,7 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
         for x, z in cand:
             label = v.language[x]
             kraus = _branch_kraus(amplified, x, z, keep_outcome=label)
-            branch = sum(k @ rho @ k.conj().T for k in kraus)
+            branch = apply_kraus(rho, kraus)
             ratio = float(np.trace(branch).real)
             if ratio <= 1e-12:
                 continue  # degenerate pair: nothing to postselect on
@@ -520,22 +519,13 @@ def _amp_witnesses(v: QuantumAdviceVerifier, ell: int) -> list[str]:
     return [format(z, f"0{w}b") for z in range(2 ** w)]
 
 
-def _true_advice_amplified(v: QuantumAdviceVerifier, ell: int) -> np.ndarray:
-    amps = v.true_advice.amplitudes
-    out = amps
-    for _ in range(ell - 1):
-        out = np.kron(out, amps)
-    return out
-
-
 def true_advice_wrong_probability(v: QuantumAdviceVerifier, training: TrainingSet,
                                   decider: TrainedDecider) -> float:
     """Exact probability that the true advice errs somewhere along the history."""
-    psi = _true_advice_amplified(v, decider.ell)
+    psi = kron_power(v.true_advice.amplitudes, decider.ell)
     rho = np.outer(psi, psi.conj())
     for x, z, label in training.triples:
-        kraus = _branch_kraus(decider.amplified, x, z, keep_outcome=label)
-        rho = sum(k @ rho @ k.conj().T for k in kraus)
+        rho = apply_kraus(rho, _branch_kraus(decider.amplified, x, z, keep_outcome=label))
     return min(max(1.0 - float(np.trace(rho).real), 0.0), 1.0)
 
 
@@ -565,7 +555,7 @@ def j_fold_decision(decider: TrainedDecider, x: str,
         j_copies = min_majority_reps(Fraction(1, 3), Fraction(1, 2 ** (2 * w)))
     maj = majority_threshold(j_copies)
     lams = decider.lambdas(x)
-    boosted = {z: float_binom_tail(j_copies, lam, maj) for z, lam in lams.items()}
+    boosted = {z: binom_tail(j_copies, lam, maj) for z, lam in lams.items()}
     s = sum(boosted.values()) / len(boosted)
     accept_floor = 2.0 ** (-(w + 1))
     reject_ceiling = 2.0 ** (-2 * w)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, isqrt, lgamma, log, log2, log10, sqrt
 
-import numpy as np
-
 from .protocol import (
     ADVICE_REGISTER,
     ANCILLA_REGISTER,
@@ -33,6 +31,7 @@ from .qcore import (
     UnitaryCircuit,
     counter_threshold_gate,
     increment_gate,
+    kron_power,
     majority_gate,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "AmplificationPlan",
     "PlanInfeasibleError",
     "binom_tail",
-    "float_binom_tail",
     "majority_threshold",
     "min_majority_reps",
     "plan_amplification",
@@ -62,13 +60,15 @@ def majority_threshold(n: int) -> int:
     return n // 2 + 1
 
 
-def binom_tail(n: int, p: Fraction, k: int) -> Fraction:
-    """Exact Pr[Binomial(n, p) >= k]."""
-    p = Fraction(p)
+def binom_tail(n: int, p, k: int):
+    """Pr[Binomial(n, p) >= k]: exact for a Fraction p, float for a float p.
+
+    p is never coerced, so the result has p's type.
+    """
     if k <= 0:
-        return Fraction(1)
+        return type(p)(1)
     if k > n:
-        return Fraction(0)
+        return type(p)(0)
     q = 1 - p
     return sum(comb(n, j) * p ** j * q ** (n - j) for j in range(k, n + 1))
 
@@ -83,15 +83,6 @@ def _log_binom_tail(n: int, p: float, k: int) -> float:
              + j * log(p) + (n - j) * log(1.0 - p) for j in range(k, n + 1)]
     m = max(terms)
     return m + log(sum(exp(t - m) for t in terms))
-
-
-def float_binom_tail(n: int, p: float, k: int) -> float:
-    """Float Pr[Binomial(n, p) >= k] for small n, exact enough at desk scale."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    return float(sum(comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(k, n + 1)))
 
 
 def min_majority_reps(base_error: Fraction, target: Fraction, cap: int = 2001) -> int:
@@ -312,12 +303,10 @@ def _register_map(src: OneWayQmaProtocol, dst_layout: RegisterLayout,
 
 
 def _tensor_power_encoder(base_encode, base_qubits: int, copies: int):
+    layout = RegisterLayout.of((ADVICE_REGISTER, base_qubits * copies))
+
     def encode(x: str) -> StateVector:
-        amps = base_encode(x).amplitudes
-        out = amps
-        for _ in range(copies - 1):
-            out = np.kron(out, amps)
-        return StateVector(out, RegisterLayout.of((ADVICE_REGISTER, base_qubits * copies)))
+        return StateVector(kron_power(base_encode(x).amplitudes, copies), layout)
     return encode
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -113,20 +112,12 @@ def _run_good_as_new(args) -> dict:
     return report
 
 
-def _union_trial(ss) -> dict:
-    rng = np.random.default_rng(ss)
-    rho, seq = random_union_instance(rng)
-    return union_bound_run(rho, seq).to_json_dict()
-
-
 def _run_union(args) -> dict:
     report = _base_report(args, "lemma union", {"instances": args.instances})
-    seeds = _child_seeds(args.seed, args.instances)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_union_trial, seeds))
-    else:
-        rows = [_union_trial(ss) for ss in seeds]
+    rows = []
+    for ss in _child_seeds(args.seed, args.instances):
+        rho, seq = random_union_instance(np.random.default_rng(ss))
+        rows.append(union_bound_run(rho, seq).to_json_dict())
     report["results"] = rows
     report["pass"] = all(r["pass"] for r in rows)
     report["csv_columns"] = ["lemma", "exact", "bound", "drift", "pass"]
@@ -153,21 +144,12 @@ def _run_or_bound(args) -> dict:
                               "within_3_sigma": agrees_within_sigma(est, pinned.p_any_one,
                                                                     args.shots)}
     report["results"].append(row)
-
-    def trial(item):
-        i, ss = item
+    for i, ss in enumerate(seeds[1:]):
         rng = np.random.default_rng(ss)
         rho_i, sigma_i, joint_i, t_i = random_or_instance(rng, args.witness_qubits)
         r = or_bound_run(rho_i, sigma_i, joint_i, t_i).to_json_dict()
         r["case"] = f"random-{i}"
-        return r
-
-    items = list(enumerate(seeds[1:]))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            report["results"].extend(pool.map(trial, items))
-    else:
-        report["results"].extend(trial(item) for item in items)
+        report["results"].append(r)
     report["pass"] = all(r["pass"] for r in report["results"])
     report["csv_columns"] = ["case", "lemma", "exact", "bound", "pass"]
     return report
@@ -419,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"),
                         default=_env_default("format", "json"))
     common.add_argument("--shots", type=int, default=_env_default("shots", 0))
-    common.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
 
     parser = argparse.ArgumentParser(prog="demerlab",
                                      description=__doc__.splitlines()[0])

@@ -27,7 +27,7 @@ from math import ceil, log2, sqrt
 
 import numpy as np
 
-from .amplify import AmplificationPlan, float_binom_tail
+from .amplify import AmplificationPlan, binom_tail
 from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
@@ -41,12 +41,14 @@ from .qcore import (
     Gate,
     RegisterLayout,
     UnitaryCircuit,
+    apply_kraus,
     cnot,
     hermitize,
     increment_gate,
     trace_norm,
     x_gate,
 )
+from .qlemmas import monte_carlo_any_outcome1
 
 __all__ = [
     "DemerlinizedProtocol",
@@ -189,7 +191,6 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     """
     p = d.base
     projectors = _round_projectors(p, y)
-    n_choices = len(projectors)
     init = _initial_rest_vector(p, x, rho_alice)
     if init.ndim == 1:
         rho = np.outer(init, init.conj())
@@ -204,10 +205,7 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
         spent = 0.0
     for _ in range(d.t_rounds):
         prev_tr = float(np.trace(rho).real)
-        nxt = np.zeros_like(rho)
-        for pz in projectors:
-            nxt += pz @ rho @ pz.conj().T
-        rho = nxt / n_choices
+        rho = apply_kraus(rho, projectors) / len(projectors)
         if track_drift:
             tr = float(np.trace(rho).real)
             eps_round = 0.0 if prev_tr <= 1e-15 else max(0.0, 1.0 - tr / prev_tr)
@@ -246,35 +244,8 @@ def sample_demerlinized(d: DemerlinizedProtocol, x: str, y: str, shots: int,
     projectors the exact evaluation uses. Returns (estimate, stderr).
     """
     rng = np.random.default_rng(seed)
-    p = d.base
-    projectors = _round_projectors(p, y)
-    n_choices = len(projectors)
-    psi0 = _initial_rest_vector(p, x)
-    if psi0.ndim != 1:
-        raise ValueError("Monte-Carlo sampling needs a pure Alice message")
-    states = np.tile(psi0, (shots, 1))
-    accepted = np.zeros(shots, dtype=bool)
-    alive = np.arange(shots)
-    for _ in range(d.t_rounds):
-        if alive.size == 0:
-            break
-        choices = rng.integers(0, n_choices, size=alive.size)
-        new_states = np.empty_like(states[alive])
-        for z in range(n_choices):
-            mask = choices == z
-            if mask.any():
-                new_states[mask] = states[alive[mask]] @ projectors[z].T
-        norms2 = np.einsum("ij,ij->i", new_states, new_states.conj()).real
-        norms2 = np.clip(norms2, 0.0, 1.0)
-        hits = rng.random(alive.size) > norms2
-        accepted[alive[hits]] = True
-        keep = ~hits
-        survivors = alive[keep]
-        states[survivors] = new_states[keep] / np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
-        alive = survivors
-    p_hat = float(accepted.mean())
-    stderr = sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots)
-    return p_hat, stderr
+    return monte_carlo_any_outcome1(_initial_rest_vector(d.base, x),
+                                    _round_projectors(d.base, y), d.t_rounds, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +329,8 @@ def plan_final_vote(yes_floor: float = 1.0 / 9.0, no_ceiling: float = 0.0,
         raise ValueError("no-instance ceiling must sit strictly below the yes floor")
     for r in range(1, max_reps + 1):
         for k in range(1, r + 1):
-            yes = float_binom_tail(r, yes_floor, k)
-            no = float_binom_tail(r, no_ceiling, k)
+            yes = binom_tail(r, yes_floor, k)
+            no = binom_tail(r, no_ceiling, k)
             if yes >= 2.0 / 3.0 and no <= 1.0 / 3.0:
                 return FinalVotePlan(repetitions=r, threshold=k,
                                      yes_floor=yes_floor, no_ceiling=no_ceiling,
@@ -369,7 +340,7 @@ def plan_final_vote(yes_floor: float = 1.0 / 9.0, no_ceiling: float = 0.0,
 
 def final_vote_acceptance(p_accept: float, plan: FinalVotePlan) -> float:
     """Exact acceptance of the voted protocol given one run's acceptance."""
-    return float_binom_tail(plan.repetitions, p_accept, plan.threshold)
+    return binom_tail(plan.repetitions, p_accept, plan.threshold)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "Gate",
     "UnitaryCircuit",
     "basis_state",
-    "zero_state",
     "maximally_mixed",
     "random_state",
     "random_density",
@@ -41,6 +40,8 @@ __all__ = [
     "fidelity",
     "trace_distance",
     "measure_two_outcome",
+    "apply_kraus",
+    "kron_power",
     "top_eigenpair",
     "psd_sqrt",
     "trace_norm",
@@ -49,9 +50,7 @@ __all__ = [
     "x_gate",
     "h_gate",
     "ry_gate",
-    "rz_gate",
     "cnot",
-    "swap_gate",
     "mcx",
     "increment_gate",
     "counter_threshold_gate",
@@ -218,25 +217,6 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(np.kron(self.amplitudes, other.amplitudes),
-                           self.layout.concat(other.layout))
-
-    def tensor_power(self, n: int, rename: Callable[[str, int], str] | None = None) -> "StateVector":
-        """n-fold tensor power; register copies renamed to stay collision-free."""
-        rename = rename or (lambda name, i: f"{name}_{i}")
-        out = None
-        for i in range(n):
-            regs = RegisterLayout.of(*[(rename(nm, i), w) for nm, w in self.layout.registers])
-            piece = StateVector(self.amplitudes, regs)
-            out = piece if out is None else out.tensor(piece)
-        if out is None:
-            raise ValueError("tensor power needs n >= 1")
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"layout": self.layout.to_json(), "amplitudes": matrix_to_json(self.amplitudes)}
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -264,9 +244,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.layout.dim
 
-    def to_json_dict(self) -> dict:
-        return {"layout": self.layout.to_json(), "matrix": matrix_to_json(self.matrix)}
-
 
 def _as_density(state) -> DensityMatrix:
     if isinstance(state, DensityMatrix):
@@ -287,11 +264,6 @@ def basis_state(layout, bits: str | int) -> StateVector:
     amps = np.zeros(layout.dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps, layout)
-
-
-def zero_state(layout) -> StateVector:
-    layout = _layout(layout)
-    return basis_state(layout, 0)
 
 
 def maximally_mixed(layout) -> DensityMatrix:
@@ -326,6 +298,22 @@ def random_effect(layout, rng: np.random.Generator, scale: float | None = None) 
 
 # ---------------------------------------------------------------------------
 # operations on states
+
+
+def kron_power(v: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power v (x) ... (x) v of a vector or matrix, n >= 1."""
+    out = v
+    for _ in range(n - 1):
+        out = np.kron(out, v)
+    return out
+
+
+def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
+    """The map rho -> sum_K K rho K' on a dense matrix (not renormalized)."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -437,7 +425,7 @@ def measure_two_outcome(rho, m: TwoOutcomeMeasurement) -> MeasurementResult:
         if p <= 1e-15:
             posts.append(None)
             continue
-        branch = kraus @ rho.matrix @ kraus.conj().T
+        branch = apply_kraus(rho.matrix, [kraus])
         posts.append(DensityMatrix(hermitize(branch) / np.trace(branch).real, rho.layout))
     return MeasurementResult(p1=p1, post0=posts[0], post1=posts[1])
 
@@ -554,9 +542,6 @@ class UnitaryCircuit:
             out = _apply_operator(out, g.full_operator(), g.qubits, self.n_qubits)
         return out
 
-    def apply_to_state(self, state: StateVector) -> StateVector:
-        return StateVector(self.apply(state.amplitudes), state.layout)
-
     def inverse(self) -> "UnitaryCircuit":
         return UnitaryCircuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)),
                               self.layout)
@@ -565,16 +550,6 @@ class UnitaryCircuit:
         if self.n_qubits > DENSITY_MAX_QUBITS:
             raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
         return self.apply(np.eye(self.dim, dtype=complex))
-
-    def remapped(self, index_map: dict[int, int], n_qubits: int,
-                 layout: RegisterLayout | None = None) -> "UnitaryCircuit":
-        return UnitaryCircuit(n_qubits, tuple(g.remapped(index_map) for g in self.gates), layout)
-
-    def to_json_dict(self) -> dict:
-        d = {"n_qubits": self.n_qubits, "gates": [g.to_json_dict() for g in self.gates]}
-        if self.layout is not None:
-            d["registers"] = self.layout.to_json()
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -605,18 +580,8 @@ def ry_gate(q: int, theta: float, controls: Sequence[int] = (),
     return Gate("ry", (q,), m, tuple(controls), tuple(control_values or ()))
 
 
-def rz_gate(q: int, theta: float) -> Gate:
-    m = np.diag([np.exp(-1j * theta / 2.0), np.exp(1j * theta / 2.0)])
-    return Gate("rz", (q,), m)
-
-
 def cnot(control: int, target: int) -> Gate:
     return Gate("cx", (target,), _X, (control,), (1,))
-
-
-def swap_gate(a: int, b: int) -> Gate:
-    m = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    return Gate("swap", (a, b), m)
 
 
 def mcx(controls: Sequence[int], target: int,

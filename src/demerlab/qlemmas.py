@@ -21,17 +21,20 @@ Kraus updates, which is polynomial in T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import erfc, exp, sqrt
 
 import numpy as np
 
+from .amplify import _log_binom_tail
 from .qcore import (
     ATOL,
     DensityMatrix,
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
+    apply_kraus,
     hermitize,
+    measure_two_outcome,
     random_density,
     random_effect,
     tensor_product,
@@ -84,16 +87,12 @@ class MeasurementSequenceReport:
 
 def good_as_new_check(rho, m: TwoOutcomeMeasurement) -> GoodAsNewReport:
     """Measure once, keep outcome 0, and compare damage against sqrt(eps)."""
-    if isinstance(rho, StateVector):
-        rho = rho.density()
-    p1 = m.outcome1_probability(rho)
-    if 1.0 - p1 <= 1e-15:
+    result = measure_two_outcome(rho, m)
+    if result.post0 is None:
         raise ValueError("outcome 0 has probability zero; post-state undefined")
-    branch = m.m0 @ rho.matrix @ m.m0.conj().T
-    post0 = DensityMatrix(hermitize(branch) / np.trace(branch).real, rho.layout)
-    damage = trace_distance(rho, post0)
-    bound = sqrt(max(p1, 0.0))
-    return GoodAsNewReport(epsilon=p1, damage=damage, bound=bound,
+    damage = trace_distance(rho, result.post0)
+    bound = sqrt(result.p1)
+    return GoodAsNewReport(epsilon=result.p1, damage=damage, bound=bound,
                            passed=damage <= bound + ATOL)
 
 
@@ -119,9 +118,8 @@ def union_bound_run(rho, seq: list[TwoOutcomeMeasurement],
     survivor = rho.matrix
     unconditioned = rho.matrix
     for m in seq:
-        survivor = m.m0 @ survivor @ m.m0.conj().T
-        unconditioned = (m.m0 @ unconditioned @ m.m0.conj().T
-                         + m.m1 @ unconditioned @ m.m1.conj().T)
+        survivor = apply_kraus(survivor, [m.m0])
+        unconditioned = apply_kraus(unconditioned, [m.m0, m.m1])
     p_any = 1.0 - float(np.trace(survivor).real)
     p_any = min(max(p_any, 0.0), 1.0)
     t = len(seq)
@@ -177,13 +175,10 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
     if t_steps < n_b / eta ** 2:
         raise ValueError(
             f"need T >= N/eta^2 = {n_b / eta ** 2:.3f}, got T = {t_steps}")
-    effects = induced_effects(joint, rho.dim, n_b, basis=basis)
+    kraus0 = [m.m0 for m in induced_effects(joint, rho.dim, n_b, basis=basis)]
     state = rho.matrix
     for _ in range(t_steps):
-        nxt = np.zeros_like(state)
-        for m in effects:
-            nxt += m.m0 @ state @ m.m0.conj().T
-        state = nxt / n_b
+        state = apply_kraus(state, kraus0) / n_b
     p_any = 1.0 - float(np.trace(state).real)
     p_any = min(max(p_any, 0.0), 1.0)
     bound = (eta - sqrt(n_b / t_steps)) ** 2
@@ -204,34 +199,58 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
 # Monte-Carlo cross-check and instance generators
 
 
+def _binom_sf(n: int, p: float, k: int) -> float:
+    """Float Pr[Binomial(n, p) >= k] for 0 < p < 1, summing the side with fewer terms."""
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    if n - k + 1 <= k:
+        return exp(_log_binom_tail(n, p, k))
+    return 1.0 - exp(_log_binom_tail(n, 1.0 - p, n - k + 1))
+
+
 def agrees_within_sigma(estimate: float, exact: float, shots: int,
                         z: float = 3.0) -> bool:
-    """Binomial z-test of a Monte-Carlo estimate against an exact probability.
+    """Exact two-sided binomial test of a Monte-Carlo estimate against an exact probability.
 
-    The standard error comes from the exact value, so a degenerate estimate
-    (all shots identical) is judged against the true spread rather than a
-    vanishing empirical one.
+    The estimate is hits / shots. It agrees when twice the binomial tail on
+    its side of the mean is at least the two-sided normal rate at z (0.0027
+    at z = 3). Unlike a normal approximation this stays calibrated near
+    p = 0 and p = 1, where a single miss can be a likely outcome. An exact
+    value of 0 or 1 admits only the estimate equal to it.
     """
-    sigma = sqrt(max(exact * (1.0 - exact), 0.0) / shots)
-    return abs(estimate - exact) <= z * sigma + 1e-12
+    k = round(estimate * shots)
+    p = min(max(exact, 0.0), 1.0)
+    if p in (0.0, 1.0):
+        return k == p * shots
+    if k >= shots * p:
+        tail = _binom_sf(shots, p, k)
+    else:
+        tail = _binom_sf(shots, 1.0 - p, shots - k)
+    return 2.0 * tail >= erfc(z / sqrt(2.0))
 
 
 def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
                              shots: int, rng: np.random.Generator) -> tuple[float, float]:
     """Sample the sequential process and estimate Pr[some outcome is 1].
 
-    Each shot draws a pure state from rho's eigenmixture, then walks T rounds
-    picking a uniformly random outcome-0 Kraus operator; the accept chance per
-    round is 1 - ||K psi||^2. Returns (estimate, standard error).
+    `rho` is a StateVector, a DensityMatrix or a flat amplitude vector. For a
+    DensityMatrix each shot first draws a pure state from its eigenmixture.
+    Each shot then walks T rounds picking a uniformly random outcome-0 Kraus
+    operator; the accept chance per round is 1 - ||K psi||^2. Returns
+    (estimate, standard error).
     """
     if isinstance(rho, StateVector):
-        states = np.tile(rho.amplitudes, (shots, 1))
-    else:
+        rho = rho.amplitudes
+    if isinstance(rho, DensityMatrix):
         w, v = np.linalg.eigh(hermitize(rho.matrix))
         w = np.clip(w, 0.0, None)
         w /= w.sum()
         picks = rng.choice(len(w), size=shots, p=w)
         states = v.T[picks].copy()
+    else:
+        states = np.tile(rho, (shots, 1))
     n_choices = len(kraus0)
     accepted = np.zeros(shots, dtype=bool)
     alive = np.arange(shots)
@@ -250,7 +269,8 @@ def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
         accepted[alive[hits]] = True
         keep = ~hits
         survivors = alive[keep]
-        states[survivors] = new_states[keep] / np.sqrt(norms2[keep])[:, None]
+        # a shot survives a zero-norm round only if its uniform draw was exactly 0
+        states[survivors] = new_states[keep] / np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
         alive = survivors
     p_hat = accepted.mean()
     stderr = sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots)

@@ -308,10 +308,6 @@ class ReducedRacProtocol:
     copies: int
     per_claim_error: float
 
-    def claim_accept_prob(self, x: str, i: int, z: str) -> float:
-        p = self.base.accept_prob(x, i, z)
-        return float(binom_tail(self.copies, p, majority_threshold(self.copies)))
-
 
 @dataclass(frozen=True)
 class ReducedAuditRecord:

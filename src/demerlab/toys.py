@@ -18,6 +18,9 @@ from .advice import (
 )
 from .protocol import (
     ADVICE_REGISTER,
+    ANCILLA_REGISTER,
+    BOB_REGISTER,
+    WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
     protocol_layout,
@@ -89,65 +92,56 @@ def coin_protocol(yes_prob: float = 2.0 / 3.0, no_prob: float = 1.0 / 3.0,
     return p, f
 
 
+def _index_select_verifier(m_bits: int, witness_qubits: int) -> tuple[UnitaryCircuit, int]:
+    """Bob's m-bit input i selects advice qubit i of 2^m.
+
+    One mcx per i flips the single ancilla qubit iff Bob's input is i, advice
+    qubit i is 1 and, with a witness qubit, the witness claims 1. Returns the
+    circuit and its accept qubit.
+    """
+    layout = protocol_layout(m_bits, 2 ** m_bits, witness_qubits, 1)
+    bob = layout.qubits(BOB_REGISTER)
+    claim = layout.qubits(WITNESS_REGISTER) if witness_qubits else ()
+    advice_off = layout.offset(ADVICE_REGISTER)
+    accept = layout.offset(ANCILLA_REGISTER)
+    gates = []
+    for i in range(2 ** m_bits):
+        pattern = tuple(int(b) for b in format(i, f"0{m_bits}b"))
+        gates.append(mcx(controls=bob + (advice_off + i,) + claim, target=accept,
+                         control_values=pattern + (1,) * (1 + len(claim))))
+    return UnitaryCircuit(layout.n_qubits, tuple(gates), layout), accept
+
+
+def _rac_protocol(n_bits: int, witness_qubits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
+    m_bits = int(log2(n_bits))
+    if 2 ** m_bits != n_bits:
+        raise ValueError("n_bits must be a power of two")
+    verifier, accept = _index_select_verifier(m_bits, witness_qubits)
+    p = OneWayQmaProtocol(
+        bob_bits=m_bits, alice_qubits=n_bits, witness_qubits=witness_qubits,
+        ancilla_qubits=1, verifier=verifier, accept_qubit=accept,
+        alice_encode=_basis_encoder(n_bits))
+    table = {}
+    for x in range(2 ** n_bits):
+        xs = format(x, f"0{n_bits}b")
+        for i in range(n_bits):
+            table[(xs, format(i, f"0{m_bits}b"))] = int(xs[i])
+    f = CommunicationFunction(n_bits_alice=n_bits, m_bits_bob=m_bits, table=table)
+    return p, f
+
+
 def rac_claim_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
     """Random-access toy: Alice sends |X> and Merlin's qubit claims x_i = 1.
 
     Bob accepts iff the witness qubit is 1 and Alice's i-th qubit is 1, so
     completeness is exactly 1 and soundness exactly 0.
     """
-    m_bits = int(log2(n_bits))
-    if 2 ** m_bits != n_bits:
-        raise ValueError("n_bits must be a power of two")
-    layout = protocol_layout(m_bits, n_bits, 1, 1)
-    advice_off = layout.offset(ADVICE_REGISTER)
-    witness = layout.offset("witness")
-    accept = layout.offset("ancilla")
-    bob = layout.qubits("bob_input")
-    gates = []
-    for i in range(n_bits):
-        pattern = tuple(int(b) for b in format(i, f"0{m_bits}b"))
-        gates.append(mcx(controls=bob + (advice_off + i, witness), target=accept,
-                         control_values=pattern + (1, 1)))
-    verifier = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
-    p = OneWayQmaProtocol(
-        bob_bits=m_bits, alice_qubits=n_bits, witness_qubits=1, ancilla_qubits=1,
-        verifier=verifier, accept_qubit=accept,
-        alice_encode=_basis_encoder(n_bits))
-    table = {}
-    for x in range(2 ** n_bits):
-        xs = format(x, f"0{n_bits}b")
-        for i in range(n_bits):
-            table[(xs, format(i, f"0{m_bits}b"))] = int(xs[i])
-    f = CommunicationFunction(n_bits_alice=n_bits, m_bits_bob=m_bits, table=table)
-    return p, f
+    return _rac_protocol(n_bits, witness_qubits=1)
 
 
 def rac_plain_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
     """Witness-free variant: Bob just measures Alice's i-th qubit."""
-    m_bits = int(log2(n_bits))
-    if 2 ** m_bits != n_bits:
-        raise ValueError("n_bits must be a power of two")
-    layout = protocol_layout(m_bits, n_bits, 0, 1)
-    advice_off = layout.offset(ADVICE_REGISTER)
-    accept = layout.offset("ancilla")
-    bob = layout.qubits("bob_input")
-    gates = []
-    for i in range(n_bits):
-        pattern = tuple(int(b) for b in format(i, f"0{m_bits}b"))
-        gates.append(mcx(controls=bob + (advice_off + i,), target=accept,
-                         control_values=pattern + (1,)))
-    verifier = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
-    p = OneWayQmaProtocol(
-        bob_bits=m_bits, alice_qubits=n_bits, witness_qubits=0, ancilla_qubits=1,
-        verifier=verifier, accept_qubit=accept,
-        alice_encode=_basis_encoder(n_bits))
-    table = {}
-    for x in range(2 ** n_bits):
-        xs = format(x, f"0{n_bits}b")
-        for i in range(n_bits):
-            table[(xs, format(i, f"0{m_bits}b"))] = int(xs[i])
-    f = CommunicationFunction(n_bits_alice=n_bits, m_bits_bob=m_bits, table=table)
-    return p, f
+    return _rac_protocol(n_bits, witness_qubits=0)
 
 
 def perturbed_rac_protocol(n_bits: int, bad_index: int,
@@ -238,17 +232,7 @@ def table_qcma_verifier(n: int, truth_table: str | None = None) -> QuantumAdvice
     if truth_table is None:
         truth_table = _truth_table(n)
     a_qubits = 2 ** n
-    layout = protocol_layout(n, a_qubits, 1, 1)
-    advice_off = layout.offset(ADVICE_REGISTER)
-    witness = layout.offset("witness")
-    accept = layout.offset("ancilla")
-    bob = layout.qubits("bob_input")
-    gates = []
-    for i in range(a_qubits):
-        pattern = tuple(int(b) for b in format(i, f"0{n}b"))
-        gates.append(mcx(controls=bob + (advice_off + i, witness), target=accept,
-                         control_values=pattern + (1, 1)))
-    verifier = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
+    verifier, accept = _index_select_verifier(n, witness_qubits=1)
     p = OneWayQmaProtocol(
         bob_bits=n, alice_qubits=a_qubits, witness_qubits=1, ancilla_qubits=1,
         verifier=verifier, accept_qubit=accept,

@@ -10,7 +10,6 @@ from demerlab.advice import (
     TrainingSet,
     _boosted_accept,
     _majority_operator,
-    float_binom_tail,
     j_fold_decision,
     ma_fix_advice,
     qcma_train,
@@ -251,5 +250,5 @@ def test_j_fold_mean_matches_sampling_oracle(rng):
 
 
 def test_float_binom_tail_matches_exact():
-    assert float_binom_tail(7, 1 / 3, 4) == pytest.approx(
+    assert binom_tail(7, 1 / 3, 4) == pytest.approx(
         float(binom_tail(7, Fraction(1, 3), 4)), rel=1e-12)

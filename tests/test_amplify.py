@@ -36,6 +36,16 @@ def test_binom_tail_edges():
     assert binom_tail(5, Fraction(1, 3), 6) == 0
 
 
+def test_binom_tail_keeps_the_type_of_p():
+    exact = binom_tail(7, Fraction(1, 3), 4)
+    assert isinstance(exact, Fraction)
+    approx = binom_tail(7, 1 / 3, 4)
+    assert isinstance(approx, float) and approx == pytest.approx(float(exact), rel=1e-12)
+    for k in (0, 8):
+        assert type(binom_tail(7, Fraction(1, 3), k)) is Fraction
+        assert type(binom_tail(7, 1 / 3, k)) is float
+
+
 def test_min_majority_reps_is_minimal():
     target = Fraction(1, 8000)
     n = min_majority_reps(Fraction(1, 3), target)

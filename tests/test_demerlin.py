@@ -244,7 +244,7 @@ def test_resource_scales_linearly_in_u():
 
 
 def test_final_vote_restores_standard_convention():
-    from demerlab.advice import float_binom_tail
+    from demerlab.amplify import binom_tail
     from demerlab.demerlin import final_vote_acceptance, plan_final_vote
 
     # the loop's formal guarantee shape: yes at least 1/9, no far below it
@@ -253,12 +253,12 @@ def test_final_vote_restores_standard_convention():
     assert vote.certified_no <= 1.0 / 3.0
     # exact acceptance mapping is the binomial tail at the vote threshold
     assert final_vote_acceptance(0.2, vote) == pytest.approx(
-        float_binom_tail(vote.repetitions, 0.2, vote.threshold))
+        binom_tail(vote.repetitions, 0.2, vote.threshold))
     # minimality: one fewer repetition cannot certify with any threshold
     r = vote.repetitions - 1
     assert r == 0 or all(
-        not (float_binom_tail(r, 1.0 / 9.0, k) >= 2.0 / 3.0
-             and float_binom_tail(r, 1e-6, k) <= 1.0 / 3.0)
+        not (binom_tail(r, 1.0 / 9.0, k) >= 2.0 / 3.0
+             and binom_tail(r, 1e-6, k) <= 1.0 / 3.0)
         for k in range(1, r + 1))
 
 

@@ -8,6 +8,7 @@ from demerlab.qcore import (
     StateVector,
     TwoOutcomeMeasurement,
     UnitaryCircuit,
+    apply_kraus,
     basis_state,
     cnot,
     fidelity,
@@ -22,6 +23,7 @@ from demerlab.qcore import (
     ry_gate,
     increment_gate,
     counter_threshold_gate,
+    kron_power,
     tensor_product,
     top_eigenpair,
     trace_distance,
@@ -221,6 +223,23 @@ def test_orthonormal_basis_averages_to_identity(rng):
 
 # ---------------------------------------------------------------------------
 # two-outcome measurements
+
+
+def test_apply_kraus_matches_explicit_sum(rng):
+    rho = random_density(AB, rng).matrix
+    kraus = [random_unitary(4, rng) / np.sqrt(3) for _ in range(3)]
+    expected = sum(k @ rho @ k.conj().T for k in kraus)
+    np.testing.assert_allclose(apply_kraus(rho, kraus), expected, atol=1e-14)
+    assert np.trace(apply_kraus(rho, kraus)).real == pytest.approx(1.0, abs=1e-12)
+    assert not apply_kraus(rho, []).any()
+
+
+def test_kron_power_matches_kron_chain(rng):
+    v = random_state(Q1, rng).amplitudes
+    assert np.array_equal(kron_power(v, 1), v)
+    np.testing.assert_allclose(kron_power(v, 3), np.kron(np.kron(v, v), v), atol=0)
+    m = random_density(Q1, rng).matrix
+    assert kron_power(m, 2).shape == (4, 4)
 
 
 def test_measurement_spectrum_validated():

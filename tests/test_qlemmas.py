@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from demerlab.qcore import (
     DensityMatrix,
@@ -12,6 +13,7 @@ from demerlab.qcore import (
     random_effect,
 )
 from demerlab.qlemmas import (
+    _binom_sf,
     agrees_within_sigma,
     good_as_new_check,
     induced_effects,
@@ -247,3 +249,23 @@ def test_report_serialization(rng):
     rho, seq = random_union_instance(rng)
     d = union_bound_run(rho, seq).to_json_dict()
     assert set(d) == {"lemma", "params", "exact", "bound", "drift", "pass"}
+
+
+def test_agrees_within_sigma_is_an_exact_binomial_test():
+    # one miss in 20000 shots near p = 1 is a likely outcome (Pr = 0.073)
+    assert agrees_within_sigma(19999 / 20000, 0.9999961853, 20000)
+    # four misses where 0.64 are expected: 4.2 sigma, but the exact tail is 0.004
+    assert agrees_within_sigma(19996 / 20000, 0.9999682, 20000)
+    assert not agrees_within_sigma(0.52, 0.5, 20000)  # 5.7 sigma
+    assert not agrees_within_sigma(0.48, 0.5, 20000)
+    assert agrees_within_sigma(0.505, 0.5, 20000)  # 1.4 sigma
+    # an exact 0 or 1 admits only the estimate equal to it
+    assert agrees_within_sigma(1.0, 1.0, 100) and not agrees_within_sigma(0.99, 1.0, 100)
+    assert agrees_within_sigma(0.0, 0.0, 100) and not agrees_within_sigma(0.01, 0.0, 100)
+
+
+@pytest.mark.parametrize("n,p,k", [(100_000, 0.3, 30_500), (100_000, 0.3, 29_000),
+                                   (20_000, 0.5, 10_100), (50, 0.9, 49), (7, 0.2, 0),
+                                   (7, 0.2, 8)])
+def test_binomial_tail_sums_either_side(n, p, k):
+    assert _binom_sf(n, p, k) == pytest.approx(scipy.stats.binom.sf(k - 1, n, p), abs=1e-9)
