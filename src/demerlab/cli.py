@@ -2,8 +2,9 @@
 
 Reports are byte-reproducible for a fixed seed: one root seed sequence is
 split hierarchically per trial, floats are serialized with repr round-trip
-formatting, and JSON keys are sorted. The process exits nonzero iff any
-audited bound failed.
+formatting, and JSON keys are sorted. The process exits 0 when every
+audited bound held, 1 when one failed, and 2 on invalid or unsupported input,
+with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -55,11 +56,41 @@ from .toys import DEMERLIN_TOYS, demerlin_toy, parity_ma_verifier, parity_qma_ve
 ENV_PREFIX = "DEMERLAB_"
 
 
-def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
+def _int_at_least(minimum: int):
+    """argparse type for an integer count or seed of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
+
+
+def _env_default(name: str, fallback, parse=None):
+    var = ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    if parse is None:
+        return raw
+    try:
+        return parse(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{var}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -247,10 +278,10 @@ def _run_demerlin_run(args) -> dict:
 
 def _run_rac_audit(args) -> dict:
     if args.n % args.w:
-        raise SystemExit("--n must be a multiple of --w")
+        raise ValueError("--n must be a multiple of --w")
     a = args.n // args.w
     if args.a is not None and args.a != a:
-        raise SystemExit(f"--a must equal n/w = {a}")
+        raise ValueError(f"--a must equal n/w = {a}")
     params = {"n": args.n, "w": args.w, "a": a}
     report = _base_report(args, "rac audit", params)
     code = build_code(args.w, seed=args.seed)
@@ -352,7 +383,7 @@ def _run_advice_qma_fix(args) -> dict:
     report = _base_report(args, "advice qma-fix", {"n": args.n,
                                                    "witness_bits": args.witness_bits})
     if args.witness_bits != 1:
-        raise SystemExit("the shipped quantum-witness toy uses a 1-qubit witness")
+        raise ValueError("the shipped quantum-witness toy uses a 1-qubit witness")
     v = parity_qma_verifier(args.n)
     fixed = qma_fix_advice(v, seed=args.seed)
     row = fixed.to_json_dict()
@@ -365,7 +396,7 @@ def _run_advice_qcma_train(args) -> dict:
     report = _base_report(args, "advice qcma-train",
                           {"n": args.n, "adv_qubits": args.adv_qubits})
     if args.adv_qubits is not None and args.adv_qubits != 2 ** args.n:
-        raise SystemExit(f"the table toy at n={args.n} uses {2 ** args.n} advice qubits")
+        raise ValueError(f"the table toy at n={args.n} uses {2 ** args.n} advice qubits")
     v = table_qcma_verifier(args.n)
     training, decider = qcma_train(v)
     a_total = decider.amplified.alice_qubits
@@ -395,33 +426,36 @@ def _run_advice_qcma_train(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    fmt = _env_default("format", "json")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"{ENV_PREFIX}FORMAT: expected json or csv, got {fmt!r}")
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=_NON_NEGATIVE,
+                        default=_env_default("seed", 0, _NON_NEGATIVE))
     common.add_argument("--out", default=_env_default("out", None))
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=_env_default("format", "json"))
-    common.add_argument("--shots", type=int, default=_env_default("shots", 0))
+    common.add_argument("--format", choices=("json", "csv"), default=fmt)
+    common.add_argument("--shots", type=_NON_NEGATIVE,
+                        default=_env_default("shots", 0, _NON_NEGATIVE))
 
-    parser = argparse.ArgumentParser(prog="demerlab",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="demerlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="group", required=True)
 
     lemma = sub.add_parser("lemma").add_subparsers(dest="sub", required=True)
     g = lemma.add_parser("good-as-new", parents=[common])
-    g.add_argument("--instances", type=int, default=25)
+    g.add_argument("--instances", type=_POSITIVE, default=25)
     g.set_defaults(handler=_run_good_as_new)
     u = lemma.add_parser("union", parents=[common])
-    u.add_argument("--instances", type=int, default=100)
+    u.add_argument("--instances", type=_POSITIVE, default=100)
     u.set_defaults(handler=_run_union)
     o = lemma.add_parser("or-bound", parents=[common])
-    o.add_argument("--witness-qubits", type=int, default=1)
-    o.add_argument("--instances", type=int, default=25)
+    o.add_argument("--witness-qubits", type=_POSITIVE, default=1)
+    o.add_argument("--instances", type=_POSITIVE, default=25)
     o.set_defaults(handler=_run_or_bound)
 
     amp = sub.add_parser("amplify").add_subparsers(dest="sub", required=True)
     ap = amp.add_parser("plan", parents=[common])
-    ap.add_argument("--alice", type=int, required=True)
-    ap.add_argument("--witness", type=int, required=True)
+    ap.add_argument("--alice", type=_NON_NEGATIVE, required=True)
+    ap.add_argument("--witness", type=_NON_NEGATIVE, required=True)
     ap.add_argument("--desk", action="store_true")
     ap.add_argument("--c-ell", type=float, default=None)
     ap.add_argument("--c-u", type=float, default=None)
@@ -439,40 +473,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     rac = sub.add_parser("rac").add_subparsers(dest="sub", required=True)
     ra = rac.add_parser("audit", parents=[common])
-    ra.add_argument("--n", type=int, default=8)
-    ra.add_argument("--w", type=int, default=4)
-    ra.add_argument("--a", type=int, default=None)
+    ra.add_argument("--n", type=_POSITIVE, default=8)
+    ra.add_argument("--w", type=_POSITIVE, default=4)
+    ra.add_argument("--a", type=_POSITIVE, default=None)
     ra.set_defaults(handler=_run_rac_audit)
     rr = rac.add_parser("reduce", parents=[common])
-    rr.add_argument("--w", type=int, default=1)
-    rr.add_argument("--n", type=int, default=None)
+    rr.add_argument("--w", type=_POSITIVE, default=1)
+    rr.add_argument("--n", type=_POSITIVE, default=None)
     rr.set_defaults(handler=_run_rac_reduce)
     rf = rac.add_parser("fingerprint", parents=[common])
-    rf.add_argument("--bits", type=int, default=8)
-    rf.add_argument("--m-bits", type=int, default=6)
-    rf.add_argument("--trials", type=int, default=10_000)
+    rf.add_argument("--bits", type=_POSITIVE, default=8)
+    rf.add_argument("--m-bits", type=_POSITIVE, default=6)
+    rf.add_argument("--trials", type=_POSITIVE, default=10_000)
     rf.set_defaults(handler=_run_rac_fingerprint)
 
     adv = sub.add_parser("advice").add_subparsers(dest="sub", required=True)
     am = adv.add_parser("ma-fix", parents=[common])
-    am.add_argument("--n", type=int, default=2)
+    am.add_argument("--n", type=_POSITIVE, default=2)
     am.set_defaults(handler=_run_advice_ma_fix)
     aq = adv.add_parser("qma-fix", parents=[common])
-    aq.add_argument("--n", type=int, default=2)
-    aq.add_argument("--witness-bits", type=int, default=1)
+    aq.add_argument("--n", type=_POSITIVE, default=2)
+    aq.add_argument("--witness-bits", type=_POSITIVE, default=1)
     aq.set_defaults(handler=_run_advice_qma_fix)
     at = adv.add_parser("qcma-train", parents=[common])
-    at.add_argument("--n", type=int, default=1)
-    at.add_argument("--adv-qubits", type=int, default=None)
+    at.add_argument("--n", type=_POSITIVE, default=1)
+    at.add_argument("--adv-qubits", type=_POSITIVE, default=None)
     at.set_defaults(handler=_run_advice_qcma_train)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    report = args.handler(args)
-    _emit(report, args)
+    """Run one subcommand; returns the exit code (a usage error exits 2 itself)."""
+    try:
+        args = build_parser().parse_args(argv)
+        report = args.handler(args)
+        _emit(report, args)
+    except (ValueError, OSError) as exc:  # bad input, or an --out path we cannot write
+        print(f"demerlab: error: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["pass"] else 1
 
 

@@ -13,16 +13,23 @@ counter stays at zero exactly on the branch where every round applied the
 no-accept projector P0_z = prep_z V' (I - Pi_accept) V prep_z, so averaging
 over independent uniform coins gives
 
-    Pr[counter = 0] = trace(Phi0^T(rho_full)),
-    Phi0(rho) = mean_z P0_z rho P0_z,
+    Pr[counter = 0] = trace(Phi0^T(rho_full)) = trace(rho_full E_y),
+    Phi0(rho) = mean_z P0_z rho P0_z,   E_y = (Phi0*)^T(I),
 
 where rho_full is the verifier-side initial state (advice tensor zeroed
-witness and ancilla) with Bob's classical input sliced out. This is
+witness and ancilla) with Bob's classical input y sliced out. This is
 polynomial in T and matches the emitted circuit gate for gate.
+
+The effect E_y depends on y alone, so it is computed once per Bob input and
+cached on the DemerlinizedProtocol. It lives on the subspace the round
+operators can reach from the initial states (reachability analysis of
+quantum Markov chains, Ying-Feng-Yu-Ying 2013), which for the amplified
+coin has 4 to 8 dimensions while the rest space has 256 to 8192. The round
+operators are applied to statevector batches, never built as 2^n matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
 
 import numpy as np
@@ -32,8 +39,8 @@ from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
+    _accept_mask,
     optimal_witness,
-    rest_projector,
 )
 from .qcore import (
     ATOL,
@@ -78,6 +85,8 @@ class DemerlinizedProtocol:
     f: CommunicationFunction | None
     t_rounds: int
     counter_qubits: int
+    # Bob input -> _ReachableLoop; filled by evaluation, lives as long as self
+    _loops: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w_total = self.base.witness_qubits
@@ -128,38 +137,136 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
 
 
 # ---------------------------------------------------------------------------
-# round operators on the space with Bob's classical input sliced out
+# the loop on the subspace its round operators reach, one Bob input at a time
+
+_LEAK_TOL = 1e-12  # squared weight a Bob input block may lose under the verifier
+_RANK_TOL = 1e-10  # a candidate direction with a smaller residual counts as spanned
+RESIDUAL_BOUND = 1e-9  # audited bound on max_z ||P0_z B - B M_z||
 
 
-def _round_projectors(p: OneWayQmaProtocol, y: str) -> list[np.ndarray]:
-    """No-accept round operators P0_z on the advice (x) witness (x) ancilla space.
+def _initial_columns(p: OneWayQmaProtocol, x: str,
+                     rho_alice: DensityMatrix | None = None) -> np.ndarray:
+    """Columns L of the initial state L L' on advice (x) witness (x) ancilla.
 
-    P0_z conjugates the no-accept projector by the witness preparation X^z,
-    which is a basis permutation, so it comes out as an index shuffle.
+    Witness and ancilla are zeroed. Pure advice gives one column; mixed advice
+    gives its eigenvectors scaled by the square roots of their weights.
     """
-    p0 = rest_projector(p, y, outcome=0)
-    n_rest = p.verifier.n_qubits - p.bob_bits
-    idx = np.arange(2 ** n_rest)
-    w = p.witness_qubits
-    wit_shift = p.ancilla_qubits  # witness bits sit just above the ancilla bits
-    out = []
-    for z in range(2 ** w):
-        perm = idx ^ (z << wit_shift)
-        out.append(p0[np.ix_(perm, perm)])
-    return out
-
-
-def _initial_rest_vector(p: OneWayQmaProtocol, x: str,
-                         rho_alice: DensityMatrix | None = None) -> np.ndarray:
-    """Initial state on advice (x) witness (x) ancilla, witness and ancilla zeroed.
-
-    Returns a density matrix when `rho_alice` is mixed, else a vector.
-    """
-    pad = np.zeros(2 ** (p.witness_qubits + p.ancilla_qubits), dtype=complex)
+    pad = np.zeros((2 ** (p.witness_qubits + p.ancilla_qubits), 1), dtype=complex)
     pad[0] = 1.0
     if rho_alice is None:
-        return np.kron(p.advice_state(x).amplitudes, pad)
-    return np.kron(rho_alice.matrix, np.outer(pad, pad.conj()))
+        return np.kron(p.advice_state(x).amplitudes[:, None], pad)
+    if rho_alice.dim != 2 ** p.alice_qubits:
+        raise ValueError(f"advice state has dimension {rho_alice.dim}, "
+                         f"the protocol {2 ** p.alice_qubits}")
+    w, v = np.linalg.eigh(hermitize(rho_alice.matrix))
+    return np.kron(v * np.sqrt(np.clip(w, 0.0, None)), pad)
+
+
+def _new_directions(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of span(cols) outside span(basis)."""
+    for _ in range(2):  # the second pass restores orthogonality lost to rounding
+        cols = cols - basis @ (basis.conj().T @ cols)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    u = u[:, s > _RANK_TOL]
+    # dividing by a small singular value magnifies what rounding left inside span(basis)
+    return np.linalg.qr(u - basis @ (basis.conj().T @ u))[0]
+
+
+class _ReachableLoop:
+    """The loop's round operators for one Bob input y, on the subspace they reach.
+
+    `basis` B is an orthonormal basis of the smallest subspace that holds
+    every initial vector covered so far and is invariant under every P0_z;
+    `rounds` are M_z = B' P0_z B and `effect` is the never-accept effect
+    E_y = (Phi0*)^T(I) in that basis. Round operators act on statevector
+    batches, so no 2^n unitary is built.
+    """
+
+    def __init__(self, d: DemerlinizedProtocol, y: str):
+        p = d.base
+        if len(y) != p.bob_bits:
+            raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
+        self.p, self.t_rounds = p, d.t_rounds
+        self.dim = 2 ** (p.verifier.n_qubits - p.bob_bits)
+        lo = (int(y, 2) if y else 0) * self.dim
+        self.block = slice(lo, lo + self.dim)
+        self.inverse = p.verifier.inverse()
+        self.accept = _accept_mask(p.verifier.n_qubits, p.accept_qubit)
+        # X^z is the index permutation that flips the witness bits set in z;
+        # the witness bits sit just above the ancilla bits
+        idx = np.arange(self.dim)
+        self.perms = [idx ^ (z << p.ancilla_qubits) for z in range(2 ** p.witness_qubits)]
+        self.basis = np.zeros((self.dim, 0), dtype=complex)
+        self.images = np.zeros((len(self.perms), self.dim, 0), dtype=complex)  # P0_z B
+        self.rounds = [np.zeros((0, 0), dtype=complex) for _ in self.perms]
+        self.effect = np.zeros((0, 0), dtype=complex)
+        self.residual = 0.0
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
+        leak = float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(out[self.block]) ** 2))
+        if leak > _LEAK_TOL:
+            raise ValueError("verifier is not block diagonal over bob_input; "
+                             "cannot slice a classical input block")
+        return out
+
+    def round_images(self, cols: np.ndarray) -> np.ndarray:
+        """P0_z cols = X^z V' Pi_0 V X^z cols for every z, shape (2^W, dim, m)."""
+        m = cols.shape[1]
+        full = np.zeros((self.p.verifier.dim, len(self.perms) * m), dtype=complex)
+        full[self.block] = np.concatenate([cols[perm] for perm in self.perms], axis=1)
+        out = self._checked(self.p.verifier.apply(full))
+        out[self.accept] = 0.0
+        back = self._checked(self.inverse.apply(out))[self.block]
+        return np.stack([back[perm, z * m:(z + 1) * m] for z, perm in enumerate(self.perms)])
+
+    def cover(self, cols: np.ndarray) -> np.ndarray:
+        """Grow the basis until it spans `cols`; returns their coordinates B' cols."""
+        new = _new_directions(self.basis, cols)
+        if not new.shape[1]:
+            return self.basis.conj().T @ cols
+        basis, images = self.basis, self.images
+        while new.shape[1]:
+            basis = np.hstack([basis, new])
+            grown = self.round_images(new)
+            images = np.concatenate([images, grown], axis=2)
+            new = _new_directions(basis, np.hstack(list(grown)))
+        rounds = [basis.conj().T @ img for img in images]
+        residual = max(float(np.linalg.norm(img - basis @ m, 2))
+                       for img, m in zip(images, rounds))
+        if residual > RESIDUAL_BOUND:
+            raise ValueError(f"reachable subspace is not invariant: residual "
+                             f"{residual:.3g} > {RESIDUAL_BOUND:g}")
+        adjoints = [m.conj().T for m in rounds]
+        effect = np.eye(basis.shape[1], dtype=complex)
+        for _ in range(self.t_rounds):
+            effect = apply_kraus(effect, adjoints) / len(adjoints)
+        # commit only a loop that passed its audit
+        self.basis, self.images, self.rounds = basis, images, rounds
+        self.residual, self.effect = residual, effect
+        return basis.conj().T @ cols
+
+    def advice_marginal(self, rho: np.ndarray) -> np.ndarray:
+        """Advice-register marginal of B rho B', without forming it."""
+        k = rho.shape[0]
+        lifted = (self.basis @ rho).reshape(2 ** self.p.alice_qubits, -1, k)
+        b = self.basis.reshape(lifted.shape)
+        return hermitize(np.einsum("arj,brj->ab", lifted, b.conj()))
+
+
+def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
+                    rho_alice: DensityMatrix | None = None) -> tuple[_ReachableLoop, np.ndarray]:
+    """The cached loop for y, covering the initial state of x (or rho_alice).
+
+    A new loop first covers every Alice input of `d.f`, so its effect is
+    computed once per y however many pairs share it.
+    """
+    loop = d._loops.get(y)
+    if loop is None:
+        loop = _ReachableLoop(d, y)
+        if d.f is not None:
+            loop.cover(np.hstack([_initial_columns(d.base, a) for a in d.f.alice_inputs()]))
+        d._loops[y] = loop
+    return loop, loop.cover(_initial_columns(d.base, x, rho_alice))
 
 
 @dataclass(frozen=True)
@@ -173,6 +280,8 @@ class DemerlinReport:
     advice_drift: tuple[float, ...] = ()
     drift_budget: tuple[float, ...] = ()
     passed: bool = True
+    residual: float = 0.0  # invariance residual of the reachable subspace
+    reachable_dim: int = 0
 
     def to_json_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "f": self.f_value,
@@ -189,34 +298,27 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     f=1 pairs (the OR-bound arithmetic at eta = 2/3, T = 9N) and at most
     T * sqrt(5^-W) for f=0 pairs (the union bound over rounds).
     """
-    p = d.base
-    projectors = _round_projectors(p, y)
-    init = _initial_rest_vector(p, x, rho_alice)
-    if init.ndim == 1:
-        rho = np.outer(init, init.conj())
-    else:
-        rho = init
+    loop, coords = _reachable_loop(d, x, y, rho_alice)
     drift: list[float] = []
     budget: list[float] = []
     if track_drift:
-        adv_dim = 2 ** p.alice_qubits
-        rest = rho.shape[0] // adv_dim
-        adv0 = _advice_marginal(rho, adv_dim, rest)
+        rho = coords @ coords.conj().T
+        adv0 = loop.advice_marginal(rho)
         spent = 0.0
-    for _ in range(d.t_rounds):
-        prev_tr = float(np.trace(rho).real)
-        rho = apply_kraus(rho, projectors) / len(projectors)
-        if track_drift:
+        for _ in range(d.t_rounds):
+            prev_tr = float(np.trace(rho).real)
+            rho = apply_kraus(rho, loop.rounds) / len(loop.rounds)
             tr = float(np.trace(rho).real)
             eps_round = 0.0 if prev_tr <= 1e-15 else max(0.0, 1.0 - tr / prev_tr)
             spent += sqrt(eps_round)
             budget.append(spent)
             if tr > 1e-15:
-                adv_t = _advice_marginal(rho / tr, adv_dim, rest)
+                adv_t = loop.advice_marginal(rho / tr)
                 drift.append(0.5 * trace_norm(adv_t - adv0))
             else:
                 drift.append(1.0)
-    p_accept = min(max(1.0 - float(np.trace(rho).real), 0.0), 1.0)
+    p_never = float(np.vdot(coords, loop.effect @ coords).real)  # tr(C' E_y C)
+    p_accept = min(max(1.0 - p_never, 0.0), 1.0)
     f_value = d.f.value(x, y) if d.f is not None else None
     yes_bound = 1.0 / 9.0
     no_bound = d.soundness_ceiling
@@ -228,24 +330,21 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     return DemerlinReport(x=x, y=y, f_value=f_value, p_accept=p_accept,
                           yes_bound=yes_bound, no_bound=no_bound,
                           advice_drift=tuple(drift), drift_budget=tuple(budget),
-                          passed=passed)
-
-
-def _advice_marginal(rho: np.ndarray, adv_dim: int, rest_dim: int) -> np.ndarray:
-    t = rho.reshape(adv_dim, rest_dim, adv_dim, rest_dim)
-    return hermitize(np.einsum("arbr->ab", t))
+                          passed=passed, residual=loop.residual,
+                          reachable_dim=loop.basis.shape[1])
 
 
 def sample_demerlinized(d: DemerlinizedProtocol, x: str, y: str, shots: int,
                         seed: int | np.random.SeedSequence) -> tuple[float, float]:
     """Monte-Carlo estimate of the loop acceptance with per-shot coin draws.
 
-    Walks normalized pure-state trajectories through the same no-accept
-    projectors the exact evaluation uses. Returns (estimate, stderr).
+    Walks normalized pure-state trajectories through the same round operators
+    the exact evaluation uses, in reachable-subspace coordinates. Returns
+    (estimate, stderr).
     """
     rng = np.random.default_rng(seed)
-    return monte_carlo_any_outcome1(_initial_rest_vector(d.base, x),
-                                    _round_projectors(d.base, y), d.t_rounds, shots, rng)
+    loop, coords = _reachable_loop(d, x, y)
+    return monte_carlo_any_outcome1(coords[:, 0], loop.rounds, d.t_rounds, shots, rng)
 
 
 # ---------------------------------------------------------------------------

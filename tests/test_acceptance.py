@@ -248,3 +248,27 @@ def test_criterion_9_cli_determinism(tmp_path):
         main(args + ["--out", str(b)])
         identical &= a.read_bytes() == b.read_bytes()
     report(9, identical, "three CLI reports byte-identical across repeated runs")
+
+
+def test_criterion_10_amplified_pipeline():
+    """The paper's pipeline on the coin at base error 3/10 (u=5) and at 1/3
+    (u=7, 14 qubits): desk plan, amplify, de-Merlinize, exact loop value with
+    yes >= 1/9 and reachable-subspace residual <= 1e-9, in under 30 s."""
+    start = time.monotonic()
+    ok = True
+    details = []
+    for base_error, (base, f) in ((Fraction(3, 10), coin_protocol(0.7, 0.3)),
+                                  (Fraction(1, 3), coin_protocol())):
+        plan = desk_plan(base.alice_qubits, base.witness_qubits, base_error)
+        amplified = build_outer(build_inner(base, plan.ell), plan.u)
+        d = demerlinize(amplified, plan, f=f)
+        for (x, y), v in f.pairs():
+            r = evaluate_demerlinized(d, x, y)
+            ok &= r.passed and r.residual <= 1e-9
+            if v == 1:
+                ok &= r.p_accept >= 1.0 / 9.0 - 1e-9
+                details.append(f"u={plan.u} ({amplified.verifier.n_qubits} qubits): "
+                               f"yes {r.p_accept:.6f}, reachable dim {r.reachable_dim}, "
+                               f"residual {r.residual:.1e}")
+    elapsed = time.monotonic() - start
+    report(10, ok and elapsed < 30.0, f"{'; '.join(details)}, in {elapsed:.1f}s")

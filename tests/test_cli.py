@@ -113,3 +113,80 @@ def test_amplify_plan_cli(tmp_path):
     doc = json.loads(payload)
     assert doc["results"][0]["ell"] == 1
     assert doc["results"][0]["u"] == 7
+
+
+def exit_and_stderr(argv, capsys):
+    """Exit code of `demerlab argv` (usage errors exit from argparse) and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rac", "audit", "--w", "0"],
+    ["rac", "audit", "--n", "0"],
+    ["rac", "audit", "--n", "3", "--w", "2"],
+    ["lemma", "union", "--instances", "0"],
+    ["lemma", "good-as-new", "--instances", "-1"],
+    ["rac", "fingerprint", "--trials", "0"],
+    ["lemma", "union", "--seed", "-1"],
+    ["lemma", "union", "--instances", "two"],
+    ["amplify", "plan", "--alice", "1", "--witness", "0"],
+])
+def test_invalid_input_exits_2_with_one_line(argv, capsys):
+    code, err = exit_and_stderr(argv, capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    code, err = exit_and_stderr(["lemma", "union", "--instances", "1", "--out", str(out)],
+                                capsys)
+    assert code == 2 and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("var, value", [("SHOTS", "abc"), ("SEED", "-3"),
+                                        ("FORMAT", "xml")])
+def test_invalid_environment_default_exits_2(var, value, capsys, monkeypatch):
+    monkeypatch.setenv("DEMERLAB_" + var, value)
+    code, err = exit_and_stderr(["lemma", "union", "--instances", "2"], capsys)
+    assert code == 2
+    assert err.strip().splitlines() == [err.strip()] and "DEMERLAB_" + var in err
+
+
+def test_loop_value_errors_exit_2(capsys, monkeypatch):
+    import demerlab.cli as cli_mod
+    import demerlab.demerlin as demerlin_mod
+    from demerlab.protocol import OneWayQmaProtocol, protocol_layout
+    from demerlab.qcore import RegisterLayout, UnitaryCircuit, basis_state, ry_gate
+    from demerlab.toys import coin_protocol
+
+    # a verifier that rotates Bob's register cannot be sliced per Bob input
+    _, f = coin_protocol()
+    leaky = OneWayQmaProtocol(
+        bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
+        verifier=UnitaryCircuit(3, (ry_gate(0, 0.4),), protocol_layout(1, 1, 1, 0)),
+        accept_qubit=1,
+        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+    monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))
+    code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
+    assert code == 2 and "block diagonal" in err and len(err.strip().splitlines()) == 1
+    monkeypatch.undo()
+
+    monkeypatch.setattr(demerlin_mod, "RESIDUAL_BOUND", -1.0)
+    code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
+    assert code == 2 and "not invariant" in err and len(err.strip().splitlines()) == 1
+
+
+def test_violated_bound_still_exits_1(tmp_path, monkeypatch):
+    import demerlab.cli as cli_mod
+
+    def broken(args):
+        return {"version": "x", "command": "demo", "seed": 0, "params": {},
+                "results": [{"pass": False}], "pass": False}
+
+    monkeypatch.setattr(cli_mod, "_run_rac_audit", broken)
+    assert main(["rac", "audit", "--out", str(tmp_path / "fail.json")]) == 1

@@ -1,7 +1,14 @@
+from dataclasses import fields
+from fractions import Fraction
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demerlab.amplify import build_inner, build_outer, identity_plan
+import demerlab.demerlin as demerlin_mod
+from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
 from demerlab.demerlin import (
     DemerlinizedProtocol,
     demerlinize,
@@ -10,6 +17,17 @@ from demerlab.demerlin import (
     evaluate_demerlinized,
     resource_report,
     sample_demerlinized,
+)
+from demerlab.protocol import OneWayQmaProtocol, protocol_layout, rest_projector
+from demerlab.qcore import (
+    RegisterLayout,
+    UnitaryCircuit,
+    apply_kraus,
+    basis_state,
+    hermitize,
+    maximally_mixed,
+    ry_gate,
+    trace_norm,
 )
 from demerlab.qlemmas import agrees_within_sigma
 from demerlab.toys import coin_protocol, demerlin_toy, rac_claim_protocol
@@ -128,11 +146,157 @@ def test_advice_drift_budget_non_vacuous():
 
 
 def test_mixed_advice_supported():
-    from demerlab.qcore import maximally_mixed
     d, _ = make_coin()
     rho = maximally_mixed(d.base.advice_state("0").layout)
     r = evaluate_demerlinized(d, "0", "1", rho_alice=rho)
     assert 0.0 <= r.p_accept <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# dense Schroedinger-picture oracle on the whole rest space (<= 8 rest qubits)
+
+
+def dense_round_projectors(p, y):
+    """P0_z = X^z V' Pi_0 V X^z as dense matrices on advice (x) witness (x) ancilla."""
+    n_rest = p.verifier.n_qubits - p.bob_bits
+    assert n_rest <= 8, "the dense oracle is for small rest spaces"
+    p0 = rest_projector(p, y, outcome=0)
+    idx = np.arange(2 ** n_rest)
+    perms = [idx ^ (z << p.ancilla_qubits) for z in range(2 ** p.witness_qubits)]
+    return [p0[np.ix_(perm, perm)] for perm in perms]
+
+
+def dense_loop(d, x, y, rho_alice=None, projectors=None):
+    """(p_accept, advice drift, drift budget) by iterating Phi0 on dense matrices."""
+    p = d.base
+    pad = np.zeros(2 ** (p.witness_qubits + p.ancilla_qubits), dtype=complex)
+    pad[0] = 1.0
+    if rho_alice is None:
+        init = np.kron(p.advice_state(x).amplitudes, pad)
+        rho = np.outer(init, init.conj())
+    else:
+        rho = np.kron(rho_alice.matrix, np.outer(pad, pad.conj()))
+    if projectors is None:
+        projectors = dense_round_projectors(p, y)
+    adv_dim = 2 ** p.alice_qubits
+    rest = rho.shape[0] // adv_dim
+
+    def advice_marginal(m):
+        return hermitize(np.einsum("arbr->ab", m.reshape(adv_dim, rest, adv_dim, rest)))
+
+    adv0 = advice_marginal(rho)
+    drift, budget, spent = [], [], 0.0
+    for _ in range(d.t_rounds):
+        prev_tr = float(np.trace(rho).real)
+        rho = apply_kraus(rho, projectors) / len(projectors)
+        tr = float(np.trace(rho).real)
+        spent += sqrt(0.0 if prev_tr <= 1e-15 else max(0.0, 1.0 - tr / prev_tr))
+        budget.append(spent)
+        drift.append(0.5 * trace_norm(advice_marginal(rho / tr) - adv0) if tr > 1e-15 else 1.0)
+    p_accept = min(max(1.0 - float(np.trace(rho).real), 0.0), 1.0)
+    return p_accept, drift, budget
+
+
+def assert_matches_oracle(d, x, y, rho_alice=None, track_drift=False):
+    r = evaluate_demerlinized(d, x, y, track_drift=track_drift, rho_alice=rho_alice)
+    p_accept, drift, budget = dense_loop(d, x, y, rho_alice)
+    assert r.p_accept == pytest.approx(p_accept, abs=1e-12)
+    assert r.residual <= 1e-9
+    if track_drift:
+        np.testing.assert_allclose(r.advice_drift, drift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r.drift_budget, budget, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["rac2", "rac4", "coin"])
+def test_every_toy_pair_matches_dense_oracle(name):
+    p, f = demerlin_toy(name)
+    plan = identity_plan(p.alice_qubits, p.witness_qubits)
+    d = demerlinize(p, plan, f=f)
+    # without f the basis starts empty and grows with every new Alice input
+    d_bare = demerlinize(p, plan)
+    projectors = {y: dense_round_projectors(p, y) for (_, y), _ in f.pairs()}
+    for (x, y), _ in f.pairs():
+        expected = dense_loop(d, x, y, projectors=projectors[y])[0]
+        for dd in (d, d_bare):
+            r = evaluate_demerlinized(dd, x, y)
+            assert r.p_accept == pytest.approx(expected, abs=1e-12)
+            assert r.residual <= 1e-9
+    assert set(d._loops) == {y for (_, y), _ in f.pairs()}
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+def test_amplified_coin_matches_dense_oracle(angle):
+    # the paper's pipeline at u = 3: 9 qubits, 8 rest qubits
+    base, f = coin_protocol(0.75, 0.25, witness_angle=angle)
+    plan = desk_plan(1, 1, Fraction(1, 4))
+    d = demerlinize(build_outer(build_inner(base, plan.ell), plan.u), plan, f=f)
+    for (x, y), _ in f.pairs():
+        assert_matches_oracle(d, x, y, track_drift=True)
+    assert d._loops["1"].basis.shape[1] < 2 ** 8
+
+
+def test_drift_sequences_match_dense_oracle():
+    d, _ = make_coin()
+    p, f = coin_protocol(yes_prob=2 / 3, no_prob=0.002)
+    d_low = demerlinize(p, identity_plan(1, 1), f=f)
+    for dd in (d, d_low):
+        for y in ("0", "1"):
+            assert_matches_oracle(dd, "0", y, track_drift=True)
+
+
+@pytest.mark.parametrize("name", ["coin", "rac4"])
+def test_maximally_mixed_advice_matches_dense_oracle(name):
+    p, f = demerlin_toy(name)
+    d = demerlinize(p, identity_plan(p.alice_qubits, p.witness_qubits), f=f)
+    rho = maximally_mixed(RegisterLayout.of(("advice", p.alice_qubits)))
+    for y in sorted({y for (_, y), _ in f.pairs()}):
+        x = f.alice_inputs()[0]
+        assert_matches_oracle(d, x, y, rho_alice=rho, track_drift=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(yes=st.floats(0.0, 1.0), no=st.floats(0.0, 1.0), angle=st.floats(-3.2, 3.2))
+def test_coin_loop_matches_dense_oracle(yes, no, angle):
+    p, f = coin_protocol(yes_prob=yes, no_prob=no, witness_angle=angle)
+    d = demerlinize(p, identity_plan(1, 1), f=f, audit_soundness=False)
+    for (x, y), _ in f.pairs():
+        assert_matches_oracle(d, x, y)
+
+
+def test_loop_rejects_non_block_diagonal_verifier():
+    layout = protocol_layout(1, 1, 1, 0)
+    circ = UnitaryCircuit(3, (ry_gate(0, 0.4),), layout)  # rotates Bob's register
+    p = OneWayQmaProtocol(
+        bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
+        verifier=circ, accept_qubit=1,
+        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+    d = demerlinize(p, identity_plan(1, 1))
+    with pytest.raises(ValueError, match="block diagonal"):
+        evaluate_demerlinized(d, "0", "0")
+    with pytest.raises(ValueError, match="block diagonal"):
+        sample_demerlinized(d, "0", "0", shots=10, seed=0)
+
+
+def test_residual_audit_raises_and_caches_nothing(monkeypatch):
+    d, _ = make_coin()
+    monkeypatch.setattr(demerlin_mod, "RESIDUAL_BOUND", -1.0)
+    with pytest.raises(ValueError, match="not invariant"):
+        evaluate_demerlinized(d, "0", "1")
+    assert not d._loops
+    monkeypatch.undo()
+    assert evaluate_demerlinized(d, "0", "1").passed
+
+
+def test_cache_lives_on_the_protocol_instance():
+    d, _ = make_coin()
+    evaluate_demerlinized(d, "0", "1")
+    loop = d._loops["1"]
+    evaluate_demerlinized(d, "0", "1")
+    assert d._loops["1"] is loop
+    twin, _ = make_coin()
+    assert not twin._loops
+    cache = next(fl for fl in fields(DemerlinizedProtocol) if fl.name == "_loops")
+    assert not cache.compare and not cache.repr and not cache.init
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +325,15 @@ def replay_never_probability(d, coins, x, y):
 
 
 def test_circuit_replay_matches_projector_chain():
-    from demerlab.demerlin import _initial_rest_vector, _round_projectors
+    from demerlab.demerlin import _reachable_loop
 
     d, _ = make_coin()
     rng = np.random.default_rng(23)
     coins = [int(z) for z in rng.integers(0, 2, size=d.t_rounds)]
-    vec = _initial_rest_vector(d.base, "0")
+    loop, coords = _reachable_loop(d, "0", "1")
+    vec = coords[:, 0]
     for z in coins:
-        vec = _round_projectors(d.base, "1")[z] @ vec
+        vec = loop.rounds[z] @ vec
     chain = float(np.vdot(vec, vec).real)
     replay = replay_never_probability(d, coins, "0", "1")
     assert replay == pytest.approx(chain, abs=1e-10)
