@@ -17,6 +17,7 @@ import numpy as np
 
 from .qcore import (
     ATOL,
+    DENSITY_MAX_QUBITS,
     Gate,
     RegisterLayout,
     StateVector,
@@ -144,16 +145,17 @@ def sliced_verifier(p: OneWayQmaProtocol, y: str) -> np.ndarray:
     Verifiers here read bob_input only through gate controls, so the full
     unitary is block diagonal over Bob's basis; anything else is rejected.
     """
-    full = p.verifier.to_matrix()
-    if p.bob_bits == 0:
-        return full
-    if len(y) != p.bob_bits:
+    if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
+        raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
+    if p.bob_bits and len(y) != p.bob_bits:
         raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
     dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
-    y_index = int(y, 2) if y else 0
+    y_index = int(y, 2) if p.bob_bits else 0  # without Bob bits the block is the whole unitary
     lo, hi = y_index * dim_rest, (y_index + 1) * dim_rest
-    block = full[lo:hi, lo:hi]
-    leak = float((np.abs(full[:, lo:hi]) ** 2).sum() - (np.abs(block) ** 2).sum())
+    # only the unitary's columns lo..hi: the circuit run on |y> (x) every rest basis state
+    cols = p.verifier.apply(np.eye(p.verifier.dim, dim_rest, -lo, dtype=complex))
+    block = cols[lo:hi]
+    leak = float((np.abs(cols) ** 2).sum() - (np.abs(block) ** 2).sum())
     if leak > 1e-12:
         raise ValueError("verifier is not block diagonal over bob_input; "
                          "cannot slice a classical input block")

@@ -8,7 +8,7 @@ i.e. ``basis_state(layout, "011")`` puts amplitude 1 at index 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -290,10 +290,10 @@ def random_effect(layout, rng: np.random.Generator, scale: float | None = None) 
     layout = _layout(layout)
     g = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
     m = g @ g.conj().T
-    m /= np.max(np.linalg.eigvalsh(m))
+    w, v = np.linalg.eigh(m)
     if scale is None:
         scale = float(rng.uniform(0.0, 1.0))
-    return TwoOutcomeMeasurement(m * scale, layout)
+    return TwoOutcomeMeasurement(m / w[-1] * scale, layout, spectrum=(w / w[-1] * scale, v))
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +371,19 @@ class TwoOutcomeMeasurement:
     eigenbasis once at construction, so M0'M0 + M1'M1 = I to machine
     precision. The square-root update is the minimally disturbing one; it
     attains the gentle-measurement damage bound with equality on projectors.
+    `spectrum`, if given, is E's (eigenvalues, eigenvectors) as `np.linalg.eigh` returns them.
     """
 
     effect: np.ndarray
     layout: RegisterLayout | None = None
+    spectrum: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     m0: np.ndarray = field(init=False, repr=False)
     m1: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum=None):
         e = np.asarray(self.effect, dtype=complex)
         _check_hermitian(e, "effect operator")
-        w, v = np.linalg.eigh(hermitize(e))
+        w, v = np.linalg.eigh(hermitize(e)) if spectrum is None else spectrum
         if np.min(w) < -ATOL or np.max(w) > 1.0 + ATOL:
             raise ValueError(f"effect spectrum [{w.min():.3e}, {w.max():.3e}] outside [0, 1]")
         w = np.clip(w, 0.0, 1.0)
@@ -434,23 +436,6 @@ def measure_two_outcome(rho, m: TwoOutcomeMeasurement) -> MeasurementResult:
 # gate-list circuits
 
 
-def _apply_operator(amps: np.ndarray, op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k operator to the given qubit axes.
-
-    `amps` is a flat vector of length 2^n, or a (2^n, B) batch whose axis 0
-    is the state index.
-    """
-    k = len(positions)
-    batched = amps.ndim == 2
-    shape = [2] * n + ([amps.shape[1]] if batched else [])
-    t = amps.reshape(shape)
-    t = np.moveaxis(t, list(positions), list(range(k)))
-    rest = t.shape[k:]
-    t = op @ t.reshape(2 ** k, -1)
-    t = np.moveaxis(t.reshape([2] * k + list(rest)), list(range(k)), list(positions))
-    return t.reshape(amps.shape)
-
-
 @dataclass(frozen=True)
 class Gate:
     """A unitary on named target qubits, optionally with classical-pattern controls."""
@@ -483,17 +468,6 @@ class Gate:
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
 
-    def full_operator(self) -> np.ndarray:
-        """Matrix over (controls + targets), controls as the high-order bits."""
-        if not self.controls:
-            return self.matrix
-        c, k = len(self.controls), len(self.targets)
-        op = np.eye(2 ** (c + k), dtype=complex)
-        pat = int("".join(str(v) for v in self.control_values), 2)
-        lo, hi = pat * 2 ** k, (pat + 1) * 2 ** k
-        op[lo:hi, lo:hi] = self.matrix
-        return op
-
     def inverse(self) -> "Gate":
         return Gate(self.name + "^-1", self.targets, self.matrix.conj().T,
                     self.controls, self.control_values)
@@ -522,6 +496,7 @@ class UnitaryCircuit:
     n_qubits: int
     gates: tuple[Gate, ...]
     layout: RegisterLayout | None = None
+    _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -535,12 +510,30 @@ class UnitaryCircuit:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
+    def _compiled(self) -> tuple:
+        """Per gate, built on first use: the index fixing its control axes to their
+        values, its target axes within that slice, and its matrix as (2,)*2k."""
+        if self._steps is None:
+            steps = []
+            for g in self.gates:
+                fixed = dict(zip(g.controls, g.control_values))
+                select = tuple(fixed.get(q, slice(None)) for q in range(self.n_qubits))
+                free = [q for q in range(self.n_qubits) if q not in fixed]
+                axes = tuple(free.index(t) for t in g.targets)
+                steps.append((select, axes, g.matrix.reshape((2,) * (2 * len(axes)))))
+            object.__setattr__(self, "_steps", tuple(steps))
+        return self._steps
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Run the circuit on a flat statevector (or a batch of columns)."""
-        out = np.asarray(amps, dtype=complex)
-        for g in self.gates:
-            out = _apply_operator(out, g.full_operator(), g.qubits, self.n_qubits)
-        return out
+        """Run the circuit on a flat statevector (or a batch of columns); each
+        gate rewrites only the slice its controls select, in a working copy."""
+        amps = np.asarray(amps, dtype=complex)
+        t = amps.reshape((2,) * self.n_qubits + amps.shape[1:]).copy()
+        for select, axes, m in self._compiled():
+            k = len(axes)
+            out = np.tensordot(m, t[select], axes=(tuple(range(k, 2 * k)), axes))
+            t[select] = np.moveaxis(out, tuple(range(k)), axes)
+        return t.reshape(amps.shape)
 
     def inverse(self) -> "UnitaryCircuit":
         return UnitaryCircuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)),

@@ -16,7 +16,7 @@ long strings with short random advice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 
-def _bits_to_array(bits: str) -> np.ndarray:
-    return np.array([int(b) for b in bits], dtype=np.uint8)
-
-
 def _gf2_rank(m: np.ndarray) -> int:
     m = m.copy() % 2
     rows, cols = m.shape
@@ -73,15 +69,26 @@ def _gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
+def _codewords(g: np.ndarray) -> np.ndarray:
+    """Every codeword of generator g, row m encoding the w-bit message m (big-endian)."""
+    w = g.shape[1]
+    messages = (np.arange(2 ** w)[:, None] >> np.arange(w - 1, -1, -1)) & 1
+    return (messages.astype(np.uint8) @ g.T) % 2
+
+
 @dataclass(frozen=True)
 class LinearCode:
-    """Generator matrix over GF(2) with an exhaustively verified minimum distance."""
+    """Generator matrix over GF(2) with an exhaustively verified minimum distance,
+    and its codeword table and weights: built once, or taken from `codewords`."""
 
     generator: np.ndarray  # shape (W, w), carries w-bit messages to W-bit words
     verified_min_distance: int
     seed: int | None = None
+    codewords: InitVar[np.ndarray | None] = None
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, codewords=None):
         g = np.asarray(self.generator, dtype=np.uint8) % 2
         object.__setattr__(self, "generator", g)
         w = g.shape[1]
@@ -89,10 +96,15 @@ class LinearCode:
             raise ValueError("exhaustive distance verification is capped at w = 16")
         if _gf2_rank(g) != w:
             raise ValueError("generator must have full column rank")
-        true_d = _exhaustive_min_distance(g)
+        table = _codewords(g) if codewords is None else codewords
+        table.flags.writeable = False
+        weights = table.sum(axis=1)
+        true_d = int(weights[1:].min(initial=g.shape[0] + 1))
         if true_d != self.verified_min_distance:
             raise ValueError(
                 f"declared distance {self.verified_min_distance} != true distance {true_d}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def block_length(self) -> int:
@@ -106,20 +118,12 @@ class LinearCode:
     def distance_ratio(self) -> Fraction:
         return Fraction(self.verified_min_distance, self.block_length)
 
-    def encode(self, message: str | np.ndarray) -> np.ndarray:
-        if isinstance(message, str):
-            message = _bits_to_array(message)
-        return (self.generator @ message) % 2
+    def encode(self, message: str) -> np.ndarray:
+        return self.table[int(message, 2)]
 
-
-def _exhaustive_min_distance(g: np.ndarray) -> int:
-    w = g.shape[1]
-    best = g.shape[0] + 1
-    for m in range(1, 2 ** w):
-        msg = np.array([(m >> (w - 1 - i)) & 1 for i in range(w)], dtype=np.uint8)
-        weight = int(((g @ msg) % 2).sum())
-        best = min(best, weight)
-    return best
+    def distance(self, a: str, b: str) -> int:
+        """Distance between the codewords of a and b; by linearity, the weight of a ^ b's."""
+        return int(self.weights[int(a, 2) ^ int(b, 2)])
 
 
 def build_code(w: int, rate_factor: int = 4, seed: int = 0,
@@ -138,9 +142,10 @@ def build_code(w: int, rate_factor: int = 4, seed: int = 0,
         g = rng.integers(0, 2, size=(big_w, w), dtype=np.uint8)
         if _gf2_rank(g) != w:
             continue
-        d = _exhaustive_min_distance(g)
+        table = _codewords(g)
+        d = int(table[1:].sum(axis=1).min())
         if d >= max(target, 1):
-            return LinearCode(generator=g, verified_min_distance=d, seed=seed)
+            return LinearCode(generator=g, verified_min_distance=d, seed=seed, codewords=table)
     raise RuntimeError(f"no code with distance >= {target} found in {max_tries} tries")
 
 
@@ -227,7 +232,6 @@ def cheat_detection_profile(x: str, i: int, code: LinearCode) -> DetectionProfil
     w = code.message_bits
     big_w = code.block_length
     truth = honest_merlin(x, i, code)
-    true_word = code.encode(truth)
     _, pos = _substring_index(i, w)
     per_message: dict[str, Fraction] = {}
     min_flip = Fraction(1)
@@ -235,7 +239,7 @@ def cheat_detection_profile(x: str, i: int, code: LinearCode) -> DetectionProfil
         claim = format(m, f"0{w}b")
         if claim == truth:
             continue
-        e = int((code.encode(claim) != true_word).sum())
+        e = code.distance(claim, truth)
         detection = Fraction(e, big_w)
         per_message[claim] = detection
         if claim[pos] != truth[pos]:
@@ -293,7 +297,7 @@ def wrapped_code_protocol(code: LinearCode, n_bits: int,
         if z[pos] != "1":
             return Fraction(0)
         truth = _split(x, w)[j]
-        e = int((code.encode(z) != code.encode(truth)).sum())
+        e = code.distance(z, truth)
         return (Fraction(code.block_length - e, code.block_length)) ** r
 
     return MerlinRacProtocol(n_bits=n_bits, substring_bits=w,

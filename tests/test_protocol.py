@@ -212,6 +212,27 @@ def test_sliced_verifier_blocks_are_unitary():
         assert np.allclose(block @ block.conj().T, np.eye(block.shape[0]), atol=1e-9)
 
 
+@pytest.mark.parametrize("build", [lambda: rac_claim_protocol(2), coin_protocol])
+def test_sliced_verifier_is_the_block_of_the_full_unitary(build):
+    p, _ = build()
+    full = p.verifier.to_matrix()
+    dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
+    for y_index in range(2 ** p.bob_bits):
+        y = format(y_index, f"0{p.bob_bits}b")
+        lo, hi = y_index * dim_rest, (y_index + 1) * dim_rest
+        np.testing.assert_allclose(sliced_verifier(p, y), full[lo:hi, lo:hi], rtol=0, atol=1e-12)
+
+
+def test_sliced_verifier_keeps_the_dense_cap():
+    layout = protocol_layout(1, 12, 0, 0)
+    p = OneWayQmaProtocol(
+        bob_bits=1, alice_qubits=12, witness_qubits=0, ancilla_qubits=0,
+        verifier=UnitaryCircuit(13, (), layout), accept_qubit=1,
+        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 12)), 0))
+    with pytest.raises(ValueError, match="capped at 12 qubits"):
+        sliced_verifier(p, "0")
+
+
 def test_rest_projector_is_projector():
     p, _ = coin_protocol()
     pr = rest_projector(p, "1", outcome=0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from demerlab.qcore import (
     DensityMatrix,
+    Gate,
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
@@ -19,6 +20,7 @@ from demerlab.qcore import (
     mcx,
     partial_trace,
     random_density,
+    random_effect,
     random_state,
     ry_gate,
     increment_gate,
@@ -282,6 +284,40 @@ def test_measure_projector_update_oracle():
     assert np.allclose(r.post0.matrix, p0_proj / np.trace(p0_proj), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_effect_spectrum_is_decomposed_once(n):
+    layout = RegisterLayout.of(("q", n))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        scale = float(rng.uniform(0.05, 0.9))
+        m = random_effect(layout, rng, scale=scale)
+        assert np.linalg.eigvalsh(m.effect)[-1] == pytest.approx(scale, abs=1e-12)
+        eye = np.eye(layout.dim)
+        np.testing.assert_allclose(m.m0.conj().T @ m.m0 + m.m1.conj().T @ m.m1, eye, atol=1e-12)
+        # the handed-over spectrum gives the Kraus pair a fresh decomposition gives
+        ref = TwoOutcomeMeasurement(m.effect, layout)
+        np.testing.assert_allclose(m.m0, ref.m0, atol=1e-12)
+        np.testing.assert_allclose(m.m1, ref.m1, atol=1e-12)
+
+
+def test_random_effect_default_scale_is_an_effect():
+    m = random_effect(AB, np.random.default_rng(3))
+    w = np.linalg.eigvalsh(m.effect)
+    assert -1e-12 <= w[0] and w[-1] <= 1.0 + 1e-12
+    np.testing.assert_allclose(m.m0.conj().T @ m.m0 + m.m1.conj().T @ m.m1, np.eye(4),
+                               atol=1e-12)
+
+
+def test_handed_over_spectrum_is_still_checked():
+    v = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="spectrum"):
+        TwoOutcomeMeasurement(np.diag([1.5, 0.0]).astype(complex),
+                              spectrum=(np.array([0.0, 1.5]), v))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        TwoOutcomeMeasurement(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+                              spectrum=(np.array([0.5, 0.5]), v))
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_measurement_conserves_probability(seed):
@@ -358,12 +394,87 @@ def test_circuit_apply_matches_matrix(rng):
     assert np.allclose(circ.apply(psi), circ.to_matrix() @ psi, atol=1e-9)
 
 
+def full_operator(g: Gate) -> np.ndarray:
+    """Dense oracle: the gate's matrix over (controls + targets), controls as
+    the high-order bits, identity off the selected control pattern."""
+    if not g.controls:
+        return g.matrix
+    c, k = len(g.controls), len(g.targets)
+    op = np.eye(2 ** (c + k), dtype=complex)
+    pat = int("".join(str(v) for v in g.control_values), 2)
+    lo, hi = pat * 2 ** k, (pat + 1) * 2 ** k
+    op[lo:hi, lo:hi] = g.matrix
+    return op
+
+
+def dense_apply(amps: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    """Dense oracle: move the gate's qubit axes to the front of the whole
+    2^n (x B) tensor and multiply by `full_operator`."""
+    positions, k = list(g.qubits), len(g.qubits)
+    t = amps.reshape([2] * n + list(amps.shape[1:]))
+    t = np.moveaxis(t, positions, list(range(k)))
+    rest = t.shape[k:]
+    t = full_operator(g) @ t.reshape(2 ** k, -1)
+    t = np.moveaxis(t.reshape([2] * k + list(rest)), list(range(k)), positions)
+    return t.reshape(amps.shape)
+
+
 def test_controlled_gate_blocks():
     g = cnot(0, 1)
-    op = g.full_operator()
+    op = full_operator(g)
     # control = qubit 0 (high bit): identity on the 0-block, X on the 1-block
     assert np.allclose(op[:2, :2], np.eye(2))
     assert np.allclose(op[2:, 2:], [[0, 1], [1, 0]])
+    assert np.array_equal(UnitaryCircuit(2, (g,)).to_matrix(), op)
+    # a 0-valued control selects the other block
+    g0 = mcx((0,), 1, (0,))
+    assert np.array_equal(UnitaryCircuit(2, (g0,)).to_matrix(), full_operator(g0))
+    assert np.allclose(full_operator(g0)[:2, :2], [[0, 1], [1, 0]])
+
+
+@st.composite
+def random_gates(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(2, n)))
+        c = draw(st.integers(0, min(3, n - k)))
+        qubits = draw(st.permutations(range(n)))
+        values = tuple(draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)))
+        gates.append(Gate("u", tuple(qubits[:k]), random_unitary(2 ** k, rng),
+                          tuple(qubits[k:k + c]), values))
+    batch = draw(st.sampled_from([None, 1, 3]))
+    shape = (2 ** n,) if batch is None else (2 ** n, batch)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return n, gates, amps
+
+
+@given(random_gates())
+@settings(max_examples=80, deadline=None)
+def test_compiled_kernel_matches_dense_oracle(case):
+    n, gates, amps = case
+    circ = UnitaryCircuit(n, tuple(gates))
+    expected = amps
+    for g in gates:
+        expected = dense_apply(expected, g, n)
+    before = amps.copy()
+    out = circ.apply(amps)
+    assert out.shape == amps.shape
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(amps, before)  # the input is not written
+    np.testing.assert_allclose(circ.inverse().apply(out), amps, rtol=0, atol=1e-12)
+
+
+def test_circuit_compiles_once(rng):
+    circ = UnitaryCircuit(3, (h_gate(0), mcx((0, 2), 1, (1, 0))))
+    assert circ._steps is None  # nothing is compiled before the first apply
+    psi = random_state(RegisterLayout.of(("q", 3)), rng).amplitudes
+    first = circ.apply(psi)
+    steps = circ._steps
+    assert len(steps) == 2 and steps[1][0] == (1, slice(None), 0) and steps[1][1] == (0,)
+    assert steps[1][2].shape == (2, 2)
+    assert np.array_equal(circ.apply(psi), first) and circ._steps is steps
 
 
 def test_increment_gate_counts():

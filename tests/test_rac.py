@@ -63,6 +63,52 @@ def test_code_rejects_declared_distance_mismatch():
         LinearCode(generator=np.ones((3, 1), dtype=np.uint8), verified_min_distance=2)
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+def test_codeword_table_matches_generator(w):
+    for seed in range(3):
+        code = build_code(w, seed=seed)
+        messages = [format(m, f"0{w}b") for m in range(2 ** w)]
+        words = {}
+        for s in messages:
+            bits = np.array([int(b) for b in s], dtype=np.uint8)
+            words[s] = (code.generator @ bits) % 2
+            assert np.array_equal(code.encode(s), words[s])
+        for a in messages:
+            for b in messages:
+                assert code.distance(a, b) == int((words[a] != words[b]).sum())
+        with pytest.raises(ValueError, match="distance"):
+            LinearCode(generator=code.generator,
+                       verified_min_distance=code.verified_min_distance + 1)
+
+
+def test_codeword_table_is_read_only():
+    code = build_code(3, seed=0)
+    with pytest.raises(ValueError):
+        code.encode("101")[0] = 1
+
+
+def test_build_code_enumerates_each_generator_once(monkeypatch):
+    import demerlab.rac as rac
+
+    seen = []
+
+    def counting(g):
+        seen.append(g.tobytes())
+        return enumerate_codewords(g)
+
+    enumerate_codewords = rac._codewords
+    monkeypatch.setattr(rac, "_codewords", counting)
+    # a demanding target makes build_code reject some generators first
+    code = build_code(4, seed=0, target_ratio=Fraction(3, 8))
+    assert len(seen) > 1
+    assert len(set(seen)) == len(seen)
+    assert seen[-1] == code.generator.tobytes()
+    assert code.verified_min_distance == oracle_min_distance(code.generator) >= 6
+    seen.clear()
+    repetition_code(3)
+    assert len(seen) == 1
+
+
 def test_code_rejects_rank_deficiency():
     g = np.zeros((4, 2), dtype=np.uint8)
     g[:, 0] = 1
