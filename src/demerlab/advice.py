@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .amplify import binom_tail, build_inner, majority_threshold, min_majority_reps
-from .protocol import OneWayQmaProtocol, rest_projector
+from .protocol import OneWayQmaProtocol, accept_effect, project
 from .qcore import ATOL, StateVector, apply_kraus, hermitize, kron_power, top_eigenpair
 
 __all__ = [
@@ -389,14 +389,11 @@ class TrainedDecider:
         return DecisionRecord(x=x, verdict=verdict, lambdas=lams)
 
 
-def _rest_dims(p: OneWayQmaProtocol) -> tuple[int, int]:
-    dim_a = 2 ** p.alice_qubits
-    dim_env = 2 ** (p.witness_qubits + p.ancilla_qubits)
-    return dim_a, dim_env
-
-
-def _env_index(p: OneWayQmaProtocol, z: str) -> int:
-    return (int(z, 2) if z else 0) << p.ancilla_qubits
+def _advice_columns(p: OneWayQmaProtocol, z: str) -> np.ndarray:
+    """Columns |a> (x) |z> (x) |0> for every advice basis state a."""
+    env = np.zeros((2 ** (p.witness_qubits + p.ancilla_qubits), 1), dtype=complex)
+    env[(int(z, 2) if z else 0) << p.ancilla_qubits] = 1.0
+    return np.kron(np.eye(2 ** p.alice_qubits, dtype=complex), env)
 
 
 def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> list[np.ndarray]:
@@ -407,44 +404,26 @@ def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> li
     joint space. Tracing the witness and ancilla registers afterwards leaves
     the advice-register map sum_m K_m rho K_m'.
     """
-    proj = rest_projector(p, x, outcome=keep_outcome)
-    dim_a, dim_env = _rest_dims(p)
-    t = proj.reshape(dim_a, dim_env, dim_a, dim_env)
-    col = _env_index(p, z)
-    return [np.ascontiguousarray(t[:, m, :, col]) for m in range(dim_env)]
+    dim_a = 2 ** p.alice_qubits
+    t = project(p, x, _advice_columns(p, z), keep_outcome).reshape(dim_a, -1, dim_a)
+    return [np.ascontiguousarray(t[:, m, :]) for m in range(t.shape[1])]
 
 
 def _witness_effect(p: OneWayQmaProtocol, x: str, z: str) -> np.ndarray:
     """Acceptance effect on the advice register for a fixed classical witness."""
-    proj = rest_projector(p, x, outcome=1)
-    dim_a, dim_env = _rest_dims(p)
-    t = proj.reshape(dim_a, dim_env, dim_a, dim_env)
-    col = _env_index(p, z)
-    return hermitize(t[:, col, :, col])
+    return accept_effect(p, x, _advice_columns(p, z))
 
 
 def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
     """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell."""
     base = v.protocol
+    psi = v.true_advice.amplitudes
     base_err = Fraction(0)
     for x in v.inputs():
-        label = v.language[x]
-        for z in v.witnesses():
-            eff = _witness_effect(base, x, z)
-            acc = Fraction(float(np.real(
-                v.true_advice.amplitudes.conj() @ eff @ v.true_advice.amplitudes
-            ))).limit_denominator(10 ** 9)
-            if label == 1:
-                continue  # completeness is only promised for some witness, checked below
-            base_err = max(base_err, acc)
-    for x in v.inputs():
-        if v.language[x] != 1:
-            continue
-        best = max(Fraction(float(np.real(
-            v.true_advice.amplitudes.conj() @ _witness_effect(base, x, z)
-            @ v.true_advice.amplitudes))).limit_denominator(10 ** 9)
-            for z in v.witnesses())
-        base_err = max(base_err, 1 - best)
+        best = max(Fraction(float(np.real(psi.conj() @ _witness_effect(base, x, z) @ psi)))
+                   .limit_denominator(10 ** 9) for z in v.witnesses())
+        # completeness is promised for some witness, soundness for every one
+        base_err = max(base_err, 1 - best if v.language[x] == 1 else best)
     if base_err > Fraction(1, 3):
         raise PromiseViolationError(f"base verifier error {float(base_err):.3f} exceeds 1/3")
     ell = 1
@@ -484,15 +463,15 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
                 if acc < 1.0 - err - ATOL:
                     continue  # rule (b): yes-instances train only on valid witnesses
             cand.append((x, z))
+    kraus = {(x, z): _branch_kraus(amplified, x, z, keep_outcome=v.language[x])
+             for x, z in cand}
     triples: list[tuple[str, str, int]] = []
     survivals = [1.0]
     while True:
         best_pair = None
         best_ratio = None
         for x, z in cand:
-            label = v.language[x]
-            kraus = _branch_kraus(amplified, x, z, keep_outcome=label)
-            branch = apply_kraus(rho, kraus)
+            branch = apply_kraus(rho, kraus[x, z])
             ratio = float(np.trace(branch).real)
             if ratio <= 1e-12:
                 continue  # degenerate pair: nothing to postselect on

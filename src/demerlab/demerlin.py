@@ -39,8 +39,8 @@ from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
-    _accept_mask,
     optimal_witness,
+    project,
 )
 from .qcore import (
     ATOL,
@@ -139,7 +139,6 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
 # ---------------------------------------------------------------------------
 # the loop on the subspace its round operators reach, one Bob input at a time
 
-_LEAK_TOL = 1e-12  # squared weight a Bob input block may lose under the verifier
 _RANK_TOL = 1e-10  # a candidate direction with a smaller residual counts as spanned
 RESIDUAL_BOUND = 1e-9  # audited bound on max_z ||P0_z B - B M_z||
 
@@ -184,14 +183,8 @@ class _ReachableLoop:
 
     def __init__(self, d: DemerlinizedProtocol, y: str):
         p = d.base
-        if len(y) != p.bob_bits:
-            raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
-        self.p, self.t_rounds = p, d.t_rounds
+        self.p, self.y, self.t_rounds = p, y, d.t_rounds
         self.dim = 2 ** (p.verifier.n_qubits - p.bob_bits)
-        lo = (int(y, 2) if y else 0) * self.dim
-        self.block = slice(lo, lo + self.dim)
-        self.inverse = p.verifier.inverse()
-        self.accept = _accept_mask(p.verifier.n_qubits, p.accept_qubit)
         # X^z is the index permutation that flips the witness bits set in z;
         # the witness bits sit just above the ancilla bits
         idx = np.arange(self.dim)
@@ -202,21 +195,11 @@ class _ReachableLoop:
         self.effect = np.zeros((0, 0), dtype=complex)
         self.residual = 0.0
 
-    def _checked(self, out: np.ndarray) -> np.ndarray:
-        leak = float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(out[self.block]) ** 2))
-        if leak > _LEAK_TOL:
-            raise ValueError("verifier is not block diagonal over bob_input; "
-                             "cannot slice a classical input block")
-        return out
-
     def round_images(self, cols: np.ndarray) -> np.ndarray:
         """P0_z cols = X^z V' Pi_0 V X^z cols for every z, shape (2^W, dim, m)."""
         m = cols.shape[1]
-        full = np.zeros((self.p.verifier.dim, len(self.perms) * m), dtype=complex)
-        full[self.block] = np.concatenate([cols[perm] for perm in self.perms], axis=1)
-        out = self._checked(self.p.verifier.apply(full))
-        out[self.accept] = 0.0
-        back = self._checked(self.inverse.apply(out))[self.block]
+        flipped = np.concatenate([cols[perm] for perm in self.perms], axis=1)
+        back = project(self.p, self.y, flipped, 0)
         return np.stack([back[perm, z * m:(z + 1) * m] for z, perm in enumerate(self.perms)])
 
     def cover(self, cols: np.ndarray) -> np.ndarray:
@@ -265,8 +248,9 @@ def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
         loop = _ReachableLoop(d, y)
         if d.f is not None:
             loop.cover(np.hstack([_initial_columns(d.base, a) for a in d.f.alice_inputs()]))
-        d._loops[y] = loop
-    return loop, loop.cover(_initial_columns(d.base, x, rho_alice))
+    coords = loop.cover(_initial_columns(d.base, x, rho_alice))
+    d._loops[y] = loop  # cached only once it has run, so a rejected y is not kept
+    return loop, coords
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,10 @@ __all__ = [
     "induced_witness_operator",
     "optimal_witness",
     "audit_protocol",
+    "run_block",
+    "accept_rows",
+    "project",
+    "accept_effect",
     "sliced_verifier",
     "rest_projector",
     "protocol_to_json",
@@ -134,70 +138,75 @@ class OneWayQmaProtocol:
         return state
 
 
-def _accept_mask(n_qubits: int, accept_qubit: int) -> np.ndarray:
-    idx = np.arange(2 ** n_qubits)
-    return ((idx >> (n_qubits - 1 - accept_qubit)) & 1).astype(bool)
+def run_block(p: OneWayQmaProtocol, y: str, cols: np.ndarray,
+              inverse: bool = False) -> np.ndarray:
+    """Run V (or V' when `inverse`) on |y> (x) each column of `cols`.
 
-
-def sliced_verifier(p: OneWayQmaProtocol, y: str) -> np.ndarray:
-    """Verifier unitary restricted to Bob's classical input block |y>.
-
-    Verifiers here read bob_input only through gate controls, so the full
-    unitary is block diagonal over Bob's basis; anything else is rejected.
+    This is the one place the verifier circuit runs. Columns live on the
+    advice (x) witness (x) ancilla space and so does the result. Verifiers
+    here read bob_input only through gate controls, so the unitary is block
+    diagonal over Bob's basis; an output leaking out of the |y> block is
+    rejected.
     """
-    if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
-        raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
-    if p.bob_bits and len(y) != p.bob_bits:
+    if len(y) != p.bob_bits:
         raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
     dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
-    y_index = int(y, 2) if p.bob_bits else 0  # without Bob bits the block is the whole unitary
-    lo, hi = y_index * dim_rest, (y_index + 1) * dim_rest
-    # only the unitary's columns lo..hi: the circuit run on |y> (x) every rest basis state
-    cols = p.verifier.apply(np.eye(p.verifier.dim, dim_rest, -lo, dtype=complex))
-    block = cols[lo:hi]
-    leak = float((np.abs(cols) ** 2).sum() - (np.abs(block) ** 2).sum())
+    lo = (int(y, 2) if y else 0) * dim_rest
+    full = np.zeros((p.verifier.dim,) + cols.shape[1:], dtype=complex)
+    full[lo:lo + dim_rest] = cols
+    out = p.verifier.inverse().apply(full) if inverse else p.verifier.apply(full)
+    block = out[lo:lo + dim_rest]
+    leak = float((np.abs(out) ** 2).sum() - (np.abs(block) ** 2).sum())
     if leak > 1e-12:
         raise ValueError("verifier is not block diagonal over bob_input; "
                          "cannot slice a classical input block")
     return block
 
 
+def accept_rows(p: OneWayQmaProtocol, outcome: int) -> np.ndarray:
+    """Mask of the rest-space basis states whose accept bit reads `outcome`."""
+    n_rest = p.verifier.n_qubits - p.bob_bits
+    idx = np.arange(2 ** n_rest)
+    return ((idx >> (n_rest - 1 - (p.accept_qubit - p.bob_bits))) & 1) == outcome
+
+
+def project(p: OneWayQmaProtocol, y: str, cols: np.ndarray, outcome: int) -> np.ndarray:
+    """V' Pi_outcome V cols: run, keep the outcome's rows, uncompute."""
+    out = run_block(p, y, cols)
+    out[~accept_rows(p, outcome)] = 0.0
+    return run_block(p, y, out, inverse=True)
+
+
+def accept_effect(p: OneWayQmaProtocol, y: str, cols: np.ndarray) -> np.ndarray:
+    """(Pi_1 V C)'(Pi_1 V C): the accept effect compressed onto the columns C."""
+    acc = run_block(p, y, cols)[accept_rows(p, 1)]
+    return hermitize(acc.conj().T @ acc)
+
+
+def sliced_verifier(p: OneWayQmaProtocol, y: str) -> np.ndarray:
+    """Verifier unitary restricted to Bob's classical input block |y>."""
+    if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
+        raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
+    return run_block(p, y, np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex))
+
+
 def rest_projector(p: OneWayQmaProtocol, y: str, outcome: int) -> np.ndarray:
     """Projector V' Pi_outcome V on the advice (x) witness (x) ancilla space."""
     v = sliced_verifier(p, y)
-    n_rest = p.verifier.n_qubits - p.bob_bits
-    accept_in_rest = p.accept_qubit - p.bob_bits
-    idx = np.arange(2 ** n_rest)
-    mask = ((idx >> (n_rest - 1 - accept_in_rest)) & 1) == outcome
-    return v.conj().T @ (mask[:, None] * v)
+    return v.conj().T @ (accept_rows(p, outcome)[:, None] * v)
 
 
 def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray:
     """Hermitian W on the witness register with acceptance <phi|W|phi>.
 
-    Runs one statevector simulation per witness basis state and assembles
-    W[z', z] = <out_z'| P_accept |out_z>; the result satisfies 0 <= W <= I
-    because it is a compression of a projector.
+    The accept effect compressed onto the columns psi_x (x) |z> (x) |0> for
+    every witness basis state z, in one batched statevector run; the result
+    satisfies 0 <= W <= I because it is a compression of a projector.
     """
-    if len(y) != p.bob_bits:
-        raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
-    psi = p.advice_state(x).amplitudes
-    n = p.verifier.n_qubits
-    dim_w = 2 ** p.witness_qubits
-    anc = np.zeros(2 ** p.ancilla_qubits, dtype=complex)
+    anc = np.zeros((2 ** p.ancilla_qubits, 1), dtype=complex)
     anc[0] = 1.0
-    bob = np.zeros(2 ** p.bob_bits, dtype=complex)
-    bob[int(y, 2) if y else 0] = 1.0
-    outs = np.empty((dim_w, 2 ** n), dtype=complex)
-    for z in range(dim_w):
-        wit = np.zeros(dim_w, dtype=complex)
-        wit[z] = 1.0
-        vec = np.kron(np.kron(np.kron(bob, psi), wit), anc)
-        outs[z] = p.verifier.apply(vec)
-    mask = _accept_mask(n, p.accept_qubit)
-    acc = outs[:, mask]
-    w = acc.conj() @ acc.T  # W[z', z] = <out_z' | P_accept | out_z>
-    return hermitize(w)
+    wit = np.kron(np.eye(2 ** p.witness_qubits, dtype=complex), anc)
+    return accept_effect(p, y, np.kron(p.advice_state(x).amplitudes[:, None], wit))
 
 
 def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateVector]:

@@ -497,6 +497,8 @@ class UnitaryCircuit:
     gates: tuple[Gate, ...]
     layout: RegisterLayout | None = None
     _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _inverse: "UnitaryCircuit | None" = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -536,8 +538,11 @@ class UnitaryCircuit:
         return t.reshape(amps.shape)
 
     def inverse(self) -> "UnitaryCircuit":
-        return UnitaryCircuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)),
-                              self.layout)
+        """The reversed circuit of inverted gates, built on first use."""
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", UnitaryCircuit(
+                self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)), self.layout))
+        return self._inverse
 
     def to_matrix(self) -> np.ndarray:
         if self.n_qubits > DENSITY_MAX_QUBITS:

@@ -190,6 +190,24 @@ def test_qcma_train_maximality_counterfactual():
             assert float(np.trace(branch).real) > 2.0 / 3.0 + 1e-9
 
 
+def test_qcma_train_builds_each_kraus_list_once(monkeypatch):
+    import demerlab.advice as advice
+
+    seen = []
+
+    def counting(p, y, cols, outcome):
+        # column 0 is |0> (x) |z> (x) |0>, so its row names the witness
+        seen.append((y, int(np.argmax(np.abs(cols[:, 0]))), outcome))
+        return kernel(p, y, cols, outcome)
+
+    kernel = advice.project
+    monkeypatch.setattr(advice, "project", counting)
+    training, _ = qcma_train(table_qcma_verifier(2))
+    assert training.size > 1
+    assert len(seen) > training.size
+    assert len(set(seen)) == len(seen)
+
+
 def test_qcma_train_four_qubit_table():
     v = table_qcma_verifier(2, truth_table="0110")
     training, decider = qcma_train(v)

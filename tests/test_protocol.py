@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from demerlab.advice import _branch_kraus, _witness_effect
+from demerlab.amplify import identity_plan
+from demerlab.demerlin import demerlinize, evaluate_demerlinized
 from demerlab.protocol import (
     CommunicationFunction,
     OneWayQmaProtocol,
     audit_protocol,
     induced_witness_operator,
     optimal_witness,
+    project,
     protocol_from_json,
     protocol_layout,
     protocol_to_json,
@@ -29,6 +34,7 @@ from demerlab.toys import (
     rac_plain_protocol,
 )
 from conftest import random_unitary
+from test_qcore import dense_apply
 
 
 def direct_acceptance(p: OneWayQmaProtocol, x: str, y: str, witness: np.ndarray) -> float:
@@ -69,15 +75,19 @@ def test_partial_function_pairs_skip_undefined():
 # induced witness operator
 
 
-def test_witness_independent_verifier(rng):
-    # verifier that rotates its accept ancilla regardless of the witness
+def witness_independent_protocol() -> OneWayQmaProtocol:
+    """No Bob bits; rotates its accept ancilla to 0.4 whatever the witness."""
     layout = protocol_layout(0, 1, 1, 1)
     accept = layout.offset("ancilla")
     circ = UnitaryCircuit(3, (ry_gate(accept, 2 * np.arcsin(np.sqrt(0.4))),), layout)
-    p = OneWayQmaProtocol(
+    return OneWayQmaProtocol(
         bob_bits=0, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=accept,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+
+
+def test_witness_independent_verifier(rng):
+    p = witness_independent_protocol()
     w = induced_witness_operator(p, "0", "")
     assert np.allclose(w, 0.4 * np.eye(2), atol=1e-9)
     lam, _ = optimal_witness(p, "0", "")
@@ -252,6 +262,85 @@ def test_sliced_verifier_rejects_non_block_diagonal():
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
     with pytest.raises(ValueError, match="block diagonal"):
         sliced_verifier(p, "0")
+
+
+ENTRY_POINTS = {
+    "sliced_verifier": sliced_verifier,
+    "rest_projector": lambda p, y: rest_projector(p, y, outcome=1),
+    "induced_witness_operator": lambda p, y: induced_witness_operator(p, "0", y),
+    "evaluate_demerlinized": lambda p, y: evaluate_demerlinized(
+        demerlinize(p, identity_plan(p.alice_qubits, p.witness_qubits)), "0", y),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("build, y", [
+    (lambda: coin_protocol()[0], ""),
+    (lambda: coin_protocol()[0], "01"),
+    (witness_independent_protocol, "0"),  # no Bob bits: only y = "" fits
+])
+def test_bob_input_must_have_bob_bits(entry, build, y):
+    with pytest.raises(ValueError, match="Bob input"):
+        ENTRY_POINTS[entry](build(), y)
+
+
+# ---------------------------------------------------------------------------
+# the verifier-operator kernel against a dense oracle
+
+
+@st.composite
+def block_diagonal_protocols(draw):
+    """A random verifier of at most 8 qubits whose gates read Bob's bits only
+    as controls, with a Bob input y, a classical witness z and an outcome."""
+    b, a, w, c = (draw(st.integers(lo, 2)) for lo in (0, 1, 0, 1))
+    n = b + a + w + c
+    rest = list(range(b, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        targets = draw(st.permutations(rest))[:draw(st.integers(1, min(2, len(rest))))]
+        others = draw(st.permutations([q for q in range(n) if q not in targets]))
+        controls = tuple(others[:draw(st.integers(0, min(2, len(others))))])
+        values = tuple(draw(st.lists(st.integers(0, 1), min_size=len(controls),
+                                     max_size=len(controls))))
+        gates.append(Gate("u", tuple(targets), random_unitary(2 ** len(targets), rng),
+                          controls, values))
+    psi = random_state(RegisterLayout.of(("advice", a)), rng)
+    p = OneWayQmaProtocol(
+        bob_bits=b, alice_qubits=a, witness_qubits=w, ancilla_qubits=c,
+        verifier=UnitaryCircuit(n, tuple(gates), protocol_layout(b, a, w, c)),
+        accept_qubit=draw(st.sampled_from(rest)), alice_encode=lambda x: psi)
+    y = format(draw(st.integers(0, 2 ** b - 1)), f"0{b}b") if b else ""
+    z = format(draw(st.integers(0, 2 ** w - 1)), f"0{w}b") if w else ""
+    return p, y, z, draw(st.integers(0, 1))
+
+
+@given(block_diagonal_protocols())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dense_oracle(case):
+    p, y, z, b = case
+    n = p.verifier.n_qubits
+    full = np.eye(2 ** n, dtype=complex)
+    for g in p.verifier.gates:
+        full = dense_apply(full, g, n)
+    dim = 2 ** (n - p.bob_bits)
+    lo = (int(y, 2) if y else 0) * dim
+    v = full[lo:lo + dim, lo:lo + dim]
+    bits = (np.arange(lo, lo + dim) >> (n - 1 - p.accept_qubit)) & 1
+    proj = {o: v.conj().T @ np.diag((bits == o).astype(complex)) @ v for o in (0, 1)}
+    anc = np.eye(2 ** p.ancilla_qubits)[:, :1]
+    c_x = np.kron(p.advice_state("0").amplitudes[:, None],
+                  np.kron(np.eye(2 ** p.witness_qubits), anc))
+    env = np.kron(np.eye(2 ** p.witness_qubits)[:, [int(z, 2) if z else 0]], anc)
+    c_z = np.kron(np.eye(2 ** p.alice_qubits), env)
+    tol = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project(p, y, np.eye(dim, dtype=complex), b), proj[b], **tol)
+    np.testing.assert_allclose(induced_witness_operator(p, "0", y),
+                               c_x.conj().T @ proj[1] @ c_x, **tol)
+    kraus = _branch_kraus(p, y, z, keep_outcome=b)
+    np.testing.assert_allclose(sum(k.conj().T @ k for k in kraus),
+                               c_z.conj().T @ proj[b] @ c_z, **tol)
+    np.testing.assert_allclose(_witness_effect(p, y, z), c_z.conj().T @ proj[1] @ c_z, **tol)
 
 
 # ---------------------------------------------------------------------------

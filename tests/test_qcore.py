@@ -475,6 +475,10 @@ def test_circuit_compiles_once(rng):
     assert len(steps) == 2 and steps[1][0] == (1, slice(None), 0) and steps[1][1] == (0,)
     assert steps[1][2].shape == (2, 2)
     assert np.array_equal(circ.apply(psi), first) and circ._steps is steps
+    inv = circ.inverse()  # built once, like the steps, and neither compared nor printed
+    assert circ.inverse() is inv
+    assert circ == UnitaryCircuit(3, circ.gates) and "_inverse" not in repr(circ)
+    np.testing.assert_allclose(inv.apply(first), psi, rtol=0, atol=1e-12)
 
 
 def test_increment_gate_counts():
