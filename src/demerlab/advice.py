@@ -19,7 +19,7 @@ Three procedures:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -365,10 +365,13 @@ class TrainedDecider:
     ell: int
     advice_matrix: np.ndarray  # trained state on the amplified advice register
     error_rate: float          # certified per-run error of the amplified verifier
+    # (x, z) -> acceptance effect on the advice register, built once per decider
+    _effects: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def witness_acceptance(self, x: str, z: str) -> float:
-        effect = _witness_effect(self.amplified, x, z)
-        val = float(np.real(np.trace(effect @ self.advice_matrix)))
+        if (x, z) not in self._effects:
+            self._effects[x, z] = _witness_effect(self.amplified, x, z)
+        val = float(np.real(np.trace(self._effects[x, z] @ self.advice_matrix)))
         return min(max(val, 0.0), 1.0)
 
     def lambdas(self, x: str) -> dict[str, float]:
@@ -414,13 +417,18 @@ def _witness_effect(p: OneWayQmaProtocol, x: str, z: str) -> np.ndarray:
     return accept_effect(p, x, _advice_columns(p, z))
 
 
-def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
-    """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell."""
+def _amplify_for_training(v: QuantumAdviceVerifier
+                          ) -> tuple[OneWayQmaProtocol, int, float, dict]:
+    """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell.
+
+    Also returns the base verifier's witness effects, keyed by (x, z).
+    """
     base = v.protocol
     psi = v.true_advice.amplitudes
+    effects = {(x, z): _witness_effect(base, x, z) for x in v.inputs() for z in v.witnesses()}
     base_err = Fraction(0)
     for x in v.inputs():
-        best = max(Fraction(float(np.real(psi.conj() @ _witness_effect(base, x, z) @ psi)))
+        best = max(Fraction(float(np.real(psi.conj() @ effects[x, z] @ psi)))
                    .limit_denominator(10 ** 9) for z in v.witnesses())
         # completeness is promised for some witness, soundness for every one
         base_err = max(base_err, 1 - best if v.language[x] == 1 else best)
@@ -433,7 +441,7 @@ def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, 
         need = min_majority_reps(base_err, target) if base_err > 0 else 1
         if need <= ell:
             err = float(binom_tail(ell, base_err, majority_threshold(ell)))
-            return (build_inner(base, ell) if ell > 1 else base), ell, err
+            return (build_inner(base, ell) if ell > 1 else base), ell, err, effects
         ell = need
     raise PromiseViolationError("amplification fixpoint did not converge")
 
@@ -448,18 +456,20 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     maximality. Postselection is exact projection plus renormalization;
     zero-probability branches are errors, not skips.
     """
-    amplified, ell, err = _amplify_for_training(v)
+    amplified, ell, err, base_effects = _amplify_for_training(v)
     dim_a = 2 ** amplified.alice_qubits
     rho = np.eye(dim_a, dtype=complex) / dim_a
     true_amp = kron_power(v.true_advice.amplitudes, ell)
-    w = amplified.witness_qubits
+    # the effects are the decider's too; without amplification they are the base's
+    effects = base_effects if amplified is v.protocol else {}
 
     cand: list[tuple[str, str]] = []
     for x in v.inputs():
         for z in _amp_witnesses(v, ell):
             if v.language[x] == 1:
-                eff = _witness_effect(amplified, x, z)
-                acc = float(np.real(true_amp.conj() @ eff @ true_amp))
+                if (x, z) not in effects:
+                    effects[x, z] = _witness_effect(amplified, x, z)
+                acc = float(np.real(true_amp.conj() @ effects[x, z] @ true_amp))
                 if acc < 1.0 - err - ATOL:
                     continue  # rule (b): yes-instances train only on valid witnesses
             cand.append((x, z))
@@ -490,6 +500,7 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     training = TrainingSet(triples=tuple(triples), survivals=tuple(survivals), maximal=True)
     decider = TrainedDecider(verifier=v, amplified=amplified, ell=ell,
                              advice_matrix=rho, error_rate=err)
+    decider._effects.update(effects)
     return training, decider
 
 

@@ -36,8 +36,8 @@ from .qlemmas import (
     or_bound_run,
     projector_or_instance,
     random_or_instance,
+    random_union_audit,
     random_union_instance,
-    union_bound_run,
 )
 from .rac import (
     audit_reduced,
@@ -46,6 +46,7 @@ from .rac import (
     check_fingerprint,
     draw_scheme,
     fingerprint,
+    honest_merlin,
     rac_round,
     rounds_for_soundness,
     tight_reduction,
@@ -145,10 +146,7 @@ def _run_good_as_new(args) -> dict:
 
 def _run_union(args) -> dict:
     report = _base_report(args, "lemma union", {"instances": args.instances})
-    rows = []
-    for ss in _child_seeds(args.seed, args.instances):
-        rho, seq = random_union_instance(np.random.default_rng(ss))
-        rows.append(union_bound_run(rho, seq).to_json_dict())
+    rows = [r.to_json_dict() for r in random_union_audit(_child_seeds(args.seed, args.instances))]
     report["results"] = rows
     report["pass"] = all(r["pass"] for r in rows)
     report["csv_columns"] = ["lemma", "exact", "bound", "drift", "pass"]
@@ -289,14 +287,18 @@ def _run_rac_audit(args) -> dict:
     completeness_failures = 0
     min_detection = 1.0
     rng = np.random.default_rng(_child_seeds(args.seed, 1)[0])
+    # a profile depends only on the true substring and the bit's offset in it
+    min_flipping: dict[tuple[str, int], Fraction] = {}
     for xv in range(2 ** args.n):
         x = format(xv, f"0{args.n}b")
         for i in range(args.n):
             t = rac_round(x, i, code, rng=rng)
             if not (t.accepted and t.output == int(x[i])):
                 completeness_failures += 1
-            profile = cheat_detection_profile(x, i, code)
-            min_detection = min(min_detection, float(profile.min_flipping))
+            key = (honest_merlin(x, i, code), i % args.w)
+            if key not in min_flipping:
+                min_flipping[key] = cheat_detection_profile(x, i, code).min_flipping
+            min_detection = min(min_detection, float(min_flipping[key]))
     soundness = float((Fraction(1) - code.distance_ratio) ** rounds)
     row = {
         "n": args.n, "w": args.w, "a": a, "seed": args.seed,
@@ -343,7 +345,7 @@ def _run_rac_fingerprint(args) -> dict:
     collisions = 0
 
     def random_bits() -> str:
-        return "".join(str(b) for b in rng.integers(0, 2, size=args.bits))
+        return "".join(map(str, rng.integers(0, 2, size=args.bits).tolist()))
 
     for _ in range(args.trials):
         scheme = draw_scheme(rng, output_bits=args.m_bits)
@@ -351,9 +353,10 @@ def _run_rac_fingerprint(args) -> dict:
         y = x
         while y == x:
             y = random_bits()
-        if not check_fingerprint(x, fingerprint(x, scheme), scheme):
+        tag = fingerprint(x, scheme)
+        if not check_fingerprint(x, tag, scheme):
             raise SystemExit("self-check failed")
-        if fingerprint(x, scheme) == fingerprint(y, scheme):
+        if tag == fingerprint(y, scheme):
             collisions += 1
     rate = collisions / args.trials
     bound = 2.0 ** (1 - args.m_bits)

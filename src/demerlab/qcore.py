@@ -142,15 +142,60 @@ def _layout(regs) -> RegisterLayout:
 # numeric helpers
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + _dagger(m)) / 2.0
 
 
 def _check_hermitian(m: np.ndarray, what: str, atol: float = ATOL):
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > atol:
+    if np.max(np.abs(m - _dagger(m))) > atol:
         raise ValueError(f"non-Hermitian input for {what}")
+
+
+def _check_density(m: np.ndarray):
+    """Hermitian, unit trace and no eigenvalue below -ATOL, for a matrix or a stack."""
+    _check_hermitian(m, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = (np.abs(tr.real - 1.0) > ATOL) | (np.abs(tr.imag) > ATOL)
+    if np.any(off):
+        raise ValueError(f"density matrix trace {tr[off].flat[0]} is not 1 within {ATOL}")
+    if np.min(np.linalg.eigvalsh(hermitize(m))) < -ATOL:
+        raise ValueError("density matrix has eigenvalue below -1e-9")
+
+
+def _effect_kraus(effect: np.ndarray, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
+    """Check 0 <= E <= I and return the square-root Kraus pair (sqrt(I - E), sqrt(E)),
+    for an effect or a stack of them; `spectrum` is E's `np.linalg.eigh` if known."""
+    _check_hermitian(effect, "effect operator")
+    w, v = np.linalg.eigh(hermitize(effect)) if spectrum is None else spectrum
+    if np.min(w) < -ATOL or np.max(w) > 1.0 + ATOL:
+        raise ValueError(f"effect spectrum [{w.min():.3e}, {w.max():.3e}] outside [0, 1]")
+    w, vh = np.clip(w, 0.0, 1.0)[..., None, :], _dagger(v)
+    return (v * np.sqrt(1.0 - w)) @ vh, (v * np.sqrt(w)) @ vh
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _unit_trace_gram(g: np.ndarray) -> np.ndarray:
+    """g g' scaled to unit trace, for a matrix or a stack."""
+    m = g @ _dagger(g)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _scaled_gram(g: np.ndarray, scale) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """g g' scaled to top eigenvalue `scale`, with its spectrum, for a matrix or a stack."""
+    m = g @ _dagger(g)
+    w, v = np.linalg.eigh(m)
+    top, scale = w[..., -1:], np.asarray(scale)[..., None]
+    return m / top[..., None] * scale[..., None], (w / top * scale, v)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -160,9 +205,10 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(m)))))
+def trace_norm(m: np.ndarray):
+    """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of each in a stack."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(hermitize(m))), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def top_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -233,12 +279,7 @@ class DensityMatrix:
         d = self.layout.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > ATOL or abs(np.trace(m).imag) > ATOL:
-            raise ValueError(f"density matrix trace {np.trace(m)} is not 1 within {ATOL}")
-        if np.min(np.linalg.eigvalsh(hermitize(m))) < -ATOL:
-            raise ValueError("density matrix has eigenvalue below -1e-9")
+        _check_density(m)
 
     @property
     def dim(self) -> int:
@@ -273,27 +314,24 @@ def maximally_mixed(layout) -> DensityMatrix:
 
 def random_state(layout, rng: np.random.Generator) -> StateVector:
     layout = _layout(layout)
-    z = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    z = _complex_gaussian(rng, layout.dim)
     return StateVector(z / np.linalg.norm(z), layout)
 
 
 def random_density(layout, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     layout = _layout(layout)
     rank = rank or layout.dim
-    g = rng.normal(size=(layout.dim, rank)) + 1j * rng.normal(size=(layout.dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, layout)
+    return DensityMatrix(_unit_trace_gram(_complex_gaussian(rng, (layout.dim, rank))), layout)
 
 
 def random_effect(layout, rng: np.random.Generator, scale: float | None = None) -> "TwoOutcomeMeasurement":
     """Random effect operator 0 <= E <= scale * I (scale defaults to uniform)."""
     layout = _layout(layout)
-    g = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
-    m = g @ g.conj().T
-    w, v = np.linalg.eigh(m)
+    g = _complex_gaussian(rng, (layout.dim, layout.dim))
     if scale is None:
         scale = float(rng.uniform(0.0, 1.0))
-    return TwoOutcomeMeasurement(m / w[-1] * scale, layout, spectrum=(w / w[-1] * scale, v))
+    effect, spectrum = _scaled_gram(g, scale)
+    return TwoOutcomeMeasurement(effect, layout, spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +350,7 @@ def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
     """The map rho -> sum_K K rho K' on a dense matrix (not renormalized)."""
     out = np.zeros(rho.shape, dtype=complex)
     for k in kraus:
-        out += k @ rho @ k.conj().T
+        out += k @ rho @ _dagger(k)
     return out
 
 
@@ -382,14 +420,10 @@ class TwoOutcomeMeasurement:
 
     def __post_init__(self, spectrum=None):
         e = np.asarray(self.effect, dtype=complex)
-        _check_hermitian(e, "effect operator")
-        w, v = np.linalg.eigh(hermitize(e)) if spectrum is None else spectrum
-        if np.min(w) < -ATOL or np.max(w) > 1.0 + ATOL:
-            raise ValueError(f"effect spectrum [{w.min():.3e}, {w.max():.3e}] outside [0, 1]")
-        w = np.clip(w, 0.0, 1.0)
+        m0, m1 = _effect_kraus(e, spectrum)
         object.__setattr__(self, "effect", e)
-        object.__setattr__(self, "m1", (v * np.sqrt(w)) @ v.conj().T)
-        object.__setattr__(self, "m0", (v * np.sqrt(1.0 - w)) @ v.conj().T)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m0", m0)
         if self.layout is not None and self.layout.dim != e.shape[0]:
             raise ValueError("effect dimension does not match layout")
 

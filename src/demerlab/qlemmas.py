@@ -32,6 +32,12 @@ from .qcore import (
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
+    _as_density,
+    _check_density,
+    _complex_gaussian,
+    _effect_kraus,
+    _scaled_gram,
+    _unit_trace_gram,
     apply_kraus,
     hermitize,
     measure_two_outcome,
@@ -39,7 +45,10 @@ from .qcore import (
     random_effect,
     tensor_product,
     trace_distance,
+    trace_norm,
 )
+
+UNION_CHUNK = 64  # seeds per stacked batch in random_union_audit; bounds peak memory
 
 __all__ = [
     "GoodAsNewReport",
@@ -51,6 +60,7 @@ __all__ = [
     "agrees_within_sigma",
     "monte_carlo_any_outcome1",
     "random_union_instance",
+    "random_union_audit",
     "random_or_instance",
     "projector_or_instance",
 ]
@@ -103,34 +113,70 @@ def union_bound_run(rho, seq: list[TwoOutcomeMeasurement],
     Composes the outcome-0 square-root updates, so
     Pr[all 0] = trace(M0_T ... M0_1 rho M0_1' ... M0_T'). If `epsilon` is
     given, every measurement must trigger with probability at most epsilon on
-    the initial state; otherwise the maximum measured value is used.
+    the initial state; otherwise the maximum measured value is used. This is
+    `_union_audit` on a stack of one instance.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.density()
-    per_step = [m.outcome1_probability(rho) for m in seq]
-    measured = max(per_step, default=0.0)
-    if epsilon is None:
-        epsilon = measured
-    elif measured > epsilon + ATOL:
-        raise ValueError(
-            f"declared epsilon {epsilon} exceeded: a measurement triggers with "
-            f"probability {measured} on the initial state")
-    survivor = rho.matrix
-    unconditioned = rho.matrix
+    rho = _as_density(rho)
+    d, t = rho.dim, len(seq)
     for m in seq:
-        survivor = apply_kraus(survivor, [m.m0])
-        unconditioned = apply_kraus(unconditioned, [m.m0, m.m1])
-    p_any = 1.0 - float(np.trace(survivor).real)
-    p_any = min(max(p_any, 0.0), 1.0)
-    t = len(seq)
-    bound = t * sqrt(max(epsilon, 0.0))
-    drift = trace_distance(
-        rho, DensityMatrix(hermitize(unconditioned), rho.layout))
-    return MeasurementSequenceReport(
-        lemma="union-bound", t_steps=t, p_any_one=p_any, bound=bound,
-        averaged_state_drift=drift,
-        params={"epsilon": float(epsilon), "dim": rho.dim},
-        passed=(p_any <= bound + ATOL) and (drift <= bound + ATOL))
+        if m.dim != d:
+            raise ValueError(f"dimension mismatch: {d} vs {m.dim}")
+    stacks = (np.array([getattr(m, name) for m in seq], dtype=complex).reshape(1, t, d, d)
+              for name in ("effect", "m0", "m1"))
+    return _union_audit(rho.matrix[None], *stacks, epsilon)[0]
+
+
+def _union_audit(rho: np.ndarray, effects: np.ndarray, m0: np.ndarray, m1: np.ndarray,
+                 epsilon: float | None = None) -> list[MeasurementSequenceReport]:
+    """`union_bound_run` on a (B, d, d) stack of checked densities at once, with effects
+    and Kraus pairs as (B, T, d, d) stacks; the averaged states are checked too."""
+    b, t, d = effects.shape[:3]
+    per_step = np.trace(effects @ rho[:, None], axis1=-2, axis2=-1).real
+    measured = per_step.max(axis=1) if t else np.zeros(b)
+    if epsilon is None:
+        eps = measured
+    else:
+        over = measured > epsilon + ATOL
+        if np.any(over):
+            raise ValueError(
+                f"declared epsilon {epsilon} exceeded: a measurement triggers with "
+                f"probability {measured[over][0]} on the initial state")
+        eps = np.full(b, float(epsilon))
+    survivor = unconditioned = rho
+    for j in range(t):
+        survivor = apply_kraus(survivor, [m0[:, j]])
+        unconditioned = apply_kraus(unconditioned, [m0[:, j], m1[:, j]])
+    p_any = np.clip(1.0 - np.trace(survivor, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    bound = t * np.sqrt(np.maximum(eps, 0.0))
+    averaged = hermitize(unconditioned)
+    _check_density(averaged)
+    drift = 0.5 * trace_norm(rho - averaged)
+    return [MeasurementSequenceReport(
+        lemma="union-bound", t_steps=t, p_any_one=p, bound=bd, averaged_state_drift=dr,
+        params={"epsilon": e, "dim": d}, passed=(p <= bd + ATOL) and (dr <= bd + ATOL))
+        for p, bd, dr, e in zip(p_any.tolist(), bound.tolist(), drift.tolist(), eps.tolist())]
+
+
+def random_union_audit(seeds: list[np.random.SeedSequence]) -> list[MeasurementSequenceReport]:
+    """`union_bound_run(*random_union_instance(np.random.default_rng(s)))` for each seed, in order.
+
+    Instances are drawn UNION_CHUNK seeds at a time; within a chunk, those of
+    one dimension and step count are built, checked and audited as one stack.
+    """
+    reports = []
+    for start in range(0, len(seeds), UNION_CHUNK):
+        draws = [_union_draws(np.random.default_rng(s)) for s in seeds[start:start + UNION_CHUNK]]
+        chunk = {}
+        for key in sorted({(n, len(scales)) for n, _, scales, _ in draws}):
+            members = [k for k, (n, _, scales, _) in enumerate(draws) if (n, len(scales)) == key]
+            _, g_rho, scales, g_effects = map(np.stack, zip(*(draws[k] for k in members)))
+            rho = _unit_trace_gram(g_rho)
+            _check_density(rho)
+            effects, spectrum = _scaled_gram(g_effects, scales)
+            m0, m1 = _effect_kraus(effects, spectrum)
+            chunk.update(zip(members, _union_audit(rho, effects, m0, m1)))
+        reports += [chunk[k] for k in range(len(draws))]
+    return reports
 
 
 def induced_effects(joint: TwoOutcomeMeasurement, dim_a: int, dim_b: int,
@@ -277,17 +323,30 @@ def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
     return float(p_hat), float(stderr)
 
 
+def _union_draws(rng: np.random.Generator, max_qubits: int = 4, max_steps: int = 8):
+    """A union-bound instance's raw draws, in the one order both generators use:
+    qubit count n, the density's Gaussian factor, step count t, a scale exponent,
+    then per step a scale and the effect's Gaussian factor. Returns
+    (n, factor, scales (t,), effect factors (t, 2^n, 2^n))."""
+    n = int(rng.integers(1, max_qubits + 1))
+    g_rho = _complex_gaussian(rng, (2 ** n, 2 ** n))
+    t = int(rng.integers(1, max_steps + 1))
+    scale_exp = rng.uniform(-4.0, 0.0)
+    scales, g_effects = [], []
+    for _ in range(t):
+        scales.append(float(10.0 ** scale_exp * rng.uniform(0.2, 1.0)))
+        g_effects.append(_complex_gaussian(rng, (2 ** n, 2 ** n)))
+    return n, g_rho, np.array(scales), np.array(g_effects)
+
+
 def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
                           max_steps: int = 8) -> tuple[DensityMatrix, list[TwoOutcomeMeasurement]]:
     """Seeded random (state, measurement sequence) pair for union-bound audits."""
-    n = int(rng.integers(1, max_qubits + 1))
+    n, g_rho, scales, g_effects = _union_draws(rng, max_qubits, max_steps)
     layout = RegisterLayout.of(("r", n))
-    rho = random_density(layout, rng)
-    t = int(rng.integers(1, max_steps + 1))
-    scale_exp = rng.uniform(-4.0, 0.0)
-    seq = [random_effect(layout, rng, scale=float(10.0 ** scale_exp * rng.uniform(0.2, 1.0)))
-           for _ in range(t)]
-    return rho, seq
+    effects, (w, v) = _scaled_gram(g_effects, scales)
+    return (DensityMatrix(_unit_trace_gram(g_rho), layout),
+            [TwoOutcomeMeasurement(e, layout, spectrum=s) for e, s in zip(effects, zip(w, v))])
 
 
 def random_or_instance(rng: np.random.Generator, witness_qubits: int,

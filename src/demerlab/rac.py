@@ -408,12 +408,11 @@ class FingerprintScheme:
 
 def draw_scheme(rng: np.random.Generator, modulus: int = DEFAULT_MODULUS,
                 output_bits: int = 32) -> FingerprintScheme:
-    def draw() -> int:
-        raw = int(rng.integers(0, 2 ** 63)) << 63 | int(rng.integers(0, 2 ** 63))
-        return raw % modulus
-
+    """Coefficients from four 63-bit words, each pair joined high word first."""
+    a_hi, a_lo, b_hi, b_lo = rng.integers(0, 2 ** 63, size=4).tolist()
     return FingerprintScheme(modulus=modulus, output_bits=output_bits,
-                             alpha=draw(), beta=draw())
+                             alpha=(a_hi << 63 | a_lo) % modulus,
+                             beta=(b_hi << 63 | b_lo) % modulus)
 
 
 def _data_to_int(data: str, scheme: FingerprintScheme) -> int:

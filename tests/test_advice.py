@@ -270,3 +270,21 @@ def test_j_fold_mean_matches_sampling_oracle(rng):
 def test_float_binom_tail_matches_exact():
     assert binom_tail(7, 1 / 3, 4) == pytest.approx(
         float(binom_tail(7, Fraction(1, 3), 4)), rel=1e-12)
+
+
+def test_witness_effects_are_built_once_per_input_and_witness(monkeypatch, tmp_path):
+    import demerlab.advice as advice
+    from demerlab.cli import main
+
+    built = []
+    kernel = advice.accept_effect
+
+    def counting(p, y, cols):
+        built.append(y)
+        return kernel(p, y, cols)
+
+    monkeypatch.setattr(advice, "accept_effect", counting)
+    assert main(["advice", "qcma-train", "--n", "2", "--seed", "7",
+                 "--out", str(tmp_path / "train.json")]) == 0
+    # 4 inputs x 2 witnesses, shared by the error estimate, rule (b), decide and j-fold
+    assert len(built) == 8

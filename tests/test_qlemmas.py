@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from demerlab.qcore import (
     DensityMatrix,
@@ -21,9 +23,12 @@ from demerlab.qlemmas import (
     or_bound_run,
     projector_or_instance,
     random_or_instance,
+    random_union_audit,
     random_union_instance,
     union_bound_run,
 )
+import demerlab.qlemmas as qlemmas
+from demerlab.cli import main
 
 Q1 = RegisterLayout.of(("q", 1))
 
@@ -153,6 +158,96 @@ def test_union_bound_thousand_random_instances():
         r = union_bound_run(rho, seq)
         assert r.passed, f"bound violated: {r}"
         assert r.averaged_state_drift <= r.bound + 1e-9
+
+
+def assert_same_audit(stacked, single):
+    a, b = stacked.to_json_dict(), single.to_json_dict()
+    assert (a["pass"], a["params"]["dim"], stacked.t_steps) == (b["pass"], b["params"]["dim"],
+                                                               single.t_steps)
+    for key in ("exact", "bound", "drift"):
+        assert abs(a[key] - b[key]) <= 1e-12, key
+    assert abs(a["params"]["epsilon"] - b["params"]["epsilon"]) <= 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 140))
+@settings(max_examples=12, deadline=None)
+def test_stacked_audit_matches_single_instances(root, count):
+    # chunks of 64 mixing dimensions 2..16 and step counts 1..8, against one
+    # union_bound_run per instance on the public generator
+    seeds = np.random.SeedSequence(root).spawn(count)
+    stacked = random_union_audit(seeds)
+    assert len(stacked) == count
+    for ss, r in zip(seeds, stacked):
+        assert_same_audit(r, union_bound_run(*random_union_instance(np.random.default_rng(ss))))
+
+
+def test_stacked_audit_chunks_mix_dimensions_and_step_counts():
+    seeds = np.random.SeedSequence(7).spawn(qlemmas.UNION_CHUNK)
+    stacked = random_union_audit(seeds)
+    assert {r.params["dim"] for r in stacked} == {2, 4, 8, 16}
+    assert {r.t_steps for r in stacked} == set(range(1, 9))
+    for ss, r in zip(seeds, stacked):
+        assert_same_audit(r, union_bound_run(*random_union_instance(np.random.default_rng(ss))))
+
+
+MIDDLE = 32  # instance position inside the first chunk that gets a bad effect
+
+
+def _mark_middle_instance(monkeypatch, scale):
+    """Make instance MIDDLE of a run draw every effect scaled to `scale`."""
+    drawn = []
+    draw = qlemmas._union_draws
+
+    def draws(rng):
+        n, g_rho, scales, g_effects = draw(rng)
+        if len(drawn) == MIDDLE:
+            scales = np.full_like(scales, scale)
+        drawn.append(n)
+        return n, g_rho, scales, g_effects
+
+    monkeypatch.setattr(qlemmas, "_union_draws", draws)
+    return drawn
+
+
+def _break_marked_effects(monkeypatch, marker):
+    """Add an anti-Hermitian part to every stacked effect whose top eigenvalue is `marker`."""
+    gram = qlemmas._scaled_gram
+
+    def scaled(g, scales):
+        effects, (w, v) = gram(g, scales)
+        effects = effects.copy()
+        effects[w[..., -1] == marker, 0, 1] += 0.1
+        return effects, (w, v)
+
+    monkeypatch.setattr(qlemmas, "_scaled_gram", scaled)
+
+
+@pytest.mark.parametrize("case", ["non-Hermitian", "spectrum above 1"])
+def test_one_bad_effect_in_a_chunk_is_rejected(case, monkeypatch, capsys):
+    scale = 0.5 if case == "non-Hermitian" else 1.5
+    drawn = _mark_middle_instance(monkeypatch, scale)
+    if case == "non-Hermitian":
+        _break_marked_effects(monkeypatch, scale)
+    message = "non-Hermitian" if case == "non-Hermitian" else "outside \\[0, 1\\]"
+    with pytest.raises(ValueError, match=message):
+        random_union_audit(np.random.SeedSequence(7).spawn(40))
+    drawn.clear()
+    assert main(["lemma", "union", "--instances", "40", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "effect" in err
+    monkeypatch.undo()
+    assert main(["lemma", "union", "--instances", "40", "--seed", "7"]) == 0
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+def test_union_report_is_prefix_stable(k, tmp_path):
+    def rows(instances):
+        out = tmp_path / f"union{instances}.json"
+        assert main(["lemma", "union", "--instances", str(instances), "--seed", "7",
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["results"]
+
+    assert rows(k) == rows(200)[:k]
 
 
 # ---------------------------------------------------------------------------

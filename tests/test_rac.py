@@ -330,3 +330,66 @@ def test_default_modulus_is_prime():
     import sympy
 
     assert sympy.isprime(DEFAULT_MODULUS)
+
+
+def test_draw_scheme_keeps_the_four_scalar_draw_stream():
+    def four_scalar_draws(rng, modulus=DEFAULT_MODULUS, output_bits=32):
+        def draw():
+            raw = int(rng.integers(0, 2 ** 63)) << 63 | int(rng.integers(0, 2 ** 63))
+            return raw % modulus
+        alpha = draw()
+        return alpha, draw()
+
+    for seed in range(50):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            scheme = draw_scheme(new, output_bits=6)
+            assert (scheme.alpha, scheme.beta) == four_scalar_draws(old)
+        assert new.integers(0, 2 ** 63) == old.integers(0, 2 ** 63)
+
+
+def _count_calls(monkeypatch, modules, name):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_rac_audit_builds_one_profile_per_substring_and_offset(monkeypatch, tmp_path):
+    import demerlab.cli as cli
+
+    calls = _count_calls(monkeypatch, [cli], "cheat_detection_profile")
+    assert cli.main(["rac", "audit", "--n", "8", "--w", "4", "--out",
+                     str(tmp_path / "audit.json")]) == 0
+    assert len(calls) == 2 ** 4 * 4  # not 2^8 inputs x 8 bits
+    assert len({(honest_merlin(x, i, code), i % 4) for x, i, code in calls}) == len(calls)
+
+
+def test_rac_fingerprint_hashes_three_times_per_trial(monkeypatch, tmp_path):
+    import demerlab.cli as cli
+    import demerlab.rac as rac
+
+    calls = _count_calls(monkeypatch, [rac, cli], "fingerprint")
+    assert cli.main(["rac", "fingerprint", "--trials", "10000", "--out",
+                     str(tmp_path / "fp.json")]) == 0
+    assert len(calls) == 30_000
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("rac-audit.csv", "rac audit --n 8 --w 4 --seed 1 --format csv"),
+    ("rac-fingerprint.json", "rac fingerprint --bits 8 --m-bits 6 --trials 10000"),
+])
+def test_rac_reports_are_byte_identical_to_golden(name, argv, tmp_path):
+    from pathlib import Path
+
+    from demerlab.cli import main
+
+    out = tmp_path / name
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()

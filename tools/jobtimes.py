@@ -1,0 +1,47 @@
+"""Per-job wall time of one benchmark workload, measured in process.
+
+    python3 tools/jobtimes.py --workload small-audits --seed 0 --repeat 3
+
+Imports `bench/workloads.py` and `src/demerlab` from this checkout (reading
+them only), runs the workload's job list `--repeat` times with `run_pass`,
+and prints each job's minimum time over those passes, then the minimum
+whole-pass time. A job that exits nonzero is marked with its exit code.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+
+import workloads  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="small-audits")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    jobs = workloads.build_jobs(args.workload, args.seed)
+    best = [float("inf")] * len(jobs)
+    codes = [0] * len(jobs)
+    total = float("inf")
+    for _ in range(args.repeat):
+        results = workloads.run_pass(jobs)
+        total = min(total, sum(secs for _, secs, _, _ in results))
+        for i, (_, secs, code, _) in enumerate(results):
+            best[i], codes[i] = min(best[i], secs), code or codes[i]
+    width = max(len(job.name) for job in jobs)
+    for job, secs, code in zip(jobs, best, codes):
+        print(f"{job.name:<{width}}  {secs:8.4f} s" + (f"  exit {code}" if code else ""))
+    print(f"{'pass':<{width}}  {total:8.4f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
