@@ -63,12 +63,17 @@ def majority_threshold(n: int) -> int:
 def binom_tail(n: int, p, k: int):
     """Pr[Binomial(n, p) >= k]: exact for a Fraction p, float for a float p.
 
-    p is never coerced, so the result has p's type.
+    p is never coerced, so the result has p's type. With p = a/b the exact
+    tail is one integer sum over b^n, reduced once.
     """
     if k <= 0:
         return type(p)(1)
     if k > n:
         return type(p)(0)
+    if isinstance(p, Fraction):
+        a, b = p.numerator, p.denominator
+        return Fraction(sum(comb(n, j) * a ** j * (b - a) ** (n - j) for j in range(k, n + 1)),
+                        b ** n)
     q = 1 - p
     return sum(comb(n, j) * p ** j * q ** (n - j) for j in range(k, n + 1))
 

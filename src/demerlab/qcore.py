@@ -548,27 +548,34 @@ class UnitaryCircuit:
 
     def _compiled(self) -> tuple:
         """Per gate, built on first use: the index fixing its control axes to their
-        values, its target axes within that slice, and its matrix as (2,)*2k."""
+        values; `order`, the slice's axes with the gate's targets first and the batch
+        axis last; `undo`, its inverse permutation; and the gate's matrix."""
         if self._steps is None:
             steps = []
             for g in self.gates:
-                fixed = dict(zip(g.controls, g.control_values))
-                select = tuple(fixed.get(q, slice(None)) for q in range(self.n_qubits))
-                free = [q for q in range(self.n_qubits) if q not in fixed]
-                axes = tuple(free.index(t) for t in g.targets)
-                steps.append((select, axes, g.matrix.reshape((2,) * (2 * len(axes)))))
+                select = [slice(None)] * self.n_qubits
+                for q, v in zip(g.controls, g.control_values):
+                    select[q] = v
+                free = [q for q in range(self.n_qubits) if q not in g.controls]
+                order = [free.index(t) for t in g.targets]
+                order += [a for a, q in enumerate(free) if q not in g.targets] + [len(free)]
+                undo = sorted(range(len(order)), key=order.__getitem__)
+                steps.append((tuple(select), tuple(order), tuple(undo), g.matrix))
             object.__setattr__(self, "_steps", tuple(steps))
         return self._steps
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Run the circuit on a flat statevector (or a batch of columns); each
-        gate rewrites only the slice its controls select, in a working copy."""
+        gate rewrites only the slice its controls select, in a working copy, by
+        one matrix product on that slice with the gate's targets moved first."""
         amps = np.asarray(amps, dtype=complex)
-        t = amps.reshape((2,) * self.n_qubits + amps.shape[1:]).copy()
-        for select, axes, m in self._compiled():
-            k = len(axes)
-            out = np.tensordot(m, t[select], axes=(tuple(range(k, 2 * k)), axes))
-            t[select] = np.moveaxis(out, tuple(range(k)), axes)
+        if amps.size == 0:
+            return amps.copy()
+        t = amps.reshape((2,) * self.n_qubits + (-1,)).copy()
+        for select, order, undo, m in self._compiled():
+            moved = t[select].transpose(order)
+            out = np.dot(m, moved.reshape(m.shape[0], -1))
+            t[select] = out.reshape(moved.shape).transpose(undo)
         return t.reshape(amps.shape)
 
     def inverse(self) -> "UnitaryCircuit":

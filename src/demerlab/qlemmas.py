@@ -294,30 +294,29 @@ def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
         w = np.clip(w, 0.0, None)
         w /= w.sum()
         picks = rng.choice(len(w), size=shots, p=w)
-        states = v.T[picks].copy()
+        states = v.T[picks]
     else:
         states = np.tile(rho, (shots, 1))
     n_choices = len(kraus0)
     accepted = np.zeros(shots, dtype=bool)
-    alive = np.arange(shots)
+    alive = np.arange(shots)  # states holds the rows of these shots, in this order
     for _ in range(t_steps):
         if alive.size == 0:
             break
         choices = rng.integers(0, n_choices, size=alive.size)
-        new_states = np.empty_like(states[alive])
         for j in range(n_choices):
             mask = choices == j
             if mask.any():
-                new_states[mask] = states[alive[mask]] @ kraus0[j].T
-        norms2 = np.einsum("ij,ij->i", new_states, new_states.conj()).real
+                states[mask] = states[mask] @ kraus0[j].T
+        norms2 = np.einsum("ij,ij->i", states, states.conj()).real
         norms2 = np.clip(norms2, 0.0, 1.0)
         hits = rng.random(alive.size) > norms2
         accepted[alive[hits]] = True
         keep = ~hits
-        survivors = alive[keep]
         # a shot survives a zero-norm round only if its uniform draw was exactly 0
-        states[survivors] = new_states[keep] / np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
-        alive = survivors
+        states = states[keep]
+        states /= np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
+        alive = alive[keep]
     p_hat = accepted.mean()
     stderr = sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots)
     return float(p_hat), float(stderr)

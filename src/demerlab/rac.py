@@ -291,14 +291,14 @@ def wrapped_code_protocol(code: LinearCode, n_bits: int,
     if n_bits % w:
         raise ValueError("n_bits must be a multiple of the substring width")
     r = rounds if rounds is not None else rounds_for_soundness(code)
+    big_w = code.block_length
+    survival = tuple(Fraction(big_w - e, big_w) ** r for e in range(big_w + 1))
 
     def accept_prob(x: str, i: int, z: str) -> Fraction:
         j, pos = _substring_index(i, w)
         if z[pos] != "1":
             return Fraction(0)
-        truth = _split(x, w)[j]
-        e = code.distance(z, truth)
-        return (Fraction(code.block_length - e, code.block_length)) ** r
+        return survival[code.distance(z, _split(x, w)[j])]
 
     return MerlinRacProtocol(n_bits=n_bits, substring_bits=w,
                              n_substrings=n_bits // w, accept_prob=accept_prob)
@@ -348,12 +348,13 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
     w = base.substring_bits
     maj = majority_threshold(reduced.copies)
     records = []
-    tail_cache: dict[Fraction, float] = {}
+    tail_cache: dict[tuple[int, int], float] = {}
 
     def tail(p: Fraction) -> float:
-        if p not in tail_cache:
-            tail_cache[p] = float(binom_tail(reduced.copies, p, maj))
-        return tail_cache[p]
+        key = p.numerator, p.denominator
+        if key not in tail_cache:
+            tail_cache[key] = float(binom_tail(reduced.copies, p, maj))
+        return tail_cache[key]
 
     for x in inputs:
         for i in range(base.n_bits):
@@ -367,7 +368,7 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
                 for m in range(2 ** w):
                     z = format(m, f"0{w}b")
                     p = base.accept_prob(x, i, z)
-                    if p > 0:
+                    if p:
                         err += tail(p)
                 err = min(err, 1.0)
             records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=err))

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demerlab.amplify import (
     PlanInfeasibleError,
@@ -44,6 +47,23 @@ def test_binom_tail_keeps_the_type_of_p():
     for k in (0, 8):
         assert type(binom_tail(7, Fraction(1, 3), k)) is Fraction
         assert type(binom_tail(7, 1 / 3, k)) is float
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(0, 60))
+    b = draw(st.integers(1, 10 ** 6))
+    return n, Fraction(draw(st.integers(0, b)), b), draw(st.integers(-1, n + 1))
+
+
+@given(tail_cases())
+@settings(max_examples=120, deadline=None)
+def test_exact_binom_tail_matches_termwise_fraction_sum(case):
+    n, p, k = case
+    oracle = sum((comb(n, j) * p ** j * (1 - p) ** (n - j) for j in range(max(k, 0), n + 1)),
+                 Fraction(0))
+    got = binom_tail(n, p, k)
+    assert type(got) is Fraction and got == oracle
 
 
 def test_min_majority_reps_is_minimal():

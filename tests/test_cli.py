@@ -157,6 +157,35 @@ def test_invalid_environment_default_exits_2(var, value, capsys, monkeypatch):
     assert err.strip().splitlines() == [err.strip()] and "DEMERLAB_" + var in err
 
 
+def test_parser_is_built_once_per_environment(tmp_path, monkeypatch):
+    import demerlab.cli as cli_mod
+
+    built = []
+    real = cli_mod.build_parser
+
+    def counting():
+        built.append(cli_mod.os.environ.get("DEMERLAB_SEED"))
+        return real()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    cli_mod._parser_for.cache_clear()
+    out = tmp_path / "u.json"
+    argv = ["lemma", "union", "--instances", "1", "--out", str(out)]
+    monkeypatch.setenv("DEMERLAB_SEED", "3")
+    assert main(argv) == 0 and main(argv) == 0
+    assert built == ["3"] and json.loads(out.read_text())["seed"] == 3
+    monkeypatch.setenv("DEMERLAB_SEED", "4")
+    assert main(argv) == 0
+    assert built == ["3", "4"] and json.loads(out.read_text())["seed"] == 4
+
+
+def test_bad_environment_value_exits_2_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("DEMERLAB_SHOTS", "-1")
+    for _ in range(2):
+        code, err = exit_and_stderr(["lemma", "union", "--instances", "2"], capsys)
+        assert code == 2 and "DEMERLAB_SHOTS" in err
+
+
 def test_loop_value_errors_exit_2(capsys, monkeypatch):
     import demerlab.cli as cli_mod
     import demerlab.demerlin as demerlin_mod

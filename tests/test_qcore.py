@@ -438,14 +438,17 @@ def random_gates(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     gates = []
     for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(1, min(2, n)))
+        k = draw(st.integers(1, min(3, n)))
         c = draw(st.integers(0, min(3, n - k)))
         qubits = draw(st.permutations(range(n)))
+        targets = qubits[:k]
+        if draw(st.booleans()):  # targets in descending order
+            targets = sorted(targets, reverse=True)
         values = tuple(draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)))
-        gates.append(Gate("u", tuple(qubits[:k]), random_unitary(2 ** k, rng),
+        gates.append(Gate("u", tuple(targets), random_unitary(2 ** k, rng),
                           tuple(qubits[k:k + c]), values))
-    batch = draw(st.sampled_from([None, 1, 3]))
-    shape = (2 ** n,) if batch is None else (2 ** n, batch)
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    shape = (2 ** n,) + batch
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return n, gates, amps
 
@@ -467,13 +470,22 @@ def test_compiled_kernel_matches_dense_oracle(case):
 
 
 def test_circuit_compiles_once(rng):
-    circ = UnitaryCircuit(3, (h_gate(0), mcx((0, 2), 1, (1, 0))))
+    circ = UnitaryCircuit(3, (h_gate(0), mcx((0, 2), 1, (1, 0)), increment_gate((2, 0))))
     assert circ._steps is None  # nothing is compiled before the first apply
     psi = random_state(RegisterLayout.of(("q", 3)), rng).amplitudes
     first = circ.apply(psi)
     steps = circ._steps
-    assert len(steps) == 2 and steps[1][0] == (1, slice(None), 0) and steps[1][1] == (0,)
-    assert steps[1][2].shape == (2, 2)
+    # mcx on target 1, controls 0=1 and 2=0: the slice keeps qubit 1 and the batch
+    # axis; the target comes first and `undo` inverts `order`
+    select, order, undo, m = steps[1]
+    assert len(steps) == 3 and select == (1, slice(None), 0)
+    assert order == (0, 1) and undo == (0, 1) and m.shape == (2, 2)
+    select, order, undo, m = steps[0]  # h on qubit 0 of an uncontrolled slice
+    assert select == (slice(None),) * 3 and order == (0, 1, 2, 3) and m.shape == (2, 2)
+    select, order, undo, m = steps[2]  # targets (2, 0) lead, in the gate's order
+    assert select == (slice(None),) * 3 and order == (2, 0, 1, 3) and undo == (1, 2, 0, 3)
+    assert m.shape == (4, 4)
+    assert circ.apply(np.zeros((8, 0), dtype=complex)).shape == (8, 0)
     assert np.array_equal(circ.apply(psi), first) and circ._steps is steps
     inv = circ.inverse()  # built once, like the steps, and neither compared nor printed
     assert circ.inverse() is inv

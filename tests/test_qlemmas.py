@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from demerlab.qcore import (
     TwoOutcomeMeasurement,
     random_density,
     random_effect,
+    random_state,
 )
 from demerlab.qlemmas import (
     _binom_sf,
@@ -338,6 +340,22 @@ def test_monte_carlo_agrees_on_mixed_state(rng):
     est, _ = monte_carlo_any_outcome1(rho, [m.m0 for m in effects], t, 100_000,
                                       np.random.default_rng(18))
     assert agrees_within_sigma(est, r.p_any_one, 100_000)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_monte_carlo_holds_only_alive_rows(rng, mixed):
+    # the walk keeps the surviving shots' rows and nothing of full size
+    # beyond them, so its heap peak stays under three (shots, d) arrays
+    layout, shots = RegisterLayout.of(("a", 3)), 20_000
+    kraus0 = [random_effect(layout, rng, scale=0.2).m0 for _ in range(3)]
+    rho = random_density(layout, rng) if mixed else random_state(layout, rng)
+    tracemalloc.start()
+    try:
+        monte_carlo_any_outcome1(rho, kraus0, 10, shots, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * shots * layout.dim * np.dtype(complex).itemsize
 
 
 def test_report_serialization(rng):

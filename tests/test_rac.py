@@ -252,6 +252,20 @@ def test_wrapped_protocol_acceptance_values():
             assert base.accept_prob(x, i, claim) == expected
 
 
+def test_wrapped_protocol_survival_table_matches_formula():
+    code = build_code(2, seed=0)
+    r, big_w = rounds_for_soundness(code), code.block_length
+    base = wrapped_code_protocol(code, 4)
+    for x in (format(v, "04b") for v in range(16)):
+        for i in range(4):
+            truth = x[i // 2 * 2:i // 2 * 2 + 2]
+            for z in ("00", "01", "10", "11"):
+                formula = (Fraction(big_w - code.distance(z, truth), big_w) ** r
+                           if z[i % 2] == "1" else Fraction(0))
+                got = base.accept_prob(x, i, z)
+                assert type(got) is Fraction and got == formula
+
+
 # ---------------------------------------------------------------------------
 # fingerprints
 
