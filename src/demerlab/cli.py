@@ -429,12 +429,6 @@ def _run_advice_qcma_train(args) -> dict:
 # argument plumbing
 
 
-def _late(name: str):
-    """The handler `name`, looked up in this module when it runs, so a parser
-    kept across calls always dispatches to the module's current function."""
-    return lambda args: globals()[name](args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     fmt = _env_default("format", "json")
     if fmt not in ("json", "csv"):
@@ -453,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     lemma = sub.add_parser("lemma").add_subparsers(dest="sub", required=True)
     g = lemma.add_parser("good-as-new", parents=[common])
     g.add_argument("--instances", type=_POSITIVE, default=25)
-    g.set_defaults(handler=_late("_run_good_as_new"))
+    g.set_defaults(handler="_run_good_as_new")
     u = lemma.add_parser("union", parents=[common])
     u.add_argument("--instances", type=_POSITIVE, default=100)
-    u.set_defaults(handler=_late("_run_union"))
+    u.set_defaults(handler="_run_union")
     o = lemma.add_parser("or-bound", parents=[common])
     o.add_argument("--witness-qubits", type=_POSITIVE, default=1)
     o.add_argument("--instances", type=_POSITIVE, default=25)
-    o.set_defaults(handler=_late("_run_or_bound"))
+    o.set_defaults(handler="_run_or_bound")
 
     amp = sub.add_parser("amplify").add_subparsers(dest="sub", required=True)
     ap = amp.add_parser("plan", parents=[common])
@@ -469,46 +463,46 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--desk", action="store_true")
     ap.add_argument("--c-ell", type=float, default=None)
     ap.add_argument("--c-u", type=float, default=None)
-    ap.set_defaults(handler=_late("_run_amplify_plan"))
+    ap.set_defaults(handler="_run_amplify_plan")
 
     dem = sub.add_parser("demerlin").add_subparsers(dest="sub", required=True)
     db = dem.add_parser("build", parents=[common])
     db.add_argument("--toy", choices=DEMERLIN_TOYS, required=True)
-    db.set_defaults(handler=_late("_run_demerlin_build"))
+    db.set_defaults(handler="_run_demerlin_build")
     dr = dem.add_parser("run", parents=[common])
     dr.add_argument("--toy", choices=DEMERLIN_TOYS, required=True)
     dr.add_argument("--final-vote", action="store_true",
                     help="append a threshold-vote post-pass restoring 2/3 vs 1/3")
-    dr.set_defaults(handler=_late("_run_demerlin_run"))
+    dr.set_defaults(handler="_run_demerlin_run")
 
     rac = sub.add_parser("rac").add_subparsers(dest="sub", required=True)
     ra = rac.add_parser("audit", parents=[common])
     ra.add_argument("--n", type=_POSITIVE, default=8)
     ra.add_argument("--w", type=_POSITIVE, default=4)
     ra.add_argument("--a", type=_POSITIVE, default=None)
-    ra.set_defaults(handler=_late("_run_rac_audit"))
+    ra.set_defaults(handler="_run_rac_audit")
     rr = rac.add_parser("reduce", parents=[common])
     rr.add_argument("--w", type=_POSITIVE, default=1)
     rr.add_argument("--n", type=_POSITIVE, default=None)
-    rr.set_defaults(handler=_late("_run_rac_reduce"))
+    rr.set_defaults(handler="_run_rac_reduce")
     rf = rac.add_parser("fingerprint", parents=[common])
     rf.add_argument("--bits", type=_POSITIVE, default=8)
     rf.add_argument("--m-bits", type=_POSITIVE, default=6)
     rf.add_argument("--trials", type=_POSITIVE, default=10_000)
-    rf.set_defaults(handler=_late("_run_rac_fingerprint"))
+    rf.set_defaults(handler="_run_rac_fingerprint")
 
     adv = sub.add_parser("advice").add_subparsers(dest="sub", required=True)
     am = adv.add_parser("ma-fix", parents=[common])
     am.add_argument("--n", type=_POSITIVE, default=2)
-    am.set_defaults(handler=_late("_run_advice_ma_fix"))
+    am.set_defaults(handler="_run_advice_ma_fix")
     aq = adv.add_parser("qma-fix", parents=[common])
     aq.add_argument("--n", type=_POSITIVE, default=2)
     aq.add_argument("--witness-bits", type=_POSITIVE, default=1)
-    aq.set_defaults(handler=_late("_run_advice_qma_fix"))
+    aq.set_defaults(handler="_run_advice_qma_fix")
     at = adv.add_parser("qcma-train", parents=[common])
     at.add_argument("--n", type=_POSITIVE, default=1)
     at.add_argument("--adv-qubits", type=_POSITIVE, default=None)
-    at.set_defaults(handler=_late("_run_advice_qcma_train"))
+    at.set_defaults(handler="_run_advice_qcma_train")
 
     return parser
 
@@ -516,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.lru_cache(maxsize=8)
 def _parser_for(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
     """build_parser() once per set of raw DEMERLAB_ variables, the only input it
-    reads; a bad value raises on every call, since the cache keeps no exceptions."""
+    reads; a bad value raises on every call, since the cache keeps no exceptions.
+    This pays off where main() runs many times in one process (the test suite, a
+    Python session); handlers are kept by name, so a kept parser dispatches to
+    the module's current function."""
     return build_parser()
 
 
@@ -525,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         env = sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX))
         args = _parser_for(tuple(env)).parse_args(argv)
-        report = args.handler(args)
+        report = globals()[args.handler](args)
         _emit(report, args)
     except (ValueError, OSError) as exc:  # bad input, or an --out path we cannot write
         print(f"demerlab: error: {exc}", file=sys.stderr)

@@ -569,9 +569,10 @@ class UnitaryCircuit:
         gate rewrites only the slice its controls select, in a working copy, by
         one matrix product on that slice with the gate's targets moved first."""
         amps = np.asarray(amps, dtype=complex)
-        if amps.size == 0:
-            return amps.copy()
-        t = amps.reshape((2,) * self.n_qubits + (-1,)).copy()
+        if amps.shape[:1] != (self.dim,):
+            raise ValueError(f"circuit on {self.n_qubits} qubits needs {self.dim} rows, "
+                             f"got shape {amps.shape}")
+        t = amps.reshape((2,) * self.n_qubits + (amps.size // self.dim,)).copy()
         for select, order, undo, m in self._compiled():
             moved = t[select].transpose(order)
             out = np.dot(m, moved.reshape(m.shape[0], -1))

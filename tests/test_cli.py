@@ -81,7 +81,7 @@ def test_exit_code_contract(tmp_path, monkeypatch):
                    str(tmp_path / "fail.json")]
     monkeypatch.setattr(cli_mod, "_run_rac_audit", broken)
     args = cli_mod.build_parser().parse_args(parser_args)
-    rep = args.handler(args)
+    rep = getattr(cli_mod, args.handler)(args)
     assert rep["pass"] is False
 
 

@@ -493,6 +493,14 @@ def test_circuit_compiles_once(rng):
     np.testing.assert_allclose(inv.apply(first), psi, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(16,), (4,), (0,), (16, 2), ()])
+def test_apply_rejects_wrong_row_count(shape):
+    # a 2**(n+1) vector must not run as a batch of columns over its last qubit
+    circ = UnitaryCircuit(3, (h_gate(0),))
+    with pytest.raises(ValueError, match="needs 8 rows"):
+        circ.apply(np.zeros(shape, dtype=complex))
+
+
 def test_increment_gate_counts():
     circ = UnitaryCircuit(3, (increment_gate((0, 1, 2)),))
     for v in range(8):

@@ -4,7 +4,7 @@
 
 Unpacks REV with `git archive` into a temporary directory, then, in one
 subprocess per tree, runs every workload named in BENCHMARK.json once per
-seed (0, 1 and 7 by default) through that tree's `bench/workloads.py`
+seed (0, 1 and 7) through that tree's `bench/workloads.py`
 `run_pass`, importing that tree's `src/demerlab`. It prints each job whose
 exit code or report text differs, with the largest absolute difference
 between the numbers in the two texts, and exits 1 if any job differs, else 0.
@@ -22,10 +22,11 @@ from pathlib import Path
 
 from ab import REPO, unpack
 
+SEEDS = (0, 1, 7)
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
-def emit(tree: Path, seeds: list[int]) -> None:
+def emit(tree: Path) -> None:
     """Child side: print one JSON list of [workload, seed, job, exit code, text]."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
@@ -33,15 +34,14 @@ def emit(tree: Path, seeds: list[int]) -> None:
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     rows = []
     for workload in (w["name"] for w in spec["workloads"]):
-        for seed in seeds:
+        for seed in SEEDS:
             for name, _secs, code, text in workloads.run_pass(workloads.build_jobs(workload, seed)):
                 rows.append([workload, seed, name, code, text])
     json.dump(rows, sys.stdout)
 
 
-def reports(tree: Path, seeds: list[int]) -> dict[tuple, tuple[int, str]]:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--emit", str(tree),
-           "--seeds", *map(str, seeds)]
+def reports(tree: Path) -> dict[tuple, tuple[int, str]]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--emit", str(tree)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: report run exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -58,16 +58,15 @@ def largest_difference(a: str, b: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 7])
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.emit is not None:
-        emit(args.emit, args.seeds)
+        emit(args.emit)
         return 0
     with tempfile.TemporaryDirectory(prefix="samereports-") as tmp:
         unpack(args.rev, Path(tmp))
-        base = reports(Path(tmp), args.seeds)
-    change = reports(REPO, args.seeds)
+        base = reports(Path(tmp))
+    change = reports(REPO)
     differ = 0
     for key in sorted(base.keys() | change.keys(), key=str):
         if base.get(key) == change.get(key):
