@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .amplify import binom_tail, build_inner, majority_threshold, min_majority_reps
-from .protocol import OneWayQmaProtocol, accept_effect, project
+from .protocol import OneWayQmaProtocol, accept_effect, project, rest_columns
 from .qcore import ATOL, StateVector, apply_kraus, hermitize, kron_power, top_eigenpair
 
 __all__ = [
@@ -394,9 +394,8 @@ class TrainedDecider:
 
 def _advice_columns(p: OneWayQmaProtocol, z: str) -> np.ndarray:
     """Columns |a> (x) |z> (x) |0> for every advice basis state a."""
-    env = np.zeros((2 ** (p.witness_qubits + p.ancilla_qubits), 1), dtype=complex)
-    env[(int(z, 2) if z else 0) << p.ancilla_qubits] = 1.0
-    return np.kron(np.eye(2 ** p.alice_qubits, dtype=complex), env)
+    wit = np.eye(2 ** p.witness_qubits, dtype=complex)[:, [int(z, 2) if z else 0]]
+    return rest_columns(p, np.eye(2 ** p.alice_qubits, dtype=complex), wit)
 
 
 def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> list[np.ndarray]:

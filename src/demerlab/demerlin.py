@@ -41,6 +41,7 @@ from .protocol import (
     OneWayQmaProtocol,
     optimal_witness,
     project,
+    rest_columns,
 )
 from .qcore import (
     ATOL,
@@ -108,13 +109,12 @@ class DemerlinizedProtocol:
 
 
 def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
-                f: CommunicationFunction | None = None,
-                audit_soundness: bool = True) -> DemerlinizedProtocol:
+                f: CommunicationFunction | None = None) -> DemerlinizedProtocol:
     """Emit the witness-enumeration loop for an already-amplified protocol.
 
-    When `f` is supplied and `audit_soundness` is set, every f=0 pair is
-    checked to have optimal-witness acceptance at most 5^-W, the precondition
-    the loop's soundness analysis rests on.
+    When `f` is supplied, every f=0 pair is checked to have optimal-witness
+    acceptance at most 5^-W, the precondition the loop's soundness analysis
+    rests on.
     """
     w_total = p.witness_qubits
     if w_total != plan.witness_qubits_total:
@@ -123,7 +123,7 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
         raise ValueError("the loop needs at least one witness qubit to enumerate")
     t_rounds = 9 * 2 ** w_total
     counter_qubits = ceil(log2(t_rounds + 1))
-    if audit_soundness and f is not None:
+    if f is not None:
         target = 5.0 ** (-w_total)
         for (x, y), v in f.pairs():
             if v == 0:
@@ -150,15 +150,14 @@ def _initial_columns(p: OneWayQmaProtocol, x: str,
     Witness and ancilla are zeroed. Pure advice gives one column; mixed advice
     gives its eigenvectors scaled by the square roots of their weights.
     """
-    pad = np.zeros((2 ** (p.witness_qubits + p.ancilla_qubits), 1), dtype=complex)
-    pad[0] = 1.0
+    zero = np.eye(2 ** p.witness_qubits, dtype=complex)[:, :1]
     if rho_alice is None:
-        return np.kron(p.advice_state(x).amplitudes[:, None], pad)
+        return rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
     if rho_alice.dim != 2 ** p.alice_qubits:
         raise ValueError(f"advice state has dimension {rho_alice.dim}, "
                          f"the protocol {2 ** p.alice_qubits}")
     w, v = np.linalg.eigh(hermitize(rho_alice.matrix))
-    return np.kron(v * np.sqrt(np.clip(w, 0.0, None)), pad)
+    return rest_columns(p, v * np.sqrt(np.clip(w, 0.0, None)), zero)
 
 
 def _new_directions(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:

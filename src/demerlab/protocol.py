@@ -9,7 +9,6 @@ existential quantifier over witnesses collapses to a top eigenpair.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,12 +17,10 @@ import numpy as np
 from .qcore import (
     ATOL,
     DENSITY_MAX_QUBITS,
-    Gate,
     RegisterLayout,
     StateVector,
     UnitaryCircuit,
     hermitize,
-    matrix_from_json,
     top_eigenpair,
 )
 
@@ -44,10 +41,8 @@ __all__ = [
     "accept_rows",
     "project",
     "accept_effect",
-    "sliced_verifier",
+    "rest_columns",
     "rest_projector",
-    "protocol_to_json",
-    "protocol_from_json",
 ]
 
 BOB_REGISTER = "bob_input"
@@ -183,17 +178,21 @@ def accept_effect(p: OneWayQmaProtocol, y: str, cols: np.ndarray) -> np.ndarray:
     return hermitize(acc.conj().T @ acc)
 
 
-def sliced_verifier(p: OneWayQmaProtocol, y: str) -> np.ndarray:
-    """Verifier unitary restricted to Bob's classical input block |y>."""
-    if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
-        raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
-    return run_block(p, y, np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex))
+def rest_columns(p: OneWayQmaProtocol, advice: np.ndarray, witness: np.ndarray) -> np.ndarray:
+    """Columns advice (x) witness (x) |0...0>: the one builder of the rest-space layout.
+
+    Every factor but `advice` has entries 0 or 1, so the products are exact.
+    """
+    anc = np.zeros((2 ** p.ancilla_qubits, 1), dtype=complex)
+    anc[0] = 1.0
+    return np.kron(advice, np.kron(witness, anc))
 
 
 def rest_projector(p: OneWayQmaProtocol, y: str, outcome: int) -> np.ndarray:
-    """Projector V' Pi_outcome V on the advice (x) witness (x) ancilla space."""
-    v = sliced_verifier(p, y)
-    return v.conj().T @ (accept_rows(p, outcome)[:, None] * v)
+    """Projector V' Pi_outcome V on the whole rest space; only the benchmark trace calls it."""
+    if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
+        raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
+    return project(p, y, np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex), outcome)
 
 
 def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray:
@@ -203,10 +202,9 @@ def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray
     every witness basis state z, in one batched statevector run; the result
     satisfies 0 <= W <= I because it is a compression of a projector.
     """
-    anc = np.zeros((2 ** p.ancilla_qubits, 1), dtype=complex)
-    anc[0] = 1.0
-    wit = np.kron(np.eye(2 ** p.witness_qubits, dtype=complex), anc)
-    return accept_effect(p, y, np.kron(p.advice_state(x).amplitudes[:, None], wit))
+    cols = rest_columns(p, p.advice_state(x).amplitudes[:, None],
+                        np.eye(2 ** p.witness_qubits, dtype=complex))
+    return accept_effect(p, y, cols)
 
 
 def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateVector]:
@@ -261,61 +259,3 @@ def audit_protocol(p: OneWayQmaProtocol, f: CommunicationFunction) -> SuccessAud
         ok = ok and verdict != "violated"
         records.append(PairAudit(x=x, y=y, f_value=v, lam=lam, verdict=verdict))
     return SuccessAudit(records=tuple(records), passed=ok)
-
-
-# ---------------------------------------------------------------------------
-# JSON circuit format
-
-
-def protocol_to_json(p: OneWayQmaProtocol, alice_inputs: list[str]) -> str:
-    """Serialize a protocol; the encoder is tabulated over the given inputs."""
-    doc = {
-        "registers": p.layout.to_json(),
-        "widths": {
-            "bob_input": p.bob_bits,
-            "advice": p.alice_qubits,
-            "witness": p.witness_qubits,
-            "ancilla": p.ancilla_qubits,
-        },
-        "accept_qubit": p.accept_qubit,
-        "gates": [g.to_json_dict() for g in p.verifier.gates],
-        "alice_encoding": {
-            x: [[float(a.real), float(a.imag)] for a in p.advice_state(x).amplitudes]
-            for x in alice_inputs
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def protocol_from_json(text: str) -> OneWayQmaProtocol:
-    doc = json.loads(text)
-    widths = doc["widths"]
-    layout = protocol_layout(widths["bob_input"], widths["advice"],
-                             widths["witness"], widths["ancilla"])
-    gates = []
-    for g in doc["gates"]:
-        gates.append(Gate(
-            name=g["name"],
-            targets=tuple(g["targets"]),
-            matrix=matrix_from_json(g["matrix"]),
-            controls=tuple(g.get("controls", ())),
-            control_values=tuple(g.get("control_values", ())),
-        ))
-    circ = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
-    table = {x: matrix_from_json(amps) for x, amps in doc["alice_encoding"].items()}
-    advice_layout = RegisterLayout.of((ADVICE_REGISTER, widths["advice"]))
-
-    def encode(x: str) -> StateVector:
-        if x not in table:
-            raise ValueError(f"missing encoding for input {x!r}")
-        return StateVector(table[x], advice_layout)
-
-    return OneWayQmaProtocol(
-        bob_bits=widths["bob_input"],
-        alice_qubits=widths["advice"],
-        witness_qubits=widths["witness"],
-        ancilla_qubits=widths["ancilla"],
-        verifier=circ,
-        accept_qubit=doc["accept_qubit"],
-        alice_encode=encode,
-    )

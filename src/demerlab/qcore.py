@@ -55,8 +55,6 @@ __all__ = [
     "increment_gate",
     "counter_threshold_gate",
     "majority_gate",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -127,9 +125,6 @@ class RegisterLayout:
         for name in self.names:
             (kept if name in keep else dropped).extend(self.qubits(name))
         return tuple(kept), tuple(dropped)
-
-    def to_json(self) -> list[list]:
-        return [[n, w] for n, w in self.registers]
 
 
 def _layout(regs) -> RegisterLayout:
@@ -221,19 +216,6 @@ def top_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     if resid > EIG_ATOL:
         raise ArithmeticError(f"eigenpair residual {resid:.3e} exceeds {EIG_ATOL}")
     return lam, vec
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Debug serialization: nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json(data: list) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +494,6 @@ class Gate:
                     self.matrix,
                     tuple(index_map[c] for c in self.controls),
                     self.control_values)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "targets": list(self.targets),
-            "controls": list(self.controls),
-            "control_values": list(self.control_values),
-            "matrix": matrix_to_json(self.matrix),
-        }
 
 
 @dataclass(frozen=True)

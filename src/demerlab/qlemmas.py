@@ -41,8 +41,6 @@ from .qcore import (
     apply_kraus,
     hermitize,
     measure_two_outcome,
-    random_density,
-    random_effect,
     tensor_product,
     trace_distance,
     trace_norm,
@@ -348,21 +346,29 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
             [TwoOutcomeMeasurement(e, layout, spectrum=s) for e, s in zip(effects, zip(w, v))])
 
 
+OR_ALICE_QUBITS = 1
+OR_MIN_ETA = 0.34  # eta floor that makes T = 9N rounds enough
+
+
 def random_or_instance(rng: np.random.Generator, witness_qubits: int,
-                       alice_qubits: int = 1, min_eta: float = 0.34,
                        ) -> tuple[DensityMatrix, DensityMatrix, TwoOutcomeMeasurement, int]:
-    """Random OR-bound instance with measured eta large enough for T = 9N."""
-    la = RegisterLayout.of(("a", alice_qubits))
+    """Random OR-bound instance with measured eta large enough for T = 9N.
+
+    Only the accepted draw is built into (and checked as) states and a measurement.
+    """
+    la = RegisterLayout.of(("a", OR_ALICE_QUBITS))
     lb = RegisterLayout.of(("b", witness_qubits))
-    n_b = lb.dim
-    t_steps = 9 * n_b
     for _ in range(1000):
-        rho = random_density(la, rng)
-        sigma = random_density(lb, rng)
-        joint = random_effect(la.concat(lb), rng, scale=float(rng.uniform(0.5, 1.0)))
-        eta = joint.outcome1_probability(tensor_product(rho, sigma))
-        if eta >= min_eta:
-            return rho, sigma, joint, t_steps
+        g_rho = _complex_gaussian(rng, (la.dim, la.dim))
+        g_sigma = _complex_gaussian(rng, (lb.dim, lb.dim))
+        scale = float(rng.uniform(0.5, 1.0))
+        g_effect = _complex_gaussian(rng, (la.dim * lb.dim, la.dim * lb.dim))
+        rho, sigma = _unit_trace_gram(g_rho), _unit_trace_gram(g_sigma)
+        effect, spectrum = _scaled_gram(g_effect, scale)
+        eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
+        if eta >= OR_MIN_ETA:
+            return (DensityMatrix(rho, la), DensityMatrix(sigma, lb),
+                    TwoOutcomeMeasurement(effect, la.concat(lb), spectrum=spectrum), 9 * lb.dim)
     raise RuntimeError("could not draw an instance with eta above the floor")
 
 

@@ -360,8 +360,8 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
         for i in range(base.n_bits):
             value = bit_of(x, i)
             if value == 1:
-                honest = honest_claim(base, x, i)
-                p = base.accept_prob(x, i, honest)
+                j, _ = _substring_index(i, w)
+                p = base.accept_prob(x, i, _split(x, w)[j])
                 err = 1.0 - tail(p)
             else:
                 err = 0.0
@@ -373,12 +373,6 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
                 err = min(err, 1.0)
             records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=err))
     return records
-
-
-def honest_claim(base: MerlinRacProtocol, x: str, i: int) -> str:
-    w = base.substring_bits
-    j, _ = _substring_index(i, w)
-    return _split(x, w)[j]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from demerlab.demerlin import (
     resource_report,
     sample_demerlinized,
 )
-from demerlab.protocol import OneWayQmaProtocol, protocol_layout, rest_projector
+from demerlab.protocol import OneWayQmaProtocol, protocol_layout
 from demerlab.qcore import (
     RegisterLayout,
     UnitaryCircuit,
@@ -31,6 +31,7 @@ from demerlab.qcore import (
 )
 from demerlab.qlemmas import agrees_within_sigma
 from demerlab.toys import coin_protocol, demerlin_toy, rac_claim_protocol
+from test_protocol import dense_projectors
 
 
 def make_rac(n_bits=4):
@@ -157,10 +158,11 @@ def test_mixed_advice_supported():
 
 
 def dense_round_projectors(p, y):
-    """P0_z = X^z V' Pi_0 V X^z as dense matrices on advice (x) witness (x) ancilla."""
+    """P0_z = X^z V' Pi_0 V X^z as dense matrices on advice (x) witness (x) ancilla,
+    with V built gate by gate apart from the code under test."""
     n_rest = p.verifier.n_qubits - p.bob_bits
     assert n_rest <= 8, "the dense oracle is for small rest spaces"
-    p0 = rest_projector(p, y, outcome=0)
+    p0 = dense_projectors(p, y)[0]
     idx = np.arange(2 ** n_rest)
     perms = [idx ^ (z << p.ancilla_qubits) for z in range(2 ** p.witness_qubits)]
     return [p0[np.ix_(perm, perm)] for perm in perms]
@@ -258,7 +260,9 @@ def test_maximally_mixed_advice_matches_dense_oracle(name):
 @given(yes=st.floats(0.0, 1.0), no=st.floats(0.0, 1.0), angle=st.floats(-3.2, 3.2))
 def test_coin_loop_matches_dense_oracle(yes, no, angle):
     p, f = coin_protocol(yes_prob=yes, no_prob=no, witness_angle=angle)
-    d = demerlinize(p, identity_plan(1, 1), f=f, audit_soundness=False)
+    # built directly: the precondition audit would reject most drawn coins
+    d = DemerlinizedProtocol(base=p, plan=identity_plan(1, 1), f=f, t_rounds=18,
+                             counter_qubits=5)
     for (x, y), _ in f.pairs():
         assert_matches_oracle(d, x, y)
 

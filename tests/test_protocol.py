@@ -12,11 +12,9 @@ from demerlab.protocol import (
     induced_witness_operator,
     optimal_witness,
     project,
-    protocol_from_json,
     protocol_layout,
-    protocol_to_json,
     rest_projector,
-    sliced_verifier,
+    run_block,
 )
 from demerlab.qcore import (
     Gate,
@@ -215,32 +213,37 @@ def test_audit_missing_encoding():
 # slicing helpers
 
 
-def test_sliced_verifier_blocks_are_unitary():
+def rest_identity(p):
+    return np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex)
+
+
+def test_run_block_blocks_are_unitary():
     p, _ = rac_claim_protocol(2)
     for y in ("0", "1"):
-        block = sliced_verifier(p, y)
+        block = run_block(p, y, rest_identity(p))
         assert np.allclose(block @ block.conj().T, np.eye(block.shape[0]), atol=1e-9)
 
 
 @pytest.mark.parametrize("build", [lambda: rac_claim_protocol(2), coin_protocol])
-def test_sliced_verifier_is_the_block_of_the_full_unitary(build):
+def test_run_block_is_the_block_of_the_full_unitary(build):
     p, _ = build()
     full = p.verifier.to_matrix()
     dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
     for y_index in range(2 ** p.bob_bits):
         y = format(y_index, f"0{p.bob_bits}b")
         lo, hi = y_index * dim_rest, (y_index + 1) * dim_rest
-        np.testing.assert_allclose(sliced_verifier(p, y), full[lo:hi, lo:hi], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run_block(p, y, rest_identity(p)), full[lo:hi, lo:hi],
+                                   rtol=0, atol=1e-12)
 
 
-def test_sliced_verifier_keeps_the_dense_cap():
+def test_rest_projector_keeps_the_dense_cap():
     layout = protocol_layout(1, 12, 0, 0)
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=12, witness_qubits=0, ancilla_qubits=0,
         verifier=UnitaryCircuit(13, (), layout), accept_qubit=1,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 12)), 0))
     with pytest.raises(ValueError, match="capped at 12 qubits"):
-        sliced_verifier(p, "0")
+        rest_projector(p, "0", outcome=1)
 
 
 def test_rest_projector_is_projector():
@@ -253,7 +256,7 @@ def test_rest_projector_is_projector():
     assert np.allclose(pr + pa, np.eye(pr.shape[0]), atol=1e-9)
 
 
-def test_sliced_verifier_rejects_non_block_diagonal():
+def test_run_block_rejects_non_block_diagonal():
     layout = protocol_layout(1, 1, 0, 0)
     circ = UnitaryCircuit(2, (ry_gate(0, 0.4),), layout)  # rotates Bob's register
     p = OneWayQmaProtocol(
@@ -261,11 +264,11 @@ def test_sliced_verifier_rejects_non_block_diagonal():
         verifier=circ, accept_qubit=1,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
     with pytest.raises(ValueError, match="block diagonal"):
-        sliced_verifier(p, "0")
+        run_block(p, "0", rest_identity(p))
 
 
 ENTRY_POINTS = {
-    "sliced_verifier": sliced_verifier,
+    "run_block": lambda p, y: run_block(p, y, rest_identity(p)),
     "rest_projector": lambda p, y: rest_projector(p, y, outcome=1),
     "induced_witness_operator": lambda p, y: induced_witness_operator(p, "0", y),
     "evaluate_demerlinized": lambda p, y: evaluate_demerlinized(
@@ -286,6 +289,20 @@ def test_bob_input_must_have_bob_bits(entry, build, y):
 
 # ---------------------------------------------------------------------------
 # the verifier-operator kernel against a dense oracle
+
+
+def dense_projectors(p, y):
+    """{o: V' Pi_o V} on the rest space for Bob input y, from a dense V built
+    gate by gate with `dense_apply`, a route that never runs `run_block`."""
+    n = p.verifier.n_qubits
+    full = np.eye(2 ** n, dtype=complex)
+    for g in p.verifier.gates:
+        full = dense_apply(full, g, n)
+    dim = 2 ** (n - p.bob_bits)
+    lo = (int(y, 2) if y else 0) * dim
+    v = full[lo:lo + dim, lo:lo + dim]
+    bits = (np.arange(lo, lo + dim) >> (n - 1 - p.accept_qubit)) & 1
+    return {o: v.conj().T @ np.diag((bits == o).astype(complex)) @ v for o in (0, 1)}
 
 
 @st.composite
@@ -319,15 +336,8 @@ def block_diagonal_protocols(draw):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_dense_oracle(case):
     p, y, z, b = case
-    n = p.verifier.n_qubits
-    full = np.eye(2 ** n, dtype=complex)
-    for g in p.verifier.gates:
-        full = dense_apply(full, g, n)
-    dim = 2 ** (n - p.bob_bits)
-    lo = (int(y, 2) if y else 0) * dim
-    v = full[lo:lo + dim, lo:lo + dim]
-    bits = (np.arange(lo, lo + dim) >> (n - 1 - p.accept_qubit)) & 1
-    proj = {o: v.conj().T @ np.diag((bits == o).astype(complex)) @ v for o in (0, 1)}
+    proj = dense_projectors(p, y)
+    dim = proj[0].shape[0]
     anc = np.eye(2 ** p.ancilla_qubits)[:, :1]
     c_x = np.kron(p.advice_state("0").amplitudes[:, None],
                   np.kron(np.eye(2 ** p.witness_qubits), anc))
@@ -341,18 +351,3 @@ def test_kernel_matches_dense_oracle(case):
     np.testing.assert_allclose(sum(k.conj().T @ k for k in kraus),
                                c_z.conj().T @ proj[b] @ c_z, **tol)
     np.testing.assert_allclose(_witness_effect(p, y, z), c_z.conj().T @ proj[1] @ c_z, **tol)
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def test_protocol_json_roundtrip():
-    p, f = rac_claim_protocol(2)
-    text = protocol_to_json(p, f.alice_inputs())
-    q = protocol_from_json(text)
-    for (x, y), _ in f.pairs():
-        lam_p, _ = optimal_witness(p, x, y)
-        lam_q, _ = optimal_witness(q, x, y)
-        assert lam_q == pytest.approx(lam_p, abs=1e-12)
-    assert audit_protocol(q, f).passed

@@ -530,14 +530,3 @@ def test_majority_gate_popcount():
         out = circ.apply(vec)
         expected = 1 if bin(v).count("1") >= 2 else 0
         assert abs(out[(v << 1) | expected]) == pytest.approx(1.0)
-
-
-def test_matrix_json_roundtrip(rng):
-    from demerlab.qcore import matrix_from_json, matrix_to_json
-
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    data = matrix_to_json(m)
-    assert isinstance(data[0][0], list) and len(data[0][0]) == 2
-    assert np.allclose(matrix_from_json(data), m)
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.allclose(matrix_from_json(matrix_to_json(vec)), vec)
