@@ -19,7 +19,7 @@ Three procedures:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,8 +47,16 @@ __all__ = [
 ]
 
 
+MAX_DRAWS = 10_000  # seeded advice draws tried per repetition count
+
+
 class PromiseViolationError(RuntimeError):
     """The verifier broke its completeness/soundness promise."""
+
+
+def _witness_strings(w: int) -> list[str]:
+    """Every w-bit classical witness, in increasing order."""
+    return [format(z, f"0{w}b") for z in range(2 ** w)]
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,6 @@ class MaToyVerifier:
     def inputs(self) -> list[str]:
         return sorted(self.language)
 
-    def witnesses(self) -> list[str]:
-        return [format(z, f"0{self.witness_bits}b") for z in range(2 ** self.witness_bits)]
-
     def accept_probability(self, x: str, z: str) -> Fraction:
         total = Fraction(0)
         for r, p in zip(self.advice.values, self.advice.probs):
@@ -116,7 +121,7 @@ def _boosted_accept(v: MaToyVerifier, advice_tuple: tuple, x: str, z: str) -> in
     return 1 if votes >= majority_threshold(len(advice_tuple)) else 0
 
 
-def ma_fix_advice(v: MaToyVerifier, seed: int = 7, max_draws: int = 10_000) -> FixedMaAdvice:
+def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
     """Find a fixed advice tuple deciding every input of a toy verifier.
 
     Boosting: the smallest odd tuple length whose exact majority-vote error on
@@ -129,7 +134,7 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7, max_draws: int = 10_000) -> F
     target = Fraction(1, 2 ** v.n_bits * 2 ** v.witness_bits)
     constrained: list[tuple[Fraction, int]] = []  # (base accept prob, desired outcome)
     for x in v.inputs():
-        probs = {z: v.accept_probability(x, z) for z in v.witnesses()}
+        probs = {z: v.accept_probability(x, z) for z in _witness_strings(v.witness_bits)}
         if v.language[x] == 1:
             best = max(probs.values())
             if best < Fraction(2, 3):
@@ -155,12 +160,13 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7, max_draws: int = 10_000) -> F
         if reps > 501:
             raise PromiseViolationError("boosting does not converge; promise too weak")
     rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_DRAWS + 1):
         advice_tuple = v.advice.sample_tuple(rng, reps)
         cert: dict[str, int] = {}
         good = True
         for x in v.inputs():
-            accepted = [z for z in v.witnesses() if _boosted_accept(v, advice_tuple, x, z)]
+            accepted = [z for z in _witness_strings(v.witness_bits)
+                        if _boosted_accept(v, advice_tuple, x, z)]
             if v.language[x] == 1:
                 if accepted:
                     cert[x] = int(accepted[0], 2)
@@ -176,7 +182,7 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7, max_draws: int = 10_000) -> F
             return FixedMaAdvice(reps=reps, advice_tuple=advice_tuple,
                                  per_pair_error_target=float(target),
                                  draws_used=draw, certificate=cert)
-    raise PromiseViolationError(f"no qualifying advice tuple within {max_draws} draws")
+    raise PromiseViolationError(f"no qualifying advice tuple within {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +250,7 @@ def _majority_operator(ops: Sequence[np.ndarray]) -> np.ndarray:
     return hermitize(sum(table[need:]))
 
 
-def qma_fix_advice(v: QmaToyVerifier, seed: int = 7,
-                   max_draws: int = 10_000) -> FixedQmaAdvice:
+def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
     """Fixed advice tuple for a quantum-witness toy verifier.
 
     Parallel repetition replaces in-place amplification, so the boosted
@@ -264,7 +269,7 @@ def qma_fix_advice(v: QmaToyVerifier, seed: int = 7,
             raise PromiseViolationError("boosted witness register exceeds desk scale")
         yes_threshold = 1.0 - 2.0 ** (-3 * w_boost)
         basis_threshold = 2.0 ** (-2 * w_boost)
-        for draw in range(1, max_draws + 1):
+        for draw in range(1, MAX_DRAWS + 1):
             advice_tuple = v.advice.sample_tuple(rng, reps)
             certificates: dict[str, float] = {}
             good = True
@@ -320,10 +325,6 @@ class QuantumAdviceVerifier:
     def inputs(self) -> list[str]:
         return sorted(self.language)
 
-    def witnesses(self) -> list[str]:
-        w = self.protocol.witness_qubits
-        return [format(z, f"0{w}b") for z in range(2 ** w)]
-
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -365,19 +366,15 @@ class TrainedDecider:
     ell: int
     advice_matrix: np.ndarray  # trained state on the amplified advice register
     error_rate: float          # certified per-run error of the amplified verifier
-    # (x, z) -> acceptance effect on the advice register, built once per decider
-    _effects: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def witness_acceptance(self, x: str, z: str) -> float:
-        if (x, z) not in self._effects:
-            self._effects[x, z] = _witness_effect(self.amplified, x, z)
-        val = float(np.real(np.trace(self._effects[x, z] @ self.advice_matrix)))
+        effect = _witness_effect(self.amplified, x, z)
+        val = float(np.real(np.trace(effect @ self.advice_matrix)))
         return min(max(val, 0.0), 1.0)
 
     def lambdas(self, x: str) -> dict[str, float]:
-        w = self.amplified.witness_qubits
-        return {format(z, f"0{w}b"): self.witness_acceptance(x, format(z, f"0{w}b"))
-                for z in range(2 ** w)}
+        return {z: self.witness_acceptance(x, z)
+                for z in _witness_strings(self.amplified.witness_qubits)}
 
     def decide(self, x: str) -> DecisionRecord:
         lams = self.lambdas(x)
@@ -404,31 +401,33 @@ def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> li
     Run the verifier with witness |z> and zeroed ancillas, record the accept
     bit, uncompute; keeping outcome b applies the projector V' Pi_b V on the
     joint space. Tracing the witness and ancilla registers afterwards leaves
-    the advice-register map sum_m K_m rho K_m'.
+    the advice-register map sum_m K_m rho K_m'. Built once per protocol.
     """
-    dim_a = 2 ** p.alice_qubits
-    t = project(p, x, _advice_columns(p, z), keep_outcome).reshape(dim_a, -1, dim_a)
-    return [np.ascontiguousarray(t[:, m, :]) for m in range(t.shape[1])]
+    key = (x, z, keep_outcome)
+    if key not in p._operators:
+        dim_a = 2 ** p.alice_qubits
+        t = project(p, x, _advice_columns(p, z), keep_outcome).reshape(dim_a, -1, dim_a)
+        p._operators[key] = [np.ascontiguousarray(t[:, m, :]) for m in range(t.shape[1])]
+    return p._operators[key]
 
 
 def _witness_effect(p: OneWayQmaProtocol, x: str, z: str) -> np.ndarray:
-    """Acceptance effect on the advice register for a fixed classical witness."""
-    return accept_effect(p, x, _advice_columns(p, z))
+    """Acceptance effect on the advice register for a fixed classical witness,
+    built once per protocol."""
+    if (x, z) not in p._operators:
+        p._operators[x, z] = accept_effect(p, x, _advice_columns(p, z))
+    return p._operators[x, z]
 
 
-def _amplify_for_training(v: QuantumAdviceVerifier
-                          ) -> tuple[OneWayQmaProtocol, int, float, dict]:
-    """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell.
-
-    Also returns the base verifier's witness effects, keyed by (x, z).
-    """
+def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
+    """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell."""
     base = v.protocol
     psi = v.true_advice.amplitudes
-    effects = {(x, z): _witness_effect(base, x, z) for x in v.inputs() for z in v.witnesses()}
     base_err = Fraction(0)
     for x in v.inputs():
-        best = max(Fraction(float(np.real(psi.conj() @ effects[x, z] @ psi)))
-                   .limit_denominator(10 ** 9) for z in v.witnesses())
+        best = max(Fraction(float(np.real(psi.conj() @ _witness_effect(base, x, z) @ psi)))
+                   .limit_denominator(10 ** 9)
+                   for z in _witness_strings(base.witness_qubits))
         # completeness is promised for some witness, soundness for every one
         base_err = max(base_err, 1 - best if v.language[x] == 1 else best)
     if base_err > Fraction(1, 3):
@@ -440,7 +439,7 @@ def _amplify_for_training(v: QuantumAdviceVerifier
         need = min_majority_reps(base_err, target) if base_err > 0 else 1
         if need <= ell:
             err = float(binom_tail(ell, base_err, majority_threshold(ell)))
-            return (build_inner(base, ell) if ell > 1 else base), ell, err, effects
+            return (build_inner(base, ell) if ell > 1 else base), ell, err
         ell = need
     raise PromiseViolationError("amplification fixpoint did not converge")
 
@@ -455,32 +454,27 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     maximality. Postselection is exact projection plus renormalization;
     zero-probability branches are errors, not skips.
     """
-    amplified, ell, err, base_effects = _amplify_for_training(v)
+    amplified, ell, err = _amplify_for_training(v)
     dim_a = 2 ** amplified.alice_qubits
     rho = np.eye(dim_a, dtype=complex) / dim_a
     true_amp = kron_power(v.true_advice.amplitudes, ell)
-    # the effects are the decider's too; without amplification they are the base's
-    effects = base_effects if amplified is v.protocol else {}
 
     cand: list[tuple[str, str]] = []
     for x in v.inputs():
-        for z in _amp_witnesses(v, ell):
+        for z in _witness_strings(amplified.witness_qubits):
             if v.language[x] == 1:
-                if (x, z) not in effects:
-                    effects[x, z] = _witness_effect(amplified, x, z)
-                acc = float(np.real(true_amp.conj() @ effects[x, z] @ true_amp))
+                effect = _witness_effect(amplified, x, z)
+                acc = float(np.real(true_amp.conj() @ effect @ true_amp))
                 if acc < 1.0 - err - ATOL:
                     continue  # rule (b): yes-instances train only on valid witnesses
             cand.append((x, z))
-    kraus = {(x, z): _branch_kraus(amplified, x, z, keep_outcome=v.language[x])
-             for x, z in cand}
     triples: list[tuple[str, str, int]] = []
     survivals = [1.0]
     while True:
         best_pair = None
         best_ratio = None
         for x, z in cand:
-            branch = apply_kraus(rho, kraus[x, z])
+            branch = apply_kraus(rho, _branch_kraus(amplified, x, z, v.language[x]))
             ratio = float(np.trace(branch).real)
             if ratio <= 1e-12:
                 continue  # degenerate pair: nothing to postselect on
@@ -499,13 +493,7 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     training = TrainingSet(triples=tuple(triples), survivals=tuple(survivals), maximal=True)
     decider = TrainedDecider(verifier=v, amplified=amplified, ell=ell,
                              advice_matrix=rho, error_rate=err)
-    decider._effects.update(effects)
     return training, decider
-
-
-def _amp_witnesses(v: QuantumAdviceVerifier, ell: int) -> list[str]:
-    w = v.protocol.witness_qubits * ell
-    return [format(z, f"0{w}b") for z in range(2 ** w)]
 
 
 def true_advice_wrong_probability(v: QuantumAdviceVerifier, training: TrainingSet,

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 WIDTH_CAP = 16  # composed protocols must stay statevector-simulable
+MAX_REPS = 2001  # search cap on majority-vote repetition counts
+DESK_MAX_REPS = 99  # search cap on ell and u in desk_plan
 
 
 class PlanInfeasibleError(ValueError):
@@ -90,16 +92,17 @@ def _log_binom_tail(n: int, p: float, k: int) -> float:
     return m + log(sum(exp(t - m) for t in terms))
 
 
-def min_majority_reps(base_error: Fraction, target: Fraction, cap: int = 2001) -> int:
+def min_majority_reps(base_error: Fraction, target: Fraction) -> int:
     """Smallest odd n whose exact majority-vote error is at most `target`."""
     base_error = Fraction(base_error)
     target = Fraction(target)
     n = 1
-    while n <= cap:
+    while n <= MAX_REPS:
         if binom_tail(n, base_error, majority_threshold(n)) <= target:
             return n
         n += 2
-    raise PlanInfeasibleError(f"no odd repetition count up to {cap} reaches {float(target):.3e}")
+    raise PlanInfeasibleError(
+        f"no odd repetition count up to {MAX_REPS} reaches {float(target):.3e}")
 
 
 @dataclass(frozen=True)
@@ -119,25 +122,33 @@ class AmplificationPlan:
     base_witness_qubits: int
     ell: int
     u: int
-    alice_qubits_total: int
-    witness_qubits_total: int
     inner_error: float
     target_inner_error: float
     soundness_cert_log10: float
-    soundness_target_log10: float
-    completeness_union_bound: float
 
     def __post_init__(self):
         if self.ell < 1 or self.u < 1:
             raise ValueError("repetition counts must be at least 1")
-        if self.alice_qubits_total != self.base_alice_qubits * self.ell * self.u:
-            raise ValueError("alice_qubits_total must equal a * ell * u")
-        if self.witness_qubits_total != self.base_witness_qubits * self.ell:
-            raise ValueError("witness_qubits_total must equal w * ell")
+
+    @property
+    def alice_qubits_total(self) -> int:
+        return self.base_alice_qubits * self.ell * self.u
+
+    @property
+    def witness_qubits_total(self) -> int:
+        return self.base_witness_qubits * self.ell
 
     @property
     def soundness_target(self) -> float:
         return 5.0 ** (-self.witness_qubits_total)
+
+    @property
+    def soundness_target_log10(self) -> float:
+        return -self.witness_qubits_total * log10(5.0)
+
+    @property
+    def completeness_union_bound(self) -> float:
+        return float(self.u) * sqrt(self.inner_error)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,7 +166,6 @@ class AmplificationPlan:
 
 def _make_plan(a: int, w: int, ell: int, u: int, eps: Fraction,
                target_eps: Fraction, cert: Fraction) -> AmplificationPlan:
-    w_total = w * ell
     if cert > 0:
         cert_log10 = (log10(cert.numerator) - log10(cert.denominator))
     else:
@@ -165,13 +175,9 @@ def _make_plan(a: int, w: int, ell: int, u: int, eps: Fraction,
         base_witness_qubits=w,
         ell=ell,
         u=u,
-        alice_qubits_total=a * ell * u,
-        witness_qubits_total=w_total,
         inner_error=float(eps),
         target_inner_error=float(target_eps),
         soundness_cert_log10=cert_log10,
-        soundness_target_log10=-w_total * log10(5.0),
-        completeness_union_bound=float(u) * sqrt(float(eps)),
     )
 
 
@@ -198,8 +204,8 @@ def _find_u(eps: Fraction, w_total: int, u_cap: int) -> tuple[int, Fraction] | N
 
 
 def plan_amplification(a: int, w: int, c_ell: float | None = None,
-                       c_u: float | None = None, base_error: Fraction = Fraction(1, 3),
-                       max_ell: int = 2001) -> AmplificationPlan:
+                       c_u: float | None = None,
+                       base_error: Fraction = Fraction(1, 3)) -> AmplificationPlan:
     """Smallest (ell, u) meeting the inner-error target and both outer certificates.
 
     The inner target is 1/(1000 w^3); u must satisfy the completeness union
@@ -218,8 +224,8 @@ def plan_amplification(a: int, w: int, c_ell: float | None = None,
     if c_ell is not None:
         ell_candidates = [_forced_odd(max(1, ceil(c_ell * log2(max(w, 2)))))]
     else:
-        ell0 = min_majority_reps(base_error, target_eps, cap=max_ell)
-        ell_candidates = range(ell0, max_ell + 1, 2)
+        ell0 = min_majority_reps(base_error, target_eps)
+        ell_candidates = range(ell0, MAX_REPS + 1, 2)
 
     for ell in ell_candidates:
         eps = binom_tail(ell, base_error, majority_threshold(ell))
@@ -258,8 +264,7 @@ def identity_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3)) -> Ampl
     return _make_plan(a, w, 1, 1, eps, eps, eps)
 
 
-def desk_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3),
-              max_reps: int = 99) -> AmplificationPlan:
+def desk_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3)) -> AmplificationPlan:
     """Smallest (ell, u) whose exact certificates reach soundness 5^-(w*ell).
 
     Desk-scale variant: drops the 1/(1000 w^3) inner target and the union
@@ -270,10 +275,10 @@ def desk_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3),
     if w < 1:
         raise ValueError("witness width must be at least 1")
     base_error = Fraction(base_error)
-    for ell in range(1, max_reps + 1, 2):
+    for ell in range(1, DESK_MAX_REPS + 1, 2):
         eps = binom_tail(ell, base_error, majority_threshold(ell))
         target = Fraction(1, 5 ** (w * ell))
-        for u in range(1, max_reps + 1, 2):
+        for u in range(1, DESK_MAX_REPS + 1, 2):
             cert = binom_tail(u, eps, majority_threshold(u))
             if cert <= target:
                 return _make_plan(a, w, ell, u, eps, Fraction(1, 1000 * w ** 3), cert)
@@ -337,7 +342,7 @@ def build_inner(p: OneWayQmaProtocol, ell: int) -> OneWayQmaProtocol:
         accepts.append(m[p.accept_qubit])
     out_qubit = layout.offset(ANCILLA_REGISTER) + k * ell
     gates.append(majority_gate(accepts, out_qubit))
-    circuit = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
+    circuit = UnitaryCircuit(layout.n_qubits, tuple(gates))
     return OneWayQmaProtocol(
         bob_bits=p.bob_bits,
         alice_qubits=a * ell,
@@ -376,7 +381,7 @@ def build_outer(inner: OneWayQmaProtocol, u: int) -> OneWayQmaProtocol:
         gates.append(increment_gate(tally, controls=(m[inner.accept_qubit],)))
         gates.extend(g.inverse() for g in reversed(block))
     gates.append(counter_threshold_gate(tally, out_qubit, majority_threshold(u)))
-    circuit = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
+    circuit = UnitaryCircuit(layout.n_qubits, tuple(gates))
     return OneWayQmaProtocol(
         bob_bits=inner.bob_bits,
         alice_qubits=a_in * u,

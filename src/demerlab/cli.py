@@ -27,12 +27,21 @@ from .advice import (
     qma_fix_advice,
     true_advice_wrong_probability,
 )
-from .amplify import desk_plan, plan_amplification
-from .demerlin import demerlinize, evaluate_demerlinized, resource_report, sample_demerlinized
+from .amplify import desk_plan, identity_plan, plan_amplification
+from .demerlin import (
+    YES_FLOOR,
+    demerlinize,
+    evaluate_demerlinized,
+    final_vote_acceptance,
+    plan_final_vote,
+    resource_report,
+    sample_demerlinized,
+)
 from .qcore import RegisterLayout, StateVector, TwoOutcomeMeasurement
 from .qlemmas import (
     agrees_within_sigma,
     good_as_new_check,
+    induced_effects,
     monte_carlo_any_outcome1,
     or_bound_run,
     projector_or_instance,
@@ -165,7 +174,6 @@ def _run_or_bound(args) -> dict:
     row["case"] = "eta-two-thirds"
     row["meets_one_ninth"] = pinned.p_any_one >= 1.0 / 9.0 - 1e-9
     if args.shots:
-        from .qlemmas import induced_effects
         effects = induced_effects(joint, rho.dim, sigma.dim)
         rng = np.random.default_rng(seeds[0])
         est, err = monte_carlo_any_outcome1(rho, [m.m0 for m in effects], t,
@@ -206,8 +214,6 @@ def _run_amplify_plan(args) -> dict:
 
 
 def _demerlinized_from_toy(name: str):
-    from .amplify import identity_plan
-
     p, f = demerlin_toy(name)
     plan = identity_plan(p.alice_qubits, p.witness_qubits)
     return demerlinize(p, plan, f=f), f
@@ -240,7 +246,7 @@ def _run_demerlin_run(args) -> dict:
         "p_accept_no_max": max(no_vals) if no_vals else None,
         "gates": res.gates,
         "qubits": res.qubits,
-        "bounds": {"yes_floor": 1.0 / 9.0, "no_ceiling": d.soundness_ceiling},
+        "bounds": {"yes_floor": YES_FLOOR, "no_ceiling": d.soundness_ceiling},
         "pass": all(r["pass"] for r in rows),
     }
     if args.shots:
@@ -251,8 +257,6 @@ def _run_demerlin_run(args) -> dict:
                                   "within_3_sigma": agrees_within_sigma(est, exact, args.shots)}
         summary["pass"] = summary["pass"] and summary["monte_carlo"]["within_3_sigma"]
     if getattr(args, "final_vote", False):
-        from .demerlin import final_vote_acceptance, plan_final_vote
-
         # plan from the exact measured spread: at least as tight as the
         # loop's formal (1/9, T * sqrt(5^-W)) guarantee whenever that holds
         no_ceiling = summary["p_accept_no_max"] if no_vals else 0.0

@@ -30,11 +30,11 @@ operators are applied to statevector batches, never built as 2^n matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log2, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .amplify import AmplificationPlan, binom_tail
+from .amplify import MAX_REPS, AmplificationPlan, binom_tail
 from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
@@ -72,6 +72,8 @@ __all__ = [
     "final_vote_acceptance",
 ]
 
+YES_FLOOR = 1.0 / 9.0  # the loop's acceptance floor on f=1 pairs (OR bound at eta = 2/3)
+
 
 @dataclass(frozen=True)
 class DemerlinizedProtocol:
@@ -82,24 +84,23 @@ class DemerlinizedProtocol:
     """
 
     base: OneWayQmaProtocol
-    plan: AmplificationPlan
     f: CommunicationFunction | None
-    t_rounds: int
-    counter_qubits: int
     # Bob input -> _ReachableLoop; filled by evaluation, lives as long as self
     _loops: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        w_total = self.base.witness_qubits
-        expected_t = 9 * 2 ** w_total
-        if self.t_rounds != expected_t:
-            raise ValueError(f"round count must be 9 * 2^W = {expected_t}")
-        if 2 ** self.counter_qubits <= self.t_rounds:
-            raise ValueError("counter too narrow to hold the round count")
 
     @property
     def witness_qubits(self) -> int:
         return self.base.witness_qubits
+
+    @property
+    def t_rounds(self) -> int:
+        """T = 9 * 2^W loop rounds."""
+        return 9 * 2 ** self.base.witness_qubits
+
+    @property
+    def counter_qubits(self) -> int:
+        """Width ceil(log2(T + 1)) of the counter that holds 0..T."""
+        return self.t_rounds.bit_length()
 
     @property
     def soundness_ceiling(self) -> float:
@@ -121,8 +122,6 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
         raise ValueError("protocol witness width does not match the plan")
     if w_total < 1:
         raise ValueError("the loop needs at least one witness qubit to enumerate")
-    t_rounds = 9 * 2 ** w_total
-    counter_qubits = ceil(log2(t_rounds + 1))
     if f is not None:
         target = 5.0 ** (-w_total)
         for (x, y), v in f.pairs():
@@ -132,8 +131,7 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
                     raise ValueError(
                         f"precondition failed: f=0 pair ({x!r}, {y!r}) has soundness "
                         f"{lam:.6f} > 5^-W = {target:.6f}")
-    return DemerlinizedProtocol(base=p, plan=plan, f=f, t_rounds=t_rounds,
-                                counter_qubits=counter_qubits)
+    return DemerlinizedProtocol(base=p, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     p_never = float(np.vdot(coords, loop.effect @ coords).real)  # tr(C' E_y C)
     p_accept = min(max(1.0 - p_never, 0.0), 1.0)
     f_value = d.f.value(x, y) if d.f is not None else None
-    yes_bound = 1.0 / 9.0
+    yes_bound = YES_FLOOR
     no_bound = d.soundness_ceiling
     passed = True
     if f_value == 1:
@@ -374,7 +372,7 @@ def emitted_circuit(d: DemerlinizedProtocol, coins: list[int]) -> UnitaryCircuit
         gates.append(cnot(accept, flag))
         gates.extend(g.inverse() for g in reversed(verifier))
         gates.extend(prep)
-    return UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
+    return UnitaryCircuit(layout.n_qubits, tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +402,11 @@ class FinalVotePlan:
                 "certified_yes": self.certified_yes, "certified_no": self.certified_no}
 
 
-def plan_final_vote(yes_floor: float = 1.0 / 9.0, no_ceiling: float = 0.0,
-                    max_reps: int = 2001) -> FinalVotePlan:
+def plan_final_vote(yes_floor: float = YES_FLOOR, no_ceiling: float = 0.0) -> FinalVotePlan:
     """Smallest repetition count whose threshold vote certifies 2/3 vs 1/3."""
     if not no_ceiling < yes_floor:
         raise ValueError("no-instance ceiling must sit strictly below the yes floor")
-    for r in range(1, max_reps + 1):
+    for r in range(1, MAX_REPS + 1):
         for k in range(1, r + 1):
             yes = binom_tail(r, yes_floor, k)
             no = binom_tail(r, no_ceiling, k)
@@ -417,7 +414,7 @@ def plan_final_vote(yes_floor: float = 1.0 / 9.0, no_ceiling: float = 0.0,
                 return FinalVotePlan(repetitions=r, threshold=k,
                                      yes_floor=yes_floor, no_ceiling=no_ceiling,
                                      certified_yes=yes, certified_no=no)
-    raise ValueError(f"no threshold vote within {max_reps} repetitions")
+    raise ValueError(f"no threshold vote within {MAX_REPS} repetitions")
 
 
 def final_vote_acceptance(p_accept: float, plan: FinalVotePlan) -> float:

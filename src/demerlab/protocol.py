@@ -9,7 +9,7 @@ existential quantifier over witnesses collapses to a top eigenpair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -103,6 +103,10 @@ class OneWayQmaProtocol:
     verifier: UnitaryCircuit
     accept_qubit: int
     alice_encode: Callable[[str], StateVector]
+    # advice-register operators derived from the verifier, keyed by (x, z) for a
+    # witness effect and (x, z, outcome) for a postselected Kraus list; filled by
+    # advice training, lives as long as self
+    _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = protocol_layout(self.bob_bits, self.alice_qubits,

@@ -498,19 +498,16 @@ class Gate:
 
 @dataclass(frozen=True)
 class UnitaryCircuit:
-    """Ordered gate list over a fixed qubit count, optionally register-laid-out."""
+    """Ordered gate list over a fixed qubit count."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    layout: RegisterLayout | None = None
     _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _inverse: "UnitaryCircuit | None" = field(default=None, init=False, repr=False,
                                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.layout is not None and self.layout.n_qubits != self.n_qubits:
-            raise ValueError("layout width does not match circuit qubit count")
         for g in self.gates:
             if any(q >= self.n_qubits or q < 0 for q in g.qubits):
                 raise ValueError(f"gate {g.name!r} targets qubit outside 0..{self.n_qubits - 1}")
@@ -556,7 +553,7 @@ class UnitaryCircuit:
         """The reversed circuit of inverted gates, built on first use."""
         if self._inverse is None:
             object.__setattr__(self, "_inverse", UnitaryCircuit(
-                self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)), self.layout))
+                self.n_qubits, tuple(g.inverse() for g in reversed(self.gates))))
         return self._inverse
 
     def to_matrix(self) -> np.ndarray:

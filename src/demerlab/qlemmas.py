@@ -207,10 +207,7 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
     eta is measured from the supplied instance rather than declared, so the
     precondition T >= N/eta^2 can never go stale.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.density()
-    if isinstance(sigma, StateVector):
-        sigma = sigma.density()
+    rho, sigma = _as_density(rho), _as_density(sigma)
     joint_state = tensor_product(rho, sigma)
     eta = joint.outcome1_probability(joint_state)
     n_b = sigma.dim

@@ -76,6 +76,9 @@ def _codewords(g: np.ndarray) -> np.ndarray:
     return (messages.astype(np.uint8) @ g.T) % 2
 
 
+MAX_CODE_TRIES = 500  # generators sampled by build_code before it gives up
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """Generator matrix over GF(2) with an exhaustively verified minimum distance,
@@ -83,7 +86,6 @@ class LinearCode:
 
     generator: np.ndarray  # shape (W, w), carries w-bit messages to W-bit words
     verified_min_distance: int
-    seed: int | None = None
     codewords: InitVar[np.ndarray | None] = None
     table: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -127,7 +129,7 @@ class LinearCode:
 
 
 def build_code(w: int, rate_factor: int = 4, seed: int = 0,
-               target_ratio: Fraction = Fraction(1, 8), max_tries: int = 500) -> LinearCode:
+               target_ratio: Fraction = Fraction(1, 8)) -> LinearCode:
     """Seeded random linear code with min distance at least target_ratio * W.
 
     Resamples generators until the exhaustively computed distance clears the
@@ -138,15 +140,15 @@ def build_code(w: int, rate_factor: int = 4, seed: int = 0,
     big_w = rate_factor * w
     target = -(-big_w * target_ratio.numerator // target_ratio.denominator)  # ceil
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_CODE_TRIES):
         g = rng.integers(0, 2, size=(big_w, w), dtype=np.uint8)
         if _gf2_rank(g) != w:
             continue
         table = _codewords(g)
         d = int(table[1:].sum(axis=1).min())
         if d >= max(target, 1):
-            return LinearCode(generator=g, verified_min_distance=d, seed=seed, codewords=table)
-    raise RuntimeError(f"no code with distance >= {target} found in {max_tries} tries")
+            return LinearCode(generator=g, verified_min_distance=d, codewords=table)
+    raise RuntimeError(f"no code with distance >= {target} found in {MAX_CODE_TRIES} tries")
 
 
 def repetition_code(copies: int) -> LinearCode:
@@ -275,7 +277,6 @@ class MerlinRacProtocol:
 
     n_bits: int
     substring_bits: int
-    n_substrings: int
     accept_prob: Callable[[str, int, str], Fraction]
 
 
@@ -300,8 +301,7 @@ def wrapped_code_protocol(code: LinearCode, n_bits: int,
             return Fraction(0)
         return survival[code.distance(z, _split(x, w)[j])]
 
-    return MerlinRacProtocol(n_bits=n_bits, substring_bits=w,
-                             n_substrings=n_bits // w, accept_prob=accept_prob)
+    return MerlinRacProtocol(n_bits=n_bits, substring_bits=w, accept_prob=accept_prob)
 
 
 @dataclass(frozen=True)
@@ -356,17 +356,17 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
             tail_cache[key] = float(binom_tail(reduced.copies, p, maj))
         return tail_cache[key]
 
+    # with w = 0 the one claim is the empty string
+    claims = [format(m, f"0{w}b") for m in range(2 ** w)] if w else [""]
     for x in inputs:
         for i in range(base.n_bits):
             value = bit_of(x, i)
             if value == 1:
-                j, _ = _substring_index(i, w)
-                p = base.accept_prob(x, i, _split(x, w)[j])
+                p = base.accept_prob(x, i, _split(x, w)[i // w] if w else "")
                 err = 1.0 - tail(p)
             else:
                 err = 0.0
-                for m in range(2 ** w):
-                    z = format(m, f"0{w}b")
+                for z in claims:
                     p = base.accept_prob(x, i, z)
                     if p:
                         err += tail(p)

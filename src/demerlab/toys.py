@@ -82,7 +82,7 @@ def coin_protocol(yes_prob: float = 2.0 / 3.0, no_prob: float = 1.0 / 3.0,
                          controls=(bob, witness), control_values=(1, 1)))
     gates.append(ry_gate(advice, _accept_angle(no_prob),
                          controls=(bob, witness), control_values=(0, 1)))
-    verifier = UnitaryCircuit(layout.n_qubits, tuple(gates), layout)
+    verifier = UnitaryCircuit(layout.n_qubits, tuple(gates))
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
         verifier=verifier, accept_qubit=advice,
@@ -109,7 +109,7 @@ def _index_select_verifier(m_bits: int, witness_qubits: int) -> tuple[UnitaryCir
         pattern = tuple(int(b) for b in format(i, f"0{m_bits}b"))
         gates.append(mcx(controls=bob + (advice_off + i,) + claim, target=accept,
                          control_values=pattern + (1,) * (1 + len(claim))))
-    return UnitaryCircuit(layout.n_qubits, tuple(gates), layout), accept
+    return UnitaryCircuit(layout.n_qubits, tuple(gates)), accept
 
 
 def _rac_protocol(n_bits: int, witness_qubits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
@@ -163,7 +163,7 @@ def perturbed_rac_protocol(n_bits: int, bad_index: int,
     extra = ry_gate(accept, _accept_angle(leak),
                     controls=bob + (advice_off + bad_index, witness),
                     control_values=pattern + (0, 1))
-    verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,), layout)
+    verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,))
     broken = OneWayQmaProtocol(
         bob_bits=p.bob_bits, alice_qubits=p.alice_qubits,
         witness_qubits=p.witness_qubits, ancilla_qubits=p.ancilla_qubits,

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from demerlab.advice import _boosted_accept, ma_fix_advice, qcma_train, qma_fix_advice
+from demerlab.advice import (
+    _boosted_accept,
+    _witness_strings,
+    ma_fix_advice,
+    qcma_train,
+    qma_fix_advice,
+)
 from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
 from demerlab.demerlin import demerlinize, evaluate_demerlinized, sample_demerlinized
 from demerlab.protocol import optimal_witness
@@ -183,7 +189,7 @@ def test_criterion_7_advice_fixing():
         v = parity_ma_verifier(n)
         fixed = ma_fix_advice(v, seed=7)
         for x in v.inputs():
-            accepted = [z for z in v.witnesses()
+            accepted = [z for z in _witness_strings(v.witness_bits)
                         if _boosted_accept(v, fixed.advice_tuple, x, z)]
             if bool(accepted) != (v.language[x] == 1):
                 errors += 1

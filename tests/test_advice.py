@@ -10,6 +10,7 @@ from demerlab.advice import (
     TrainingSet,
     _boosted_accept,
     _majority_operator,
+    _witness_strings,
     j_fold_decision,
     ma_fix_advice,
     qcma_train,
@@ -46,7 +47,7 @@ def test_ma_fix_parity_toy_certificate():
     assert fixed.per_pair_error_target == pytest.approx(2.0 ** (-2) * 2.0 ** (-1))
     # exhaustive re-verification with zero errors
     for x in v.inputs():
-        accepted = [z for z in v.witnesses()
+        accepted = [z for z in _witness_strings(v.witness_bits)
                     if _boosted_accept(v, fixed.advice_tuple, x, z)]
         if v.language[x] == 1:
             assert accepted
@@ -78,7 +79,7 @@ def test_ma_fix_n3():
     v = parity_ma_verifier(3)
     fixed = ma_fix_advice(v, seed=11)
     for x in v.inputs():
-        accepted = [z for z in v.witnesses()
+        accepted = [z for z in _witness_strings(v.witness_bits)
                     if _boosted_accept(v, fixed.advice_tuple, x, z)]
         assert bool(accepted) == (v.language[x] == 1)
 
@@ -176,13 +177,13 @@ def test_qcma_train_unionbound_invariant():
 def test_qcma_train_maximality_counterfactual():
     # appending any further pair to the trained state cannot shrink survival
     # by 2/3 again; the greedy loop stopped exactly because of that
-    from demerlab.advice import _amp_witnesses, _branch_kraus
+    from demerlab.advice import _branch_kraus
 
     v = table_qcma_verifier(1, truth_table="10")
     training, decider = qcma_train(v)
     rho = decider.advice_matrix
     for x in v.inputs():
-        for z in _amp_witnesses(v, decider.ell):
+        for z in _witness_strings(decider.amplified.witness_qubits):
             if v.language[x] == 1 and decider.witness_acceptance(x, z) < 1 - decider.error_rate - 1e-9:
                 continue  # rule (b) excludes invalid witnesses for yes-instances
             kraus = _branch_kraus(decider.amplified, x, z, keep_outcome=v.language[x])
@@ -288,3 +289,23 @@ def test_witness_effects_are_built_once_per_input_and_witness(monkeypatch, tmp_p
                  "--out", str(tmp_path / "train.json")]) == 0
     # 4 inputs x 2 witnesses, shared by the error estimate, rule (b), decide and j-fold
     assert len(built) == 8
+
+
+def test_kraus_lists_are_built_once_per_protocol(monkeypatch, tmp_path):
+    import demerlab.advice as advice
+    from demerlab.cli import main
+
+    seen = []
+    kernel = advice.project
+
+    def counting(p, y, cols, outcome):
+        # column 0 is |0> (x) |z> (x) |0>, so its row names the witness
+        seen.append((y, int(np.argmax(np.abs(cols[:, 0]))), outcome))
+        return kernel(p, y, cols, outcome)
+
+    monkeypatch.setattr(advice, "project", counting)
+    assert main(["advice", "qcma-train", "--n", "2", "--seed", "7",
+                 "--out", str(tmp_path / "train.json")]) == 0
+    # one per training candidate; the true-advice replay reuses them
+    assert len(seen) == 6
+    assert len(set(seen)) == len(seen)

@@ -122,6 +122,12 @@ def test_identity_plan_shape():
     assert plan.alice_qubits_total == 4
 
 
+def test_plan_totals_derive_from_counts():
+    for plan in (desk_plan(3, 1), identity_plan(3, 2), plan_amplification(3, 2)):
+        assert plan.alice_qubits_total == 3 * plan.ell * plan.u
+        assert plan.witness_qubits_total == plan.base_witness_qubits * plan.ell
+
+
 # ---------------------------------------------------------------------------
 # inner layer
 

@@ -189,7 +189,7 @@ def test_bad_environment_value_exits_2_on_every_call(capsys, monkeypatch):
 def test_loop_value_errors_exit_2(capsys, monkeypatch):
     import demerlab.cli as cli_mod
     import demerlab.demerlin as demerlin_mod
-    from demerlab.protocol import OneWayQmaProtocol, protocol_layout
+    from demerlab.protocol import OneWayQmaProtocol
     from demerlab.qcore import RegisterLayout, UnitaryCircuit, basis_state, ry_gate
     from demerlab.toys import coin_protocol
 
@@ -197,7 +197,7 @@ def test_loop_value_errors_exit_2(capsys, monkeypatch):
     _, f = coin_protocol()
     leaky = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
-        verifier=UnitaryCircuit(3, (ry_gate(0, 0.4),), protocol_layout(1, 1, 1, 0)),
+        verifier=UnitaryCircuit(3, (ry_gate(0, 0.4),)),
         accept_qubit=1,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
     monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))

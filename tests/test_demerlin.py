@@ -18,7 +18,7 @@ from demerlab.demerlin import (
     resource_report,
     sample_demerlinized,
 )
-from demerlab.protocol import OneWayQmaProtocol, protocol_layout
+from demerlab.protocol import OneWayQmaProtocol
 from demerlab.qcore import (
     RegisterLayout,
     UnitaryCircuit,
@@ -62,11 +62,8 @@ def test_round_count_formula_w2():
     inner = build_inner(p, 2)  # inner soundness 0.15^2 <= 5^-2
     plan = AmplificationPlan(
         base_alice_qubits=1, base_witness_qubits=1, ell=2, u=1,
-        alice_qubits_total=2, witness_qubits_total=2,
         inner_error=0.0225, target_inner_error=0.0225,
-        soundness_cert_log10=np.log10(0.0225),
-        soundness_target_log10=float(-2 * np.log10(5.0)),
-        completeness_union_bound=0.3)
+        soundness_cert_log10=np.log10(0.0225))
     d = demerlinize(inner, plan, f=f)
     assert d.t_rounds == 36
     assert d.counter_qubits == 6
@@ -80,11 +77,12 @@ def test_soundness_precondition_audited():
         demerlinize(p, identity_plan(1, 1), f=f)
 
 
-def test_counter_width_requirement():
-    p, f = rac_claim_protocol(2)
-    plan = identity_plan(p.alice_qubits, 1)
-    with pytest.raises(ValueError, match="counter"):
-        DemerlinizedProtocol(base=p, plan=plan, f=f, t_rounds=18, counter_qubits=4)
+@pytest.mark.parametrize("w, t_rounds, counter_qubits", [(1, 18, 5), (2, 36, 6), (3, 72, 7)])
+def test_round_count_and_counter_width_derive_from_w(w, t_rounds, counter_qubits):
+    inner = build_inner(coin_protocol()[0], w)
+    d = DemerlinizedProtocol(base=inner, f=None)
+    assert (d.t_rounds, d.counter_qubits) == (t_rounds, counter_qubits)
+    assert 2 ** (d.counter_qubits - 1) <= d.t_rounds < 2 ** d.counter_qubits
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +259,13 @@ def test_maximally_mixed_advice_matches_dense_oracle(name):
 def test_coin_loop_matches_dense_oracle(yes, no, angle):
     p, f = coin_protocol(yes_prob=yes, no_prob=no, witness_angle=angle)
     # built directly: the precondition audit would reject most drawn coins
-    d = DemerlinizedProtocol(base=p, plan=identity_plan(1, 1), f=f, t_rounds=18,
-                             counter_qubits=5)
+    d = DemerlinizedProtocol(base=p, f=f)
     for (x, y), _ in f.pairs():
         assert_matches_oracle(d, x, y)
 
 
 def test_loop_rejects_non_block_diagonal_verifier():
-    layout = protocol_layout(1, 1, 1, 0)
-    circ = UnitaryCircuit(3, (ry_gate(0, 0.4),), layout)  # rotates Bob's register
+    circ = UnitaryCircuit(3, (ry_gate(0, 0.4),))  # rotates Bob's register
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
         verifier=circ, accept_qubit=1,
@@ -405,9 +401,7 @@ def test_resource_scales_linearly_in_u():
     gates = []
     for u in (1, 3, 5):
         outer = build_outer(inner, u)
-        plan = identity_plan(outer.alice_qubits, 1)
-        d = DemerlinizedProtocol(base=outer, plan=plan, f=None, t_rounds=18,
-                                 counter_qubits=5)
+        d = DemerlinizedProtocol(base=outer, f=None)
         gates.append(resource_report(d).gates)
     assert gates[1] - gates[0] == gates[2] - gates[1]
 

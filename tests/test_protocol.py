@@ -77,7 +77,7 @@ def witness_independent_protocol() -> OneWayQmaProtocol:
     """No Bob bits; rotates its accept ancilla to 0.4 whatever the witness."""
     layout = protocol_layout(0, 1, 1, 1)
     accept = layout.offset("ancilla")
-    circ = UnitaryCircuit(3, (ry_gate(accept, 2 * np.arcsin(np.sqrt(0.4))),), layout)
+    circ = UnitaryCircuit(3, (ry_gate(accept, 2 * np.arcsin(np.sqrt(0.4))),))
     return OneWayQmaProtocol(
         bob_bits=0, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=accept,
@@ -103,13 +103,12 @@ def test_accept_on_one_witness():
 
 def test_induced_operator_matches_direct_simulation(rng):
     # random 1-qubit-witness verifier: <phi|W|phi> equals direct simulation
-    layout = protocol_layout(1, 1, 1, 1)
     gates = []
     for q in (1, 2, 3):
         gates.append(ry_gate(q, float(rng.uniform(0, np.pi))))
     gates.append(Gate("u", (3,), random_unitary(2, rng), controls=(2,), control_values=(1,)))
     gates.append(Gate("v", (1,), random_unitary(2, rng), controls=(0, 3), control_values=(1, 1)))
-    circ = UnitaryCircuit(4, tuple(gates), layout)
+    circ = UnitaryCircuit(4, tuple(gates))
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=3,
@@ -147,7 +146,7 @@ def test_lambda_invariant_under_witness_unitary(rng):
     u = random_unitary(2, rng)
     witness_q = p.layout.offset("witness")
     pre = Gate("u", (witness_q,), u)
-    circ = UnitaryCircuit(p.verifier.n_qubits, (pre,) + p.verifier.gates, p.layout)
+    circ = UnitaryCircuit(p.verifier.n_qubits, (pre,) + p.verifier.gates)
     rotated = OneWayQmaProtocol(
         bob_bits=p.bob_bits, alice_qubits=p.alice_qubits,
         witness_qubits=p.witness_qubits, ancilla_qubits=p.ancilla_qubits,
@@ -161,8 +160,7 @@ def test_lambda_invariant_under_witness_unitary(rng):
 
 
 def test_audit_always_reject_trivial():
-    layout = protocol_layout(1, 1, 1, 1)
-    circ = UnitaryCircuit(4, (), layout)  # empty verifier never flips the accept bit
+    circ = UnitaryCircuit(4, ())  # empty verifier never flips the accept bit
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=3,
@@ -237,10 +235,9 @@ def test_run_block_is_the_block_of_the_full_unitary(build):
 
 
 def test_rest_projector_keeps_the_dense_cap():
-    layout = protocol_layout(1, 12, 0, 0)
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=12, witness_qubits=0, ancilla_qubits=0,
-        verifier=UnitaryCircuit(13, (), layout), accept_qubit=1,
+        verifier=UnitaryCircuit(13, ()), accept_qubit=1,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 12)), 0))
     with pytest.raises(ValueError, match="capped at 12 qubits"):
         rest_projector(p, "0", outcome=1)
@@ -257,8 +254,7 @@ def test_rest_projector_is_projector():
 
 
 def test_run_block_rejects_non_block_diagonal():
-    layout = protocol_layout(1, 1, 0, 0)
-    circ = UnitaryCircuit(2, (ry_gate(0, 0.4),), layout)  # rotates Bob's register
+    circ = UnitaryCircuit(2, (ry_gate(0, 0.4),))  # rotates Bob's register
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=0, ancilla_qubits=0,
         verifier=circ, accept_qubit=1,
@@ -325,7 +321,7 @@ def block_diagonal_protocols(draw):
     psi = random_state(RegisterLayout.of(("advice", a)), rng)
     p = OneWayQmaProtocol(
         bob_bits=b, alice_qubits=a, witness_qubits=w, ancilla_qubits=c,
-        verifier=UnitaryCircuit(n, tuple(gates), protocol_layout(b, a, w, c)),
+        verifier=UnitaryCircuit(n, tuple(gates)),
         accept_qubit=draw(st.sampled_from(rest)), alice_encode=lambda x: psi)
     y = format(draw(st.integers(0, 2 ** b - 1)), f"0{b}b") if b else ""
     z = format(draw(st.integers(0, 2 ** w - 1)), f"0{w}b") if w else ""

@@ -7,6 +7,7 @@ import pytest
 from demerlab.rac import (
     DEFAULT_MODULUS,
     LinearCode,
+    MerlinRacProtocol,
     audit_reduced,
     build_code,
     cheat_detection_profile,
@@ -202,11 +203,21 @@ def test_rounds_for_soundness_formula():
 
 def test_reduction_identity_without_witness():
     base = wrapped_code_protocol(build_code(1, rate_factor=3, seed=0), 2)
-    base0 = base.__class__(n_bits=base.n_bits, substring_bits=0, n_substrings=base.n_bits,
-                           accept_prob=base.accept_prob)
+    base0 = base.__class__(n_bits=base.n_bits, substring_bits=0, accept_prob=base.accept_prob)
     reduced = tight_reduction(base0)
     assert reduced.copies == 1
     assert reduced.per_claim_error == 0.0
+
+
+def test_audit_reduced_without_witness():
+    base0 = MerlinRacProtocol(n_bits=3, substring_bits=0,
+                              accept_prob=lambda x, i, z: Fraction(int(x[i])))
+    reduced = tight_reduction(base0)
+    assert reduced.copies == 1
+    inputs = ["000", "101", "111"]
+    records = audit_reduced(reduced, lambda x, i: int(x[i]), inputs)
+    assert len(records) == 9
+    assert all(r.error_bound == 0 for r in records)
 
 
 def test_reduction_per_claim_error_target():

@@ -63,11 +63,11 @@ def test_qma_toy_operators_are_scaled_projectors():
 
 def test_qcma_toy_base_errors_are_zero():
     v = table_qcma_verifier(1, truth_table="10")
-    from demerlab.advice import _witness_effect
+    from demerlab.advice import _witness_effect, _witness_strings
 
     psi = v.true_advice.amplitudes
     for x in v.inputs():
-        for z in v.witnesses():
+        for z in _witness_strings(v.protocol.witness_qubits):
             acc = float(np.real(psi.conj() @ _witness_effect(v.protocol, x, z) @ psi))
             if v.language[x] == 1 and z == "1":
                 assert acc == pytest.approx(1.0, abs=1e-12)
