@@ -7,56 +7,4 @@ random access codes, and advice-fixing / postselection-training procedures,
 each audited against its analytic guarantee without sampling noise.
 """
 
-from .qcore import (
-    DensityMatrix,
-    Gate,
-    RegisterLayout,
-    StateVector,
-    TwoOutcomeMeasurement,
-    UnitaryCircuit,
-    basis_state,
-    fidelity,
-    maximally_mixed,
-    measure_two_outcome,
-    partial_trace,
-    tensor_product,
-    top_eigenpair,
-    trace_distance,
-)
-from .qlemmas import good_as_new_check, or_bound_run, union_bound_run
-from .protocol import (
-    CommunicationFunction,
-    OneWayQmaProtocol,
-    audit_protocol,
-    induced_witness_operator,
-    optimal_witness,
-)
-from .amplify import (
-    AmplificationPlan,
-    build_inner,
-    build_outer,
-    desk_plan,
-    identity_plan,
-    plan_amplification,
-)
-from .demerlin import (
-    demerlinize,
-    evaluate_demerlinized,
-    final_vote_acceptance,
-    plan_final_vote,
-    resource_report,
-    sample_demerlinized,
-)
-from .rac import (
-    FingerprintScheme,
-    LinearCode,
-    build_code,
-    cheat_detection_profile,
-    check_fingerprint,
-    fingerprint,
-    rac_round,
-    tight_reduction,
-)
-from .advice import ma_fix_advice, qcma_train, qma_fix_advice
-
 __version__ = "0.1.0"

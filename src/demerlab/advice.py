@@ -519,17 +519,16 @@ class JFoldDecision:
     boosted_lambdas: dict[str, float]
 
 
-def j_fold_decision(decider: TrainedDecider, x: str,
-                    j_copies: int | None = None) -> JFoldDecision:
+def j_fold_decision(decider: TrainedDecider, x: str) -> JFoldDecision:
     """Majority vote over J independent trained advice registers per witness.
 
-    Boosting separates acceptances into >= 1 - 2^-2w versus <= 2^-2w, so the
-    witness-averaged mean S splits at 2^-(w+1) versus 2^-2w and a threshold
-    on S decides. A mean inside the forbidden band raises.
+    J is the smallest odd count boosting error 1/3 to 2^-2w, so acceptances
+    separate into >= 1 - 2^-2w versus <= 2^-2w; the witness-averaged mean S
+    then splits at 2^-(w+1) versus 2^-2w and a threshold on S decides. A mean
+    inside the forbidden band raises.
     """
     w = decider.amplified.witness_qubits
-    if j_copies is None:
-        j_copies = min_majority_reps(Fraction(1, 3), Fraction(1, 2 ** (2 * w)))
+    j_copies = min_majority_reps(Fraction(1, 3), Fraction(1, 2 ** (2 * w)))
     maj = majority_threshold(j_copies)
     lams = decider.lambdas(x)
     boosted = {z: binom_tail(j_copies, lam, maj) for z, lam in lams.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, exp, isqrt, lgamma, log, log2, log10, sqrt
+from math import comb, exp, isqrt, lgamma, log, log10, sqrt
 
 from .protocol import (
     ADVICE_REGISTER,
@@ -51,6 +51,7 @@ __all__ = [
 WIDTH_CAP = 16  # composed protocols must stay statevector-simulable
 MAX_REPS = 2001  # search cap on majority-vote repetition counts
 DESK_MAX_REPS = 99  # search cap on ell and u in desk_plan
+BASE_ERROR = Fraction(1, 3)  # the bounded-error promise every plan starts from
 
 
 class PlanInfeasibleError(ValueError):
@@ -139,10 +140,6 @@ class AmplificationPlan:
         return self.base_witness_qubits * self.ell
 
     @property
-    def soundness_target(self) -> float:
-        return 5.0 ** (-self.witness_qubits_total)
-
-    @property
     def soundness_target_log10(self) -> float:
         return -self.witness_qubits_total * log10(5.0)
 
@@ -181,10 +178,6 @@ def _make_plan(a: int, w: int, ell: int, u: int, eps: Fraction,
     )
 
 
-def _forced_odd(x: int) -> int:
-    return x if x % 2 == 1 else x + 1
-
-
 def _find_u(eps: Fraction, w_total: int, u_cap: int) -> tuple[int, Fraction] | None:
     """Smallest odd u <= u_cap with exact Pr[Bin(u, eps) >= maj] <= 5^-w_total."""
     target = Fraction(1, 5 ** w_total)
@@ -203,35 +196,21 @@ def _find_u(eps: Fraction, w_total: int, u_cap: int) -> tuple[int, Fraction] | N
     return None
 
 
-def plan_amplification(a: int, w: int, c_ell: float | None = None,
-                       c_u: float | None = None,
-                       base_error: Fraction = Fraction(1, 3)) -> AmplificationPlan:
+def plan_amplification(a: int, w: int) -> AmplificationPlan:
     """Smallest (ell, u) meeting the inner-error target and both outer certificates.
 
-    The inner target is 1/(1000 w^3); u must satisfy the completeness union
-    bound u * sqrt(eps) < 1/3 and the exact soundness certificate
-    Pr[Bin(u, eps) >= maj] <= 5^-(w*ell). The smallest ell certifying the
-    inner target alone admits no valid u at small w, so the search raises ell
-    until the window between the two u-constraints opens. Passing c_ell or
-    c_u pins ell = ceil(c_ell * log2(w)) or u = ceil(c_u * W) instead (forced
-    odd); infeasible pins raise PlanInfeasibleError.
+    The inner target is 1/(1000 w^3) from base error BASE_ERROR; u must
+    satisfy the completeness union bound u * sqrt(eps) < 1/3 and the exact
+    soundness certificate Pr[Bin(u, eps) >= maj] <= 5^-(w*ell). The smallest
+    ell certifying the inner target alone admits no valid u at small w, so the
+    search raises ell until the window between the two u-constraints opens.
     """
     if w < 2:
         raise ValueError("amplification planning requires witness width w >= 2")
     target_eps = Fraction(1, 1000 * w ** 3)
-    base_error = Fraction(base_error)
-
-    if c_ell is not None:
-        ell_candidates = [_forced_odd(max(1, ceil(c_ell * log2(max(w, 2)))))]
-    else:
-        ell0 = min_majority_reps(base_error, target_eps)
-        ell_candidates = range(ell0, MAX_REPS + 1, 2)
-
-    for ell in ell_candidates:
-        eps = binom_tail(ell, base_error, majority_threshold(ell))
-        if eps > target_eps:
-            raise PlanInfeasibleError(
-                f"pinned ell={ell} does not certify inner error {float(target_eps):.3e}")
+    ell0 = min_majority_reps(BASE_ERROR, target_eps)
+    for ell in range(ell0, MAX_REPS + 1, 2):
+        eps = binom_tail(ell, BASE_ERROR, majority_threshold(ell))
         w_total = w * ell
         # completeness cap: u * sqrt(eps) < 1/3, kept rational as u^2 * eps < 1/9
         u_cap = isqrt(int(Fraction(1, 9) / eps)) + 1
@@ -241,12 +220,6 @@ def plan_amplification(a: int, w: int, c_ell: float | None = None,
             u_cap -= 1
         if u_cap < 1:
             continue
-        if c_u is not None:
-            u = _forced_odd(max(1, ceil(c_u * w_total)))
-            cert = binom_tail(u, eps, majority_threshold(u))
-            if u <= u_cap and cert <= Fraction(1, 5 ** w_total):
-                return _make_plan(a, w, ell, u, eps, target_eps, cert)
-            raise PlanInfeasibleError(f"pinned u={u} fails a certificate at ell={ell}")
         found = _find_u(eps, w_total, u_cap)
         if found is not None:
             u, cert = found
@@ -254,17 +227,16 @@ def plan_amplification(a: int, w: int, c_ell: float | None = None,
     raise PlanInfeasibleError("no feasible (ell, u) within the search cap")
 
 
-def identity_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3)) -> AmplificationPlan:
+def identity_plan(a: int, w: int) -> AmplificationPlan:
     """Trivial (ell=1, u=1) plan for protocols that already meet their targets.
 
     Used when a toy's native soundness is at or below 5^-w, which the
     witness-enumeration loop audits independently.
     """
-    eps = Fraction(base_error)
-    return _make_plan(a, w, 1, 1, eps, eps, eps)
+    return _make_plan(a, w, 1, 1, BASE_ERROR, BASE_ERROR, BASE_ERROR)
 
 
-def desk_plan(a: int, w: int, base_error: Fraction = Fraction(1, 3)) -> AmplificationPlan:
+def desk_plan(a: int, w: int, base_error: Fraction = BASE_ERROR) -> AmplificationPlan:
     """Smallest (ell, u) whose exact certificates reach soundness 5^-(w*ell).
 
     Desk-scale variant: drops the 1/(1000 w^3) inner target and the union

@@ -36,17 +36,13 @@ __all__ = [
     "random_density",
     "random_effect",
     "tensor_product",
-    "partial_trace",
-    "fidelity",
     "trace_distance",
     "measure_two_outcome",
     "apply_kraus",
     "kron_power",
     "top_eigenpair",
-    "psd_sqrt",
     "trace_norm",
     "hermitize",
-    "gate",
     "x_gate",
     "h_gate",
     "ry_gate",
@@ -115,17 +111,6 @@ class RegisterLayout:
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
         return RegisterLayout(self.registers + other.registers)
 
-    def keep_drop(self, keep: Iterable[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Global qubit indices split into (kept, dropped) by register name."""
-        keep = set(keep)
-        unknown = keep - set(self.names)
-        if unknown:
-            raise ValueError(f"unknown register name {sorted(unknown)}")
-        kept, dropped = [], []
-        for name in self.names:
-            (kept if name in keep else dropped).extend(self.qubits(name))
-        return tuple(kept), tuple(dropped)
-
 
 def _layout(regs) -> RegisterLayout:
     if isinstance(regs, RegisterLayout):
@@ -193,13 +178,6 @@ def _scaled_gram(g: np.ndarray, scale) -> tuple[np.ndarray, tuple[np.ndarray, np
     return m / top[..., None] * scale[..., None], (w / top * scale, v)
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(hermitize(m))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def trace_norm(m: np.ndarray):
     """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of each in a stack."""
     norms = np.sum(np.abs(np.linalg.eigvalsh(hermitize(m))), axis=-1)
@@ -237,10 +215,6 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} does not match layout dim {self.layout.dim}")
         if abs(np.linalg.norm(amps) - 1.0) > ATOL:
             raise ValueError(f"state norm {np.linalg.norm(amps)} is not 1 within {ATOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
@@ -300,10 +274,9 @@ def random_state(layout, rng: np.random.Generator) -> StateVector:
     return StateVector(z / np.linalg.norm(z), layout)
 
 
-def random_density(layout, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
+def random_density(layout, rng: np.random.Generator) -> DensityMatrix:
     layout = _layout(layout)
-    rank = rank or layout.dim
-    return DensityMatrix(_unit_trace_gram(_complex_gaussian(rng, (layout.dim, rank))), layout)
+    return DensityMatrix(_unit_trace_gram(_complex_gaussian(rng, (layout.dim, layout.dim))), layout)
 
 
 def random_effect(layout, rng: np.random.Generator, scale: float | None = None) -> "TwoOutcomeMeasurement":
@@ -340,35 +313,6 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; layouts concatenate and must not share names."""
     a, b = _as_density(a), _as_density(b)
     return DensityMatrix(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every register not named in `keep`."""
-    rho = _as_density(rho)
-    kept, dropped = rho.layout.keep_drop(keep)
-    n = rho.layout.n_qubits
-    t = rho.matrix.reshape([2] * (2 * n))
-    # pair each dropped row axis with its column axis, keep the rest open
-    row_labels = list(range(n))
-    col_labels = [i + n if i in kept else i for i in range(n)]
-    out_labels = [i for i in kept] + [i + n for i in kept]
-    reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    new_regs = tuple((nm, w) for nm, w in rho.layout.registers if nm in set(keep))
-    d = 2 ** len(kept)
-    return DensityMatrix(hermitize(reduced.reshape(d, d)), RegisterLayout(new_regs))
-
-
-def fidelity(rho, sigma) -> float:
-    """Fidelity as the trace norm of sqrt(rho) sqrt(sigma).
-
-    Equals |<psi|phi>| on pure states, 1 iff the states coincide.
-    """
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s = psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix)
-    f = float(np.sum(np.linalg.svd(s, compute_uv=False)))
-    return min(max(f, 0.0), 1.0)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -567,12 +511,6 @@ class UnitaryCircuit:
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
-def gate(name: str, matrix: np.ndarray, targets: Sequence[int],
-         controls: Sequence[int] = (), control_values: Sequence[int] | None = None) -> Gate:
-    return Gate(name, tuple(targets), np.asarray(matrix, dtype=complex),
-                tuple(controls), tuple(control_values or ()))
 
 
 def x_gate(q: int) -> Gate:

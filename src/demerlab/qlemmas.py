@@ -47,6 +47,7 @@ from .qcore import (
 )
 
 UNION_CHUNK = 64  # seeds per stacked batch in random_union_audit; bounds peak memory
+THREE_SIGMA_RATE = erfc(3.0 / sqrt(2.0))  # two-sided normal tail rate at 3 sigma, 0.0027
 
 __all__ = [
     "GoodAsNewReport",
@@ -241,25 +242,26 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
 
 
 def _binom_sf(n: int, p: float, k: int) -> float:
-    """Float Pr[Binomial(n, p) >= k] for 0 < p < 1, summing the side with fewer terms."""
+    """Float Pr[Binomial(n, p) >= k] for 0 < p <= 1, summing the side with fewer terms."""
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
+    if p >= 1.0:
+        return 1.0
     if n - k + 1 <= k:
         return exp(_log_binom_tail(n, p, k))
     return 1.0 - exp(_log_binom_tail(n, 1.0 - p, n - k + 1))
 
 
-def agrees_within_sigma(estimate: float, exact: float, shots: int,
-                        z: float = 3.0) -> bool:
+def agrees_within_sigma(estimate: float, exact: float, shots: int) -> bool:
     """Exact two-sided binomial test of a Monte-Carlo estimate against an exact probability.
 
     The estimate is hits / shots. It agrees when twice the binomial tail on
-    its side of the mean is at least the two-sided normal rate at z (0.0027
-    at z = 3). Unlike a normal approximation this stays calibrated near
-    p = 0 and p = 1, where a single miss can be a likely outcome. An exact
-    value of 0 or 1 admits only the estimate equal to it.
+    its side of the mean is at least THREE_SIGMA_RATE. Unlike a normal
+    approximation this stays calibrated near p = 0 and p = 1, where a single
+    miss can be a likely outcome. An exact value of 0 or 1 admits only the
+    estimate equal to it.
     """
     k = round(estimate * shots)
     p = min(max(exact, 0.0), 1.0)
@@ -269,7 +271,7 @@ def agrees_within_sigma(estimate: float, exact: float, shots: int,
         tail = _binom_sf(shots, p, k)
     else:
         tail = _binom_sf(shots, 1.0 - p, shots - k)
-    return 2.0 * tail >= erfc(z / sqrt(2.0))
+    return 2.0 * tail >= THREE_SIGMA_RATE
 
 
 def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
@@ -369,13 +371,14 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
     raise RuntimeError("could not draw an instance with eta above the floor")
 
 
-def projector_or_instance(witness_qubits: int, eta: float = 2.0 / 3.0,
+def projector_or_instance(witness_qubits: int,
                           ) -> tuple[DensityMatrix, DensityMatrix, TwoOutcomeMeasurement, int]:
-    """Rank-one instance whose measured acceptance equals eta exactly.
+    """Rank-one instance whose measured acceptance equals eta = 2/3 exactly.
 
     The joint effect projects onto |0> (x) |phi> where |phi> overlaps the
     supplied sigma with probability eta, so eta is hit by construction.
     """
+    eta = 2.0 / 3.0
     la = RegisterLayout.of(("a", 1))
     lb = RegisterLayout.of(("b", witness_qubits))
     n_b = lb.dim

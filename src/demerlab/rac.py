@@ -187,15 +187,15 @@ def honest_merlin(x: str, i: int, code: LinearCode) -> str:
 
 def rac_round(x: str, i: int, code: LinearCode,
               merlin: Callable[[str, int], str] | None = None,
-              rng: np.random.Generator | None = None,
-              seed: int = 0) -> RacTranscript:
+              rng: np.random.Generator | None = None) -> RacTranscript:
     """One round: Alice sends (k, k-th bit of each encoded substring), Merlin
     claims a substring, Bob checks the claim's codeword at position k and
-    outputs the claimed bit on accept, abstaining on reject."""
+    outputs the claimed bit on accept, abstaining on reject. Without `rng`,
+    k is drawn from a generator seeded with 0."""
     if not 0 <= i < len(x):
         raise ValueError(f"index {i} out of range for {len(x)} bits")
     w = code.message_bits
-    rng = rng or np.random.default_rng(seed)
+    rng = rng or np.random.default_rng(0)
     substrings = _split(x, w)
     words = [code.encode(s) for s in substrings]
     k = int(rng.integers(0, code.block_length))
@@ -216,11 +216,6 @@ class DetectionProfile:
     i: int
     per_message: dict[str, Fraction]
     min_flipping: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {"x": self.x, "i": self.i,
-                "min_flipping_detection": float(self.min_flipping),
-                "messages": {m: float(p) for m, p in sorted(self.per_message.items())}}
 
 
 def cheat_detection_profile(x: str, i: int, code: LinearCode) -> DetectionProfile:
@@ -249,14 +244,14 @@ def cheat_detection_profile(x: str, i: int, code: LinearCode) -> DetectionProfil
     return DetectionProfile(x=x, i=i, per_message=per_message, min_flipping=min_flip)
 
 
-def rounds_for_soundness(code: LinearCode, target: Fraction = Fraction(1, 3)) -> int:
-    """Fresh-k repetitions needed for worst-case cheat survival <= target."""
+def rounds_for_soundness(code: LinearCode) -> int:
+    """Fresh-k repetitions needed for worst-case cheat survival <= 1/3."""
     delta = code.distance_ratio
     if delta <= 0:
         raise ValueError("code has zero distance")
     survive = Fraction(1) - delta
     r, acc = 1, survive
-    while acc > target:
+    while acc > Fraction(1, 3):
         r += 1
         acc *= survive
     return r
@@ -280,18 +275,17 @@ class MerlinRacProtocol:
     accept_prob: Callable[[str, int, str], Fraction]
 
 
-def wrapped_code_protocol(code: LinearCode, n_bits: int,
-                          rounds: int | None = None) -> MerlinRacProtocol:
+def wrapped_code_protocol(code: LinearCode, n_bits: int) -> MerlinRacProtocol:
     """The code-checked round wrapped with fresh-k repetition to 1/3 soundness.
 
-    Acceptance requires all `rounds` checks to pass and the claimed bit to be
-    1, so a flipping cheat at codeword distance e survives with probability
-    exactly (1 - e/W)^rounds.
+    Acceptance requires all r = rounds_for_soundness(code) checks to pass and
+    the claimed bit to be 1, so a flipping cheat at codeword distance e
+    survives with probability exactly (1 - e/W)^r.
     """
     w = code.message_bits
     if n_bits % w:
         raise ValueError("n_bits must be a multiple of the substring width")
-    r = rounds if rounds is not None else rounds_for_soundness(code)
+    r = rounds_for_soundness(code)
     big_w = code.block_length
     survival = tuple(Fraction(big_w - e, big_w) ** r for e in range(big_w + 1))
 

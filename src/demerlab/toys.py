@@ -144,12 +144,12 @@ def rac_plain_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFun
     return _rac_protocol(n_bits, witness_qubits=0)
 
 
-def perturbed_rac_protocol(n_bits: int, bad_index: int,
-                           leak: float = 0.4) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
+def perturbed_rac_protocol(n_bits: int,
+                           bad_index: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
     """rac_claim_protocol with soundness deliberately broken at one index.
 
-    On query bad_index the verifier leaks acceptance probability `leak` even
-    when Alice's bit is 0, so every pair (X, bad_index) with that bit 0
+    On query bad_index the verifier leaks acceptance probability 0.4 > 1/3
+    even when Alice's bit is 0, so every pair (X, bad_index) with that bit 0
     violates soundness and nothing else does.
     """
     p, f = rac_claim_protocol(n_bits)
@@ -160,7 +160,7 @@ def perturbed_rac_protocol(n_bits: int, bad_index: int,
     accept = p.accept_qubit
     pattern = tuple(int(b) for b in format(bad_index, f"0{m_bits}b"))
     bob = layout.qubits("bob_input")
-    extra = ry_gate(accept, _accept_angle(leak),
+    extra = ry_gate(accept, _accept_angle(0.4),
                     controls=bob + (advice_off + bad_index, witness),
                     control_values=pattern + (0, 1))
     verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,))
@@ -183,15 +183,21 @@ def _truth_table(n: int) -> str:
     return "".join(str(_parity(format(i, f"0{n}b"))) for i in range(2 ** n))
 
 
-def parity_ma_verifier(n: int, hint_quality: Fraction = Fraction(3, 4)) -> MaToyVerifier:
-    """Parity language with hint-table advice: the advice is the full truth
-    table, correct with probability hint_quality and complemented otherwise.
-    Arthur accepts iff the witness claims 1 and the hint row agrees."""
+def _hint_advice(n: int) -> tuple[RandomizedAdvice, dict[str, int]]:
+    """Hint-table advice for parity on n bits, and the parity language: the
+    advice is the full truth table with probability 3/4 and its complement
+    otherwise."""
     table = _truth_table(n)
     anti = "".join("1" if c == "0" else "0" for c in table)
-    advice = RandomizedAdvice(values=(table, anti),
-                              probs=(hint_quality, 1 - hint_quality))
+    advice = RandomizedAdvice(values=(table, anti), probs=(Fraction(3, 4), Fraction(1, 4)))
     language = {format(i, f"0{n}b"): _parity(format(i, f"0{n}b")) for i in range(2 ** n)}
+    return advice, language
+
+
+def parity_ma_verifier(n: int) -> MaToyVerifier:
+    """Parity language with hint-table advice (`_hint_advice`).
+    Arthur accepts iff the witness claims 1 and the hint row agrees."""
+    advice, language = _hint_advice(n)
 
     def accept(x: str, hint: object, z: str) -> int:
         row = str(hint)[int(x, 2)]
@@ -201,15 +207,11 @@ def parity_ma_verifier(n: int, hint_quality: Fraction = Fraction(3, 4)) -> MaToy
                          advice=advice, accept=accept)
 
 
-def parity_qma_verifier(n: int, hint_quality: Fraction = Fraction(3, 4),
-                        witness_angle: float = 0.0) -> QmaToyVerifier:
-    """Quantum-witness parity toy: the acceptance operator projects onto the
-    claim state |1> (rotated by witness_angle) scaled by the hint row."""
-    table = _truth_table(n)
-    anti = "".join("1" if c == "0" else "0" for c in table)
-    advice = RandomizedAdvice(values=(table, anti),
-                              probs=(hint_quality, 1 - hint_quality))
-    language = {format(i, f"0{n}b"): _parity(format(i, f"0{n}b")) for i in range(2 ** n)}
+def parity_qma_verifier(n: int, witness_angle: float = 0.0) -> QmaToyVerifier:
+    """Quantum-witness parity toy with hint-table advice (`_hint_advice`): the
+    acceptance operator projects onto the claim state |1> (rotated by
+    witness_angle) scaled by the hint row."""
+    advice, language = _hint_advice(n)
     c, s = np.cos(witness_angle / 2.0), np.sin(witness_angle / 2.0)
     claim = np.array([-s, c], dtype=complex)
     proj = np.outer(claim, claim.conj())

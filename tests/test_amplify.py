@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demerlab.amplify import (
-    PlanInfeasibleError,
     binom_tail,
     build_inner,
     build_outer,
@@ -95,11 +94,6 @@ def test_plan_amplification_w2_certificates():
 def test_plan_rejects_narrow_witness():
     with pytest.raises(ValueError, match="w >= 2"):
         plan_amplification(1, 1)
-
-
-def test_pinned_constants_can_fail():
-    with pytest.raises(PlanInfeasibleError):
-        plan_amplification(1, 2, c_ell=1.0)
 
 
 def test_desk_plan_w1():

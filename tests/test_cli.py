@@ -134,6 +134,8 @@ def exit_and_stderr(argv, capsys):
     ["lemma", "union", "--seed", "-1"],
     ["lemma", "union", "--instances", "two"],
     ["amplify", "plan", "--alice", "1", "--witness", "0"],
+    ["amplify", "plan", "--alice", "1", "--witness", "2", "--c-u", "1"],
+    ["rac", "audit", "--a", "2"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)

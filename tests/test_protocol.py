@@ -188,7 +188,7 @@ def test_audit_plain_protocol_without_witness():
 
 
 def test_audit_reports_exact_violation_set():
-    p, f = perturbed_rac_protocol(2, bad_index=1, leak=0.4)
+    p, f = perturbed_rac_protocol(2, bad_index=1)
     audit = audit_protocol(p, f)
     assert not audit.passed
     violated = {(r.x, r.y) for r in audit.violations()}

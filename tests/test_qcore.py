@@ -12,13 +12,11 @@ from demerlab.qcore import (
     apply_kraus,
     basis_state,
     cnot,
-    fidelity,
     h_gate,
     majority_gate,
     maximally_mixed,
     measure_two_outcome,
     mcx,
-    partial_trace,
     random_density,
     random_effect,
     random_state,
@@ -114,64 +112,7 @@ def test_tensor_rejects_register_collision():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
-
-
-def test_partial_trace_product_state():
-    rho = basis_state(AB, "00").density()
-    reduced = partial_trace(rho, {"A"})
-    assert np.allclose(reduced.matrix, [[1, 0], [0, 0]])
-
-
-def test_partial_trace_bell_state():
-    bell = StateVector(ket(1, 0, 0, 1), AB)
-    reduced = partial_trace(bell.density(), {"A"})
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_matches_summation_oracle(rng):
-    layout = RegisterLayout.of(("A", 2), ("B", 1))
-    rho = random_density(layout, rng)
-    reduced = partial_trace(rho, {"A"})
-    oracle = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            oracle[i, j] = sum(rho.matrix[2 * i + b, 2 * j + b] for b in range(2))
-    assert np.allclose(reduced.matrix, oracle, atol=1e-12)
-
-
-def test_partial_trace_unknown_register():
-    with pytest.raises(ValueError, match="unknown register"):
-        partial_trace(basis_state(AB, "00").density(), {"C"})
-
-
-def test_partial_trace_inverts_tensor(rng):
-    a = random_density(RegisterLayout.of(("A", 1)), rng)
-    b = random_density(RegisterLayout.of(("B", 2)), rng)
-    joint = tensor_product(a, b)
-    assert np.allclose(partial_trace(joint, {"A"}).matrix, a.matrix, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# fidelity and trace distance
-
-
-def test_fidelity_identical(rng):
-    rho = random_density(RegisterLayout.of(("q", 2)), rng)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fidelity_orthogonal():
-    assert fidelity(basis_state(Q1, "0"), basis_state(Q1, "1")) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_fidelity_pure_overlap_oracle(rng):
-    # F on pure states reduces to |<psi|phi>|
-    for _ in range(10):
-        psi, phi = random_state(Q1, rng), random_state(Q1, rng)
-        expected = abs(np.vdot(psi.amplitudes, phi.amplitudes))
-        assert fidelity(psi, phi) == pytest.approx(expected, abs=1e-9)
-    assert fidelity(basis_state(Q1, "0"), plus_state()) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+# trace distance
 
 
 def test_trace_distance_basics():
@@ -190,21 +131,7 @@ def test_trace_distance_singular_value_oracle(rng):
 
 def test_dimension_mismatch_raises(rng):
     with pytest.raises(ValueError, match="dimension mismatch"):
-        fidelity(random_density(Q1, rng), random_density(RegisterLayout.of(("q", 2)), rng))
-    with pytest.raises(ValueError, match="dimension mismatch"):
         trace_distance(random_density(Q1, rng), random_density(RegisterLayout.of(("q", 2)), rng))
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_fuchs_van_de_graaf_relation(seed):
-    # trace distance <= sqrt(1 - F^2) on random mixed pairs
-    rng = np.random.default_rng(seed)
-    layout = RegisterLayout.of(("q", 2))
-    rho, sigma = random_density(layout, rng), random_density(layout, rng)
-    td = trace_distance(rho, sigma)
-    f = fidelity(rho, sigma)
-    assert td <= np.sqrt(max(0.0, 1.0 - f * f)) + 1e-9
 
 
 @given(st.integers(0, 2 ** 31 - 1))

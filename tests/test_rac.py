@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import ceil, log
 
@@ -396,14 +397,29 @@ def test_rac_audit_builds_one_profile_per_substring_and_offset(monkeypatch, tmp_
     assert len({(honest_merlin(x, i, code), i % 4) for x, i, code in calls}) == len(calls)
 
 
-def test_rac_fingerprint_hashes_three_times_per_trial(monkeypatch, tmp_path):
+def test_rac_fingerprint_hashes_twice_per_trial(monkeypatch, tmp_path):
     import demerlab.cli as cli
     import demerlab.rac as rac
 
     calls = _count_calls(monkeypatch, [rac, cli], "fingerprint")
     assert cli.main(["rac", "fingerprint", "--trials", "10000", "--out",
                      str(tmp_path / "fp.json")]) == 0
-    assert len(calls) == 30_000
+    assert len(calls) == 20_000
+
+
+def test_rac_fingerprint_judges_collisions_by_an_exact_binomial_tail(monkeypatch, tmp_path):
+    import demerlab.cli as cli
+
+    monkeypatch.setattr(cli, "fingerprint", lambda data, scheme: 0)  # every trial collides
+    out = tmp_path / "fp.json"
+    # one collision has probability 2^(1-6) = 1/32 at the bound, above the
+    # one-sided 3-sigma rate 0.00135, so it is no evidence against the bound
+    assert cli.main(["rac", "fingerprint", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["collision_rate"] == 1.0
+    assert cli.main(["rac", "fingerprint", "--trials", "20", "--out", str(out)]) == 1
+    # at m = 1 the bound is 1, so no collision count is evidence against it
+    assert cli.main(["rac", "fingerprint", "--m-bits", "1", "--trials", "20",
+                     "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("name, argv", [
