@@ -132,30 +132,23 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
     is re-verified exhaustively before being returned.
     """
     target = Fraction(1, 2 ** v.n_bits * 2 ** v.witness_bits)
-    constrained: list[tuple[Fraction, int]] = []  # (base accept prob, desired outcome)
+    worst = Fraction(0)  # largest single-run error over the constrained pairs
     for x in v.inputs():
         probs = {z: v.accept_probability(x, z) for z in _witness_strings(v.witness_bits)}
         if v.language[x] == 1:
             best = max(probs.values())
             if best < Fraction(2, 3):
                 raise PromiseViolationError(f"yes-instance {x!r} has no witness at 2/3")
-            constrained.append((best, 1))
+            worst = max(worst, 1 - best)
         else:
             for z, p in probs.items():
                 if p > Fraction(1, 3):
                     raise PromiseViolationError(f"no-instance {x!r} accepts witness {z!r}")
-                constrained.append((p, 0))
+                worst = max(worst, p)
+    # at odd reps a pair wanting 1 errs with Pr[Bin(reps, 1 - p) >= maj], and
+    # the tail rises with the error, so the worst pair bounds every pair
     reps = 1
-    while True:
-        ok = True
-        for p, want in constrained:
-            maj = majority_threshold(reps)
-            err = 1 - binom_tail(reps, p, maj) if want == 1 else binom_tail(reps, p, maj)
-            if err >= target:
-                ok = False
-                break
-        if ok:
-            break
+    while binom_tail(reps, worst, majority_threshold(reps)) >= target:
         reps += 2
         if reps > 501:
             raise PromiseViolationError("boosting does not converge; promise too weak")

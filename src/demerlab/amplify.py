@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, isqrt, lgamma, log, log10, sqrt
+from math import comb, exp, expm1, isqrt, lgamma, log, log1p, log10, sqrt
 
 from .protocol import (
     ADVICE_REGISTER,
@@ -67,7 +67,8 @@ def binom_tail(n: int, p, k: int):
     """Pr[Binomial(n, p) >= k]: exact for a Fraction p, float for a float p.
 
     p is never coerced, so the result has p's type. With p = a/b the exact
-    tail is one integer sum over b^n, reduced once.
+    tail is one integer sum over b^n, reduced once. A float tail sums the
+    side with fewer terms in log space, so it does not overflow at large n.
     """
     if k <= 0:
         return type(p)(1)
@@ -77,33 +78,48 @@ def binom_tail(n: int, p, k: int):
         a, b = p.numerator, p.denominator
         return Fraction(sum(comb(n, j) * a ** j * (b - a) ** (n - j) for j in range(k, n + 1)),
                         b ** n)
-    q = 1 - p
-    return sum(comb(n, j) * p ** j * q ** (n - j) for j in range(k, n + 1))
+    if not 0.0 < p < 1.0:
+        return 1.0 if p >= 1.0 else 0.0
+    if n - k + 1 <= k:
+        return exp(_log_binom_sum(n, p, range(k, n + 1)))
+    return -expm1(_log_binom_sum(n, p, range(k)))
 
 
-def _log_binom_tail(n: int, p: float, k: int) -> float:
-    """Float log of the binomial tail, used only to bracket exact searches."""
-    if p <= 0.0:
-        return float("-inf") if k > 0 else 0.0
-    if k <= 0:
-        return 0.0
-    terms = [lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)
-             + j * log(p) + (n - j) * log(1.0 - p) for j in range(k, n + 1)]
+def _log_binom_sum(n: int, p: float, js: range) -> float:
+    """Float log of sum over j in js of Pr[Binomial(n, p) = j], for 0 < p < 1."""
+    lp, lq = log(p), log1p(-p)
+    terms = [lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1) + j * lp + (n - j) * lq
+             for j in js]
     m = max(terms)
     return m + log(sum(exp(t - m) for t in terms))
 
 
+def _majority_reps(error: Fraction, target: Fraction, cap: int) -> tuple[int, Fraction] | None:
+    """Smallest odd n <= cap with exact Pr[Bin(n, error) >= maj] <= target, and that tail.
+
+    Float log tails, with two nats of slack, only find the first count worth
+    an exact check; exact tails decide from that count on.
+    """
+    start, p = 1, float(error)
+    if 0.0 < p < 1.0 and target > 0:
+        log_target = log(target.numerator) - log(target.denominator) + 2.0
+        start = next((n for n in range(1, cap + 1, 2)
+                      if _log_binom_sum(n, p, range(majority_threshold(n), n + 1)) <= log_target),
+                     cap + 1)
+    for n in range(start, cap + 1, 2):
+        tail = binom_tail(n, error, majority_threshold(n))
+        if tail <= target:
+            return n, tail
+    return None
+
+
 def min_majority_reps(base_error: Fraction, target: Fraction) -> int:
     """Smallest odd n whose exact majority-vote error is at most `target`."""
-    base_error = Fraction(base_error)
-    target = Fraction(target)
-    n = 1
-    while n <= MAX_REPS:
-        if binom_tail(n, base_error, majority_threshold(n)) <= target:
-            return n
-        n += 2
-    raise PlanInfeasibleError(
-        f"no odd repetition count up to {MAX_REPS} reaches {float(target):.3e}")
+    found = _majority_reps(Fraction(base_error), Fraction(target), MAX_REPS)
+    if found is None:
+        raise PlanInfeasibleError(
+            f"no odd repetition count up to {MAX_REPS} reaches {float(target):.3e}")
+    return found[0]
 
 
 @dataclass(frozen=True)
@@ -178,24 +194,6 @@ def _make_plan(a: int, w: int, ell: int, u: int, eps: Fraction,
     )
 
 
-def _find_u(eps: Fraction, w_total: int, u_cap: int) -> tuple[int, Fraction] | None:
-    """Smallest odd u <= u_cap with exact Pr[Bin(u, eps) >= maj] <= 5^-w_total."""
-    target = Fraction(1, 5 ** w_total)
-    log_target = -w_total * log(5.0)
-    start = None
-    for u in range(1, u_cap + 1, 2):
-        if _log_binom_tail(u, float(eps), majority_threshold(u)) <= log_target + 2.0:
-            start = u
-            break
-    if start is None:
-        return None
-    for u in range(start, u_cap + 1, 2):
-        cert = binom_tail(u, eps, majority_threshold(u))
-        if cert <= target:
-            return u, cert
-    return None
-
-
 def plan_amplification(a: int, w: int) -> AmplificationPlan:
     """Smallest (ell, u) meeting the inner-error target and both outer certificates.
 
@@ -211,16 +209,11 @@ def plan_amplification(a: int, w: int) -> AmplificationPlan:
     ell0 = min_majority_reps(BASE_ERROR, target_eps)
     for ell in range(ell0, MAX_REPS + 1, 2):
         eps = binom_tail(ell, BASE_ERROR, majority_threshold(ell))
-        w_total = w * ell
         # completeness cap: u * sqrt(eps) < 1/3, kept rational as u^2 * eps < 1/9
         u_cap = isqrt(int(Fraction(1, 9) / eps)) + 1
-        while u_cap >= 1 and u_cap * u_cap * eps >= Fraction(1, 9):
+        while u_cap * u_cap * eps >= Fraction(1, 9):
             u_cap -= 1
-        if u_cap % 2 == 0:
-            u_cap -= 1
-        if u_cap < 1:
-            continue
-        found = _find_u(eps, w_total, u_cap)
+        found = _majority_reps(eps, Fraction(1, 5 ** (w * ell)), u_cap)
         if found is not None:
             u, cert = found
             return _make_plan(a, w, ell, u, eps, target_eps, cert)
@@ -249,11 +242,10 @@ def desk_plan(a: int, w: int, base_error: Fraction = BASE_ERROR) -> Amplificatio
     base_error = Fraction(base_error)
     for ell in range(1, DESK_MAX_REPS + 1, 2):
         eps = binom_tail(ell, base_error, majority_threshold(ell))
-        target = Fraction(1, 5 ** (w * ell))
-        for u in range(1, DESK_MAX_REPS + 1, 2):
-            cert = binom_tail(u, eps, majority_threshold(u))
-            if cert <= target:
-                return _make_plan(a, w, ell, u, eps, Fraction(1, 1000 * w ** 3), cert)
+        found = _majority_reps(eps, Fraction(1, 5 ** (w * ell)), DESK_MAX_REPS)
+        if found is not None:
+            u, cert = found
+            return _make_plan(a, w, ell, u, eps, Fraction(1, 1000 * w ** 3), cert)
     raise PlanInfeasibleError("no desk-scale plan within the repetition cap")
 
 

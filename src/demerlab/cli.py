@@ -27,7 +27,7 @@ from .advice import (
     qma_fix_advice,
     true_advice_wrong_probability,
 )
-from .amplify import desk_plan, identity_plan, plan_amplification
+from .amplify import binom_tail, desk_plan, identity_plan, plan_amplification
 from .demerlin import (
     YES_FLOOR,
     demerlinize,
@@ -40,7 +40,6 @@ from .demerlin import (
 from .qcore import RegisterLayout, StateVector, TwoOutcomeMeasurement
 from .qlemmas import (
     THREE_SIGMA_RATE,
-    _binom_sf,
     agrees_within_sigma,
     good_as_new_check,
     induced_effects,
@@ -358,7 +357,7 @@ def _run_rac_fingerprint(args) -> dict:
     bound = 2.0 ** (1 - args.m_bits)
     # one-sided exact test: this many collisions is not unlikely at rate `bound`
     row = {"collision_rate": collisions / args.trials, "bound": bound,
-           "pass": _binom_sf(args.trials, bound, collisions) >= THREE_SIGMA_RATE / 2}
+           "pass": binom_tail(args.trials, bound, collisions) >= THREE_SIGMA_RATE / 2}
     report["results"].append(row)
     report["pass"] = row["pass"]
     return report

@@ -403,17 +403,23 @@ class FinalVotePlan:
 
 
 def plan_final_vote(yes_floor: float = YES_FLOOR, no_ceiling: float = 0.0) -> FinalVotePlan:
-    """Smallest repetition count whose threshold vote certifies 2/3 vs 1/3."""
+    """Smallest repetition count whose threshold vote certifies 2/3 vs 1/3.
+
+    At each r only the smallest threshold k with no-tail <= 1/3 is tried:
+    both tails fall as k grows, so if that k misses the yes side, no k at
+    this r certifies. That k never falls as r grows, so the scan carries it.
+    """
     if not no_ceiling < yes_floor:
         raise ValueError("no-instance ceiling must sit strictly below the yes floor")
+    k = 1
     for r in range(1, MAX_REPS + 1):
-        for k in range(1, r + 1):
-            yes = binom_tail(r, yes_floor, k)
-            no = binom_tail(r, no_ceiling, k)
-            if yes >= 2.0 / 3.0 and no <= 1.0 / 3.0:
-                return FinalVotePlan(repetitions=r, threshold=k,
-                                     yes_floor=yes_floor, no_ceiling=no_ceiling,
-                                     certified_yes=yes, certified_no=no)
+        while (no := binom_tail(r, no_ceiling, k)) > 1.0 / 3.0:
+            k += 1
+        yes = binom_tail(r, yes_floor, k)
+        if yes >= 2.0 / 3.0:
+            return FinalVotePlan(repetitions=r, threshold=k,
+                                 yes_floor=yes_floor, no_ceiling=no_ceiling,
+                                 certified_yes=yes, certified_no=no)
     raise ValueError(f"no threshold vote within {MAX_REPS} repetitions")
 
 

@@ -21,11 +21,11 @@ Kraus updates, which is polynomial in T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import erfc, exp, sqrt
+from math import erfc, sqrt
 
 import numpy as np
 
-from .amplify import _log_binom_tail
+from .amplify import binom_tail
 from .qcore import (
     ATOL,
     DensityMatrix,
@@ -241,19 +241,6 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
 # Monte-Carlo cross-check and instance generators
 
 
-def _binom_sf(n: int, p: float, k: int) -> float:
-    """Float Pr[Binomial(n, p) >= k] for 0 < p <= 1, summing the side with fewer terms."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    if n - k + 1 <= k:
-        return exp(_log_binom_tail(n, p, k))
-    return 1.0 - exp(_log_binom_tail(n, 1.0 - p, n - k + 1))
-
-
 def agrees_within_sigma(estimate: float, exact: float, shots: int) -> bool:
     """Exact two-sided binomial test of a Monte-Carlo estimate against an exact probability.
 
@@ -268,9 +255,9 @@ def agrees_within_sigma(estimate: float, exact: float, shots: int) -> bool:
     if p in (0.0, 1.0):
         return k == p * shots
     if k >= shots * p:
-        tail = _binom_sf(shots, p, k)
+        tail = binom_tail(shots, p, k)
     else:
-        tail = _binom_sf(shots, 1.0 - p, shots - k)
+        tail = binom_tail(shots, 1.0 - p, shots - k)
     return 2.0 * tail >= THREE_SIGMA_RATE
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "tight_reduction",
     "audit_reduced",
     "fingerprint",
-    "check_fingerprint",
     "draw_scheme",
     "exact_collision_probability",
     "DEFAULT_MODULUS",
@@ -413,10 +412,6 @@ def _data_to_int(data: str, scheme: FingerprintScheme) -> int:
 def fingerprint(data: str, scheme: FingerprintScheme) -> int:
     value = _data_to_int(data, scheme)
     return ((scheme.alpha * value + scheme.beta) % scheme.modulus) % 2 ** scheme.output_bits
-
-
-def check_fingerprint(data: str, tag: int, scheme: FingerprintScheme) -> bool:
-    return fingerprint(data, scheme) == tag
 
 
 def exact_collision_probability(modulus: int, output_bits: int,

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isclose
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demerlab.amplify import (
+    DESK_MAX_REPS,
+    MAX_REPS,
     binom_tail,
     build_inner,
     build_outer,
@@ -48,6 +50,13 @@ def test_binom_tail_keeps_the_type_of_p():
         assert type(binom_tail(7, 1 / 3, k)) is float
 
 
+@pytest.mark.parametrize("n,p,k", [(1100, 0.5, 550), (2001, 0.5, 1001), (5, 0.0, 1),
+                                   (5, 1e-300, 1), (10, 1e-6, 1)])
+def test_float_binom_tail_matches_exact_at_large_n_and_tiny_p(n, p, k):
+    assert isclose(binom_tail(n, p, k), float(binom_tail(n, Fraction(p), k)),
+                   rel_tol=1e-12, abs_tol=1e-15)
+
+
 @st.composite
 def tail_cases(draw):
     n = draw(st.integers(0, 60))
@@ -70,6 +79,52 @@ def test_min_majority_reps_is_minimal():
     n = min_majority_reps(Fraction(1, 3), target)
     assert binom_tail(n, Fraction(1, 3), majority_threshold(n)) <= target
     assert binom_tail(n - 2, Fraction(1, 3), majority_threshold(n - 2)) > target
+
+
+def _exact_majority_scan(error, target, cap):
+    """Reference: exact tails at every odd count up to cap, no float bracket."""
+    for n in range(1, cap + 1, 2):
+        tail = binom_tail(n, error, majority_threshold(n))
+        if tail <= target:
+            return n, tail
+    return None
+
+
+@pytest.mark.parametrize("error", [Fraction(1, 3), Fraction(1, 4), Fraction(1, 10), Fraction(0)])
+@pytest.mark.parametrize("target", [Fraction(1, 5), Fraction(1, 8000), Fraction(1, 5 ** 12)])
+def test_min_majority_reps_matches_exact_scan(error, target):
+    assert min_majority_reps(error, target) == _exact_majority_scan(error, target, MAX_REPS)[0]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("base_error", [Fraction(1, 3), Fraction(1, 4)])
+def test_desk_plan_matches_exact_scan(w, base_error):
+    expected = None
+    for ell in range(1, DESK_MAX_REPS + 1, 2):
+        eps = binom_tail(ell, base_error, majority_threshold(ell))
+        found = _exact_majority_scan(eps, Fraction(1, 5 ** (w * ell)), DESK_MAX_REPS)
+        if found is not None:
+            expected = ell, found[0]
+            break
+    plan = desk_plan(1, w, base_error)
+    assert (plan.ell, plan.u) == expected
+
+
+def test_plan_amplification_matches_exact_scan():
+    w = 2
+    ell0 = _exact_majority_scan(Fraction(1, 3), Fraction(1, 1000 * w ** 3), MAX_REPS)[0]
+
+    def first_certified():
+        for ell in range(ell0, MAX_REPS + 1, 2):
+            eps = binom_tail(ell, Fraction(1, 3), majority_threshold(ell))
+            u = 1
+            while u * u * eps < Fraction(1, 9):
+                if binom_tail(u, eps, majority_threshold(u)) <= Fraction(1, 5 ** (w * ell)):
+                    return ell, u
+                u += 2
+
+    plan = plan_amplification(1, w)
+    assert (plan.ell, plan.u) == first_certified()
 
 
 def test_plan_inner_target_formula():

@@ -425,6 +425,39 @@ def test_final_vote_restores_standard_convention():
         for k in range(1, r + 1))
 
 
+def _scan_every_threshold(yes_floor, no_ceiling):
+    """Reference: the first (r, k) in a scan of every threshold at every r."""
+    from demerlab.amplify import binom_tail
+
+    for r in range(1, 500):
+        for k in range(1, r + 1):
+            if (binom_tail(r, yes_floor, k) >= 2.0 / 3.0
+                    and binom_tail(r, no_ceiling, k) <= 1.0 / 3.0):
+                return r, k
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"no_ceiling": 1e-6}, {"yes_floor": 0.5}, {"yes_floor": 0.02},
+    {"yes_floor": 0.5, "no_ceiling": 0.1}, {"yes_floor": 0.3, "no_ceiling": 0.05},
+    {"yes_floor": 0.9, "no_ceiling": 0.5}, {"yes_floor": 0.6, "no_ceiling": 0.3},
+    {"yes_floor": 0.2, "no_ceiling": 0.1}, {"yes_floor": 1.0, "no_ceiling": 0.0}])
+def test_final_vote_matches_a_scan_of_every_threshold(kwargs):
+    from demerlab.demerlin import plan_final_vote
+
+    vote = plan_final_vote(**kwargs)
+    assert (vote.repetitions, vote.threshold) == _scan_every_threshold(vote.yes_floor,
+                                                                       vote.no_ceiling)
+
+
+def test_final_vote_close_separation():
+    from demerlab.demerlin import plan_final_vote
+
+    # a scan of every threshold at every r also gives (293, 56)
+    vote = plan_final_vote(yes_floor=0.2, no_ceiling=0.18)
+    assert (vote.repetitions, vote.threshold) == (293, 56)
+    assert vote.certified_yes >= 2.0 / 3.0 and vote.certified_no <= 1.0 / 3.0
+
+
 def test_final_vote_needs_separation():
     from demerlab.demerlin import plan_final_vote
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from demerlab.amplify import binom_tail
 from demerlab.qcore import (
     DensityMatrix,
     RegisterLayout,
@@ -17,7 +18,6 @@ from demerlab.qcore import (
     random_state,
 )
 from demerlab.qlemmas import (
-    _binom_sf,
     agrees_within_sigma,
     good_as_new_check,
     induced_effects,
@@ -381,4 +381,4 @@ def test_agrees_within_sigma_is_an_exact_binomial_test():
                                    (20_000, 0.5, 10_100), (50, 0.9, 49), (7, 0.2, 0),
                                    (7, 0.2, 8)])
 def test_binomial_tail_sums_either_side(n, p, k):
-    assert _binom_sf(n, p, k) == pytest.approx(scipy.stats.binom.sf(k - 1, n, p), abs=1e-9)
+    assert binom_tail(n, p, k) == pytest.approx(scipy.stats.binom.sf(k - 1, n, p), abs=1e-9)

@@ -12,7 +12,6 @@ from demerlab.rac import (
     audit_reduced,
     build_code,
     cheat_detection_profile,
-    check_fingerprint,
     draw_scheme,
     exact_collision_probability,
     fingerprint,
@@ -280,12 +279,6 @@ def test_wrapped_protocol_survival_table_matches_formula():
 
 # ---------------------------------------------------------------------------
 # fingerprints
-
-
-def test_fingerprint_self_check(rng):
-    scheme = draw_scheme(rng, output_bits=16)
-    data = "1011001110001111"
-    assert check_fingerprint(data, fingerprint(data, scheme), scheme)
 
 
 def test_fingerprint_capacity_enforced(rng):
