@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, expm1, isqrt, lgamma, log, log1p, log10, sqrt
+from math import comb, exp, expm1, isqrt, log, log1p, log10, sqrt
 
 from .protocol import (
     ADVICE_REGISTER,
@@ -67,8 +67,10 @@ def binom_tail(n: int, p, k: int):
     """Pr[Binomial(n, p) >= k]: exact for a Fraction p, float for a float p.
 
     p is never coerced, so the result has p's type. With p = a/b the exact
-    tail is one integer sum over b^n, reduced once. A float tail sums the
-    side with fewer terms in log space, so it does not overflow at large n.
+    tail is one integer sum over b^n, reduced once. A float tail sums in log
+    space, so it does not overflow at large n, on the side of k away from the
+    mean n p: the upper tail itself when k > n p, else 1 minus a lower tail of
+    at most about 1/2, so a small tail is never a difference of two near 1.
     """
     if k <= 0:
         return type(p)(1)
@@ -80,18 +82,29 @@ def binom_tail(n: int, p, k: int):
                         b ** n)
     if not 0.0 < p < 1.0:
         return 1.0 if p >= 1.0 else 0.0
-    if n - k + 1 <= k:
+    if k > n * p:
         return exp(_log_binom_sum(n, p, range(k, n + 1)))
-    return -expm1(_log_binom_sum(n, p, range(k)))
+    return -expm1(_log_binom_sum(n, p, range(k - 1, -1, -1)))
 
 
 def _log_binom_sum(n: int, p: float, js: range) -> float:
-    """Float log of sum over j in js of Pr[Binomial(n, p) = j], for 0 < p < 1."""
-    lp, lq = log(p), log1p(-p)
-    terms = [lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1) + j * lp + (n - j) * lq
-             for j in js]
-    m = max(terms)
-    return m + log(sum(exp(t - m) for t in terms))
+    """Float log of sum over j in js of Pr[Binomial(n, p) = j], for 0 < p < 1.
+
+    `js` steps by +1 or -1. The first term's log comes from the exact integer
+    comb(n, j), each later one from the pmf ratio of neighbours. The pmf is
+    unimodal, so once a term falls 40 nats below the largest so far every
+    later term is smaller still; the sum stops there.
+    """
+    lodds = log(p) - log1p(-p)
+    t = log(comb(n, js[0])) + js[0] * lodds + n * log1p(-p)
+    top, terms = t, [t]
+    for j in js[1:]:
+        t += log((n - j + 1) / j) + lodds if js.step > 0 else log((j + 1) / (n - j)) - lodds
+        if t < top - 40.0:
+            break
+        top = max(top, t)
+        terms.append(t)
+    return top + log(sum(exp(t - top) for t in terms))
 
 
 def _majority_reps(error: Fraction, target: Fraction, cap: int) -> tuple[int, Fraction] | None:

@@ -139,6 +139,7 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
 
 _RANK_TOL = 1e-10  # a candidate direction with a smaller residual counts as spanned
 RESIDUAL_BOUND = 1e-9  # audited bound on max_z ||P0_z B - B M_z||
+MAX_REACHABLE_DIM = 256  # a larger basis ran away on rounding noise; toys need at most 16
 
 
 def _initial_columns(p: OneWayQmaProtocol, x: str,
@@ -207,6 +208,8 @@ class _ReachableLoop:
         basis, images = self.basis, self.images
         while new.shape[1]:
             basis = np.hstack([basis, new])
+            if basis.shape[1] > MAX_REACHABLE_DIM:
+                raise ValueError(f"reachable subspace grew past {MAX_REACHABLE_DIM} dimensions")
             grown = self.round_images(new)
             images = np.concatenate([images, grown], axis=2)
             new = _new_directions(basis, np.hstack(list(grown)))

@@ -17,6 +17,7 @@ import numpy as np
 from .qcore import (
     ATOL,
     DENSITY_MAX_QUBITS,
+    Gate,
     RegisterLayout,
     StateVector,
     UnitaryCircuit,
@@ -37,7 +38,7 @@ __all__ = [
     "induced_witness_operator",
     "optimal_witness",
     "audit_protocol",
-    "run_block",
+    "block_circuit",
     "accept_rows",
     "project",
     "accept_effect",
@@ -103,9 +104,9 @@ class OneWayQmaProtocol:
     verifier: UnitaryCircuit
     accept_qubit: int
     alice_encode: Callable[[str], StateVector]
-    # advice-register operators derived from the verifier, keyed by (x, z) for a
-    # witness effect and (x, z, outcome) for a postselected Kraus list; filled by
-    # advice training, lives as long as self
+    # operators derived from the verifier, keyed by y for Bob's block circuit, (x, z)
+    # for a witness effect and (x, z, outcome) for a postselected Kraus list; filled
+    # on first use, lives as long as self
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -137,29 +138,28 @@ class OneWayQmaProtocol:
         return state
 
 
-def run_block(p: OneWayQmaProtocol, y: str, cols: np.ndarray,
-              inverse: bool = False) -> np.ndarray:
-    """Run V (or V' when `inverse`) on |y> (x) each column of `cols`.
+def block_circuit(p: OneWayQmaProtocol, y: str) -> UnitaryCircuit:
+    """V on Bob's |y> block, as a circuit on the n - b rest qubits; built once per y.
 
-    This is the one place the verifier circuit runs. Columns live on the
-    advice (x) witness (x) ancilla space and so does the result. Verifiers
-    here read bob_input only through gate controls, so the unitary is block
-    diagonal over Bob's basis; an output leaking out of the |y> block is
-    rejected.
+    Verifiers read bob_input only through gate controls, so V is block diagonal
+    over Bob's basis: a gate whose Bob controls differ from y is dropped, matching
+    Bob controls are stripped, and a gate that targets a Bob qubit is rejected.
     """
-    if len(y) != p.bob_bits:
+    if len(y) != p.bob_bits or y.strip("01"):
         raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
-    dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
-    lo = (int(y, 2) if y else 0) * dim_rest
-    full = np.zeros((p.verifier.dim,) + cols.shape[1:], dtype=complex)
-    full[lo:lo + dim_rest] = cols
-    out = p.verifier.inverse().apply(full) if inverse else p.verifier.apply(full)
-    block = out[lo:lo + dim_rest]
-    leak = float((np.abs(out) ** 2).sum() - (np.abs(block) ** 2).sum())
-    if leak > 1e-12:
-        raise ValueError("verifier is not block diagonal over bob_input; "
-                         "cannot slice a classical input block")
-    return block
+    if y not in p._operators:
+        b, gates = p.bob_bits, []
+        for g in p.verifier.gates:
+            if any(t < b for t in g.targets):
+                raise ValueError("verifier is not block diagonal over bob_input; "
+                                 "cannot slice a classical input block")
+            controls = list(zip(g.controls, g.control_values))
+            if all(y[q] == str(v) for q, v in controls if q < b):
+                kept = [(q - b, v) for q, v in controls if q >= b]
+                gates.append(Gate(g.name, tuple(t - b for t in g.targets), g.matrix,
+                                  tuple(q for q, _ in kept), tuple(v for _, v in kept)))
+        p._operators[y] = UnitaryCircuit(p.verifier.n_qubits - b, tuple(gates))
+    return p._operators[y]
 
 
 def accept_rows(p: OneWayQmaProtocol, outcome: int) -> np.ndarray:
@@ -171,14 +171,14 @@ def accept_rows(p: OneWayQmaProtocol, outcome: int) -> np.ndarray:
 
 def project(p: OneWayQmaProtocol, y: str, cols: np.ndarray, outcome: int) -> np.ndarray:
     """V' Pi_outcome V cols: run, keep the outcome's rows, uncompute."""
-    out = run_block(p, y, cols)
+    out = block_circuit(p, y).apply(cols)
     out[~accept_rows(p, outcome)] = 0.0
-    return run_block(p, y, out, inverse=True)
+    return block_circuit(p, y).inverse().apply(out)
 
 
 def accept_effect(p: OneWayQmaProtocol, y: str, cols: np.ndarray) -> np.ndarray:
     """(Pi_1 V C)'(Pi_1 V C): the accept effect compressed onto the columns C."""
-    acc = run_block(p, y, cols)[accept_rows(p, 1)]
+    acc = block_circuit(p, y).apply(cols)[accept_rows(p, 1)]
     return hermitize(acc.conj().T @ acc)
 
 

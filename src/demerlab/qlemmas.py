@@ -355,7 +355,7 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
         if eta >= OR_MIN_ETA:
             return (DensityMatrix(rho, la), DensityMatrix(sigma, lb),
                     TwoOutcomeMeasurement(effect, la.concat(lb), spectrum=spectrum), 9 * lb.dim)
-    raise RuntimeError("could not draw an instance with eta above the floor")
+    raise ValueError("could not draw an instance with eta above the floor")
 
 
 def projector_or_instance(witness_qubits: int,

@@ -147,7 +147,7 @@ def build_code(w: int, rate_factor: int = 4, seed: int = 0,
         d = int(table[1:].sum(axis=1).min())
         if d >= max(target, 1):
             return LinearCode(generator=g, verified_min_distance=d, codewords=table)
-    raise RuntimeError(f"no code with distance >= {target} found in {MAX_CODE_TRIES} tries")
+    raise ValueError(f"no code with distance >= {target} found in {MAX_CODE_TRIES} tries")
 
 
 def repetition_code(copies: int) -> LinearCode:

@@ -51,7 +51,8 @@ def test_binom_tail_keeps_the_type_of_p():
 
 
 @pytest.mark.parametrize("n,p,k", [(1100, 0.5, 550), (2001, 0.5, 1001), (5, 0.0, 1),
-                                   (5, 1e-300, 1), (10, 1e-6, 1)])
+                                   (5, 1e-300, 1), (10, 1e-6, 1),
+                                   (2001, 0.25, 620), (1000, 0.0625, 110)])
 def test_float_binom_tail_matches_exact_at_large_n_and_tiny_p(n, p, k):
     assert isclose(binom_tail(n, p, k), float(binom_tail(n, Fraction(p), k)),
                    rel_tol=1e-12, abs_tol=1e-15)

@@ -136,6 +136,7 @@ def exit_and_stderr(argv, capsys):
     ["amplify", "plan", "--alice", "1", "--witness", "0"],
     ["amplify", "plan", "--alice", "1", "--witness", "2", "--c-u", "1"],
     ["rac", "audit", "--a", "2"],
+    ["lemma", "or-bound", "--witness-qubits", "4", "--instances", "1"],  # no draw clears eta
 ])
 def test_invalid_input_exits_2_with_one_line(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)
@@ -192,24 +193,27 @@ def test_loop_value_errors_exit_2(capsys, monkeypatch):
     import demerlab.cli as cli_mod
     import demerlab.demerlin as demerlin_mod
     from demerlab.protocol import OneWayQmaProtocol
-    from demerlab.qcore import RegisterLayout, UnitaryCircuit, basis_state, ry_gate
+    from demerlab.qcore import RegisterLayout, UnitaryCircuit, basis_state, ry_gate, x_gate
     from demerlab.toys import coin_protocol
 
-    # a verifier that rotates Bob's register cannot be sliced per Bob input
+    # a verifier that writes Bob's register, even to undo it, cannot be sliced per Bob input
     _, f = coin_protocol()
-    leaky = OneWayQmaProtocol(
-        bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
-        verifier=UnitaryCircuit(3, (ry_gate(0, 0.4),)),
-        accept_qubit=1,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
-    monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))
-    code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
-    assert code == 2 and "block diagonal" in err and len(err.strip().splitlines()) == 1
+    for gates in [(ry_gate(0, 0.4),), (x_gate(0), x_gate(0))]:
+        leaky = OneWayQmaProtocol(
+            bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
+            verifier=UnitaryCircuit(3, gates), accept_qubit=1,
+            alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))
+        code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
+        assert code == 2 and "block diagonal" in err and len(err.strip().splitlines()) == 1
     monkeypatch.undo()
 
-    monkeypatch.setattr(demerlin_mod, "RESIDUAL_BOUND", -1.0)
-    code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
-    assert code == 2 and "not invariant" in err and len(err.strip().splitlines()) == 1
+    for name, value, message in [("RESIDUAL_BOUND", -1.0, "not invariant"),
+                                 ("MAX_REACHABLE_DIM", 0, "grew past")]:
+        monkeypatch.setattr(demerlin_mod, name, value)
+        code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
+        assert code == 2 and message in err and len(err.strip().splitlines()) == 1
+        monkeypatch.undo()
 
 
 def test_violated_bound_still_exits_1(tmp_path, monkeypatch):

@@ -279,11 +279,13 @@ def test_loop_rejects_non_block_diagonal_verifier():
 
 def test_residual_audit_raises_and_caches_nothing(monkeypatch):
     d, _ = make_coin()
-    monkeypatch.setattr(demerlin_mod, "RESIDUAL_BOUND", -1.0)
-    with pytest.raises(ValueError, match="not invariant"):
-        evaluate_demerlinized(d, "0", "1")
-    assert not d._loops
-    monkeypatch.undo()
+    for name, value, match in [("RESIDUAL_BOUND", -1.0, "not invariant"),
+                               ("MAX_REACHABLE_DIM", 0, "grew past 0 dimensions")]:
+        monkeypatch.setattr(demerlin_mod, name, value)
+        with pytest.raises(ValueError, match=match):
+            evaluate_demerlinized(d, "0", "1")
+        assert not d._loops
+        monkeypatch.undo()
     assert evaluate_demerlinized(d, "0", "1").passed
 
 

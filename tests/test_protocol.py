@@ -9,12 +9,12 @@ from demerlab.protocol import (
     CommunicationFunction,
     OneWayQmaProtocol,
     audit_protocol,
+    block_circuit,
     induced_witness_operator,
     optimal_witness,
     project,
     protocol_layout,
     rest_projector,
-    run_block,
 )
 from demerlab.qcore import (
     Gate,
@@ -24,6 +24,7 @@ from demerlab.qcore import (
     random_density,
     random_state,
     ry_gate,
+    x_gate,
 )
 from demerlab.toys import (
     coin_protocol,
@@ -215,23 +216,33 @@ def rest_identity(p):
     return np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex)
 
 
-def test_run_block_blocks_are_unitary():
+def test_block_circuit_blocks_are_unitary():
     p, _ = rac_claim_protocol(2)
     for y in ("0", "1"):
-        block = run_block(p, y, rest_identity(p))
+        block = block_circuit(p, y).apply(rest_identity(p))
         assert np.allclose(block @ block.conj().T, np.eye(block.shape[0]), atol=1e-9)
 
 
 @pytest.mark.parametrize("build", [lambda: rac_claim_protocol(2), coin_protocol])
-def test_run_block_is_the_block_of_the_full_unitary(build):
+def test_block_circuit_is_the_block_of_the_full_unitary(build):
     p, _ = build()
     full = p.verifier.to_matrix()
     dim_rest = 2 ** (p.verifier.n_qubits - p.bob_bits)
     for y_index in range(2 ** p.bob_bits):
         y = format(y_index, f"0{p.bob_bits}b")
         lo, hi = y_index * dim_rest, (y_index + 1) * dim_rest
-        np.testing.assert_allclose(run_block(p, y, rest_identity(p)), full[lo:hi, lo:hi],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_circuit(p, y).apply(rest_identity(p)),
+                                   full[lo:hi, lo:hi], rtol=0, atol=1e-12)
+
+
+def test_block_circuit_is_built_once_and_keeps_only_matching_bob_controls():
+    p, _ = coin_protocol()  # one rotation under Bob bit 1, one under Bob bit 0
+    block = block_circuit(p, "1")
+    assert block_circuit(p, "1") is block
+    (g,) = block.gates
+    assert block.n_qubits == 2 and g.targets == (0,)
+    assert g.controls == (1,) and g.control_values == (1,)
+    np.testing.assert_array_equal(g.matrix, p.verifier.gates[0].matrix)
 
 
 def test_rest_projector_keeps_the_dense_cap():
@@ -253,18 +264,32 @@ def test_rest_projector_is_projector():
     assert np.allclose(pr + pa, np.eye(pr.shape[0]), atol=1e-9)
 
 
-def test_run_block_rejects_non_block_diagonal():
-    circ = UnitaryCircuit(2, (ry_gate(0, 0.4),))  # rotates Bob's register
-    p = OneWayQmaProtocol(
-        bob_bits=1, alice_qubits=1, witness_qubits=0, ancilla_qubits=0,
-        verifier=circ, accept_qubit=1,
+def bob_targeting_protocol(gates):
+    return OneWayQmaProtocol(
+        bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
+        verifier=UnitaryCircuit(3, gates), accept_qubit=1,
         alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+
+
+def test_block_circuit_rejects_non_block_diagonal():
+    p = bob_targeting_protocol((ry_gate(0, 0.4),))  # rotates Bob's register
     with pytest.raises(ValueError, match="block diagonal"):
-        run_block(p, "0", rest_identity(p))
+        block_circuit(p, "0")
+
+
+def test_a_gate_on_a_bob_qubit_is_rejected_even_when_undone():
+    """Flipping Bob's bit and flipping it back leaves V block diagonal, but the
+    verifier still writes Bob's classical input, which the model forbids."""
+    p = bob_targeting_protocol((x_gate(0), x_gate(0)))
+    with pytest.raises(ValueError, match="block diagonal"):
+        project(p, "0", rest_identity(p), 0)
+    d = demerlinize(p, identity_plan(p.alice_qubits, p.witness_qubits))
+    with pytest.raises(ValueError, match="block diagonal"):
+        evaluate_demerlinized(d, "0", "0")
 
 
 ENTRY_POINTS = {
-    "run_block": lambda p, y: run_block(p, y, rest_identity(p)),
+    "block_circuit": lambda p, y: block_circuit(p, y).apply(rest_identity(p)),
     "rest_projector": lambda p, y: rest_projector(p, y, outcome=1),
     "induced_witness_operator": lambda p, y: induced_witness_operator(p, "0", y),
     "evaluate_demerlinized": lambda p, y: evaluate_demerlinized(
@@ -289,7 +314,7 @@ def test_bob_input_must_have_bob_bits(entry, build, y):
 
 def dense_projectors(p, y):
     """{o: V' Pi_o V} on the rest space for Bob input y, from a dense V built
-    gate by gate with `dense_apply`, a route that never runs `run_block`."""
+    gate by gate with `dense_apply`, a route that never runs `block_circuit`."""
     n = p.verifier.n_qubits
     full = np.eye(2 ** n, dtype=complex)
     for g in p.verifier.gates:
