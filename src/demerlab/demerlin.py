@@ -39,7 +39,7 @@ from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
-    optimal_witness,
+    optimal_acceptances,
     project,
     rest_columns,
 )
@@ -124,13 +124,12 @@ def demerlinize(p: OneWayQmaProtocol, plan: AmplificationPlan,
         raise ValueError("the loop needs at least one witness qubit to enumerate")
     if f is not None:
         target = 5.0 ** (-w_total)
-        for (x, y), v in f.pairs():
-            if v == 0:
-                lam, _ = optimal_witness(p, x, y)
-                if lam > target + ATOL:
-                    raise ValueError(
-                        f"precondition failed: f=0 pair ({x!r}, {y!r}) has soundness "
-                        f"{lam:.6f} > 5^-W = {target:.6f}")
+        no_pairs = [pair for pair, v in f.pairs() if v == 0]
+        for (x, y), lam in optimal_acceptances(p, no_pairs).items():
+            if lam > target + ATOL:
+                raise ValueError(
+                    f"precondition failed: f=0 pair ({x!r}, {y!r}) has soundness "
+                    f"{lam:.6f} > 5^-W = {target:.6f}")
     return DemerlinizedProtocol(base=p, f=f)
 
 
@@ -146,12 +145,18 @@ def _initial_columns(p: OneWayQmaProtocol, x: str,
                      rho_alice: DensityMatrix | None = None) -> np.ndarray:
     """Columns L of the initial state L L' on advice (x) witness (x) ancilla.
 
-    Witness and ancilla are zeroed. Pure advice gives one column; mixed advice
-    gives its eigenvectors scaled by the square roots of their weights.
+    Witness and ancilla are zeroed. Pure advice gives one column, built once per
+    (protocol, x) and kept read-only in `p._operators`; mixed advice gives its
+    eigenvectors scaled by the square roots of their weights.
     """
     zero = np.eye(2 ** p.witness_qubits, dtype=complex)[:, :1]
     if rho_alice is None:
-        return rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
+        key = (_initial_columns, x)  # no y, (y, z) or (y, z, outcome) key holds a function
+        if key not in p._operators:
+            cols = rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
+            cols.setflags(write=False)
+            p._operators[key] = cols
+        return p._operators[key]
     if rho_alice.dim != 2 ** p.alice_qubits:
         raise ValueError(f"advice state has dimension {rho_alice.dim}, "
                          f"the protocol {2 ** p.alice_qubits}")
@@ -163,6 +168,8 @@ def _new_directions(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the part of span(cols) outside span(basis)."""
     for _ in range(2):  # the second pass restores orthogonality lost to rounding
         cols = cols - basis @ (basis.conj().T @ cols)
+    if np.linalg.norm(cols) <= _RANK_TOL:  # bounds every singular value: nothing is new
+        return cols[:, :0]
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     u = u[:, s > _RANK_TOL]
     # dividing by a small singular value magnifies what rounding left inside span(basis)
@@ -177,6 +184,12 @@ class _ReachableLoop:
     `rounds` are M_z = B' P0_z B and `effect` is the never-accept effect
     E_y = (Phi0*)^T(I) in that basis. Round operators act on statevector
     batches, so no 2^n unitary is built.
+
+    Once per y: the witness flips, Bob's block circuit (cached on the
+    protocol), and B with its images, rounds and effect, which grow only when
+    `cover` meets a vector outside span(B). Per x: nothing but the coordinates
+    B' C of x's initial columns C, which are themselves built once per
+    (protocol, x); covering an already spanned C runs no verifier and no SVD.
     """
 
     def __init__(self, d: DemerlinizedProtocol, y: str):
@@ -240,8 +253,10 @@ def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
                     rho_alice: DensityMatrix | None = None) -> tuple[_ReachableLoop, np.ndarray]:
     """The cached loop for y, covering the initial state of x (or rho_alice).
 
-    A new loop first covers every Alice input of `d.f`, so its effect is
-    computed once per y however many pairs share it.
+    Built once per y: a new loop first covers every Alice input of `d.f`, so
+    its basis and effect are computed once however many pairs share y. Per x
+    it only reads x's cached initial columns and projects them onto the basis;
+    `rho_alice`'s columns are built on every call.
     """
     loop = d._loops.get(y)
     if loop is None:

@@ -35,8 +35,10 @@ __all__ = [
     "PairAudit",
     "SuccessAudit",
     "protocol_layout",
+    "witness_operators",
     "induced_witness_operator",
     "optimal_witness",
+    "optimal_acceptances",
     "audit_protocol",
     "block_circuit",
     "accept_rows",
@@ -104,9 +106,14 @@ class OneWayQmaProtocol:
     verifier: UnitaryCircuit
     accept_qubit: int
     alice_encode: Callable[[str], StateVector]
-    # operators derived from the verifier, keyed by y for Bob's block circuit, (x, z)
-    # for a witness effect and (x, z, outcome) for a postselected Kraus list; filled
-    # on first use, lives as long as self
+    # values derived from the protocol, filled on first use, live as long as self:
+    #   y                     -> V on Bob's |y> block (`block_circuit`)
+    #   (y, z)                -> accept effect on the advice register for witness z
+    #                            (`advice._witness_effect`)
+    #   (y, z, outcome)       -> Kraus list on the advice register, postselected on
+    #                            `outcome` (`advice._branch_kraus`)
+    #   (_initial_columns, x) -> read-only loop start columns psi_x (x) |0...0>
+    #                            (`demerlin._initial_columns`); no other key holds a function
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -156,8 +163,9 @@ def block_circuit(p: OneWayQmaProtocol, y: str) -> UnitaryCircuit:
             controls = list(zip(g.controls, g.control_values))
             if all(y[q] == str(v) for q, v in controls if q < b):
                 kept = [(q - b, v) for q, v in controls if q >= b]
-                gates.append(Gate(g.name, tuple(t - b for t in g.targets), g.matrix,
-                                  tuple(q for q, _ in kept), tuple(v for _, v in kept)))
+                gates.append(Gate._from_checked(g.name, tuple(t - b for t in g.targets), g.matrix,
+                                                tuple(q for q, _ in kept),
+                                                tuple(v for _, v in kept)))
         p._operators[y] = UnitaryCircuit(p.verifier.n_qubits - b, tuple(gates))
     return p._operators[y]
 
@@ -199,16 +207,32 @@ def rest_projector(p: OneWayQmaProtocol, y: str, outcome: int) -> np.ndarray:
     return project(p, y, np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex), outcome)
 
 
+def witness_operators(p: OneWayQmaProtocol, y: str, xs: list[str]) -> list[np.ndarray]:
+    """The induced witness operator of (x, y) for every x in `xs`, from one run of Bob's block.
+
+    The columns psi_x (x) |z> (x) |0> for every x and every witness basis state
+    z go through `block_circuit(p, y)` as one batch; each x's 2^W columns are
+    then compressed into its own accept effect, as `accept_effect` does.
+    """
+    advice = np.stack([p.advice_state(x).amplitudes for x in xs], axis=1)
+    m = 2 ** p.witness_qubits
+    cols = rest_columns(p, advice, np.eye(m, dtype=complex))
+    acc = block_circuit(p, y).apply(cols)[accept_rows(p, 1)]
+    return [hermitize(a.conj().T @ a) for a in np.split(acc, len(xs), axis=1)]
+
+
 def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray:
     """Hermitian W on the witness register with acceptance <phi|W|phi>.
 
-    The accept effect compressed onto the columns psi_x (x) |z> (x) |0> for
-    every witness basis state z, in one batched statevector run; the result
-    satisfies 0 <= W <= I because it is a compression of a projector.
+    A compression of the accept projector onto psi_x (x) witness (x) |0>, so
+    0 <= W <= I.
     """
-    cols = rest_columns(p, p.advice_state(x).amplitudes[:, None],
-                        np.eye(2 ** p.witness_qubits, dtype=complex))
-    return accept_effect(p, y, cols)
+    return witness_operators(p, y, [x])[0]
+
+
+def _best_acceptance(p: OneWayQmaProtocol, w: np.ndarray) -> tuple[float, StateVector]:
+    lam, vec = top_eigenpair(w)
+    return min(max(lam, 0.0), 1.0), StateVector(vec, p.witness_layout)
 
 
 def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateVector]:
@@ -216,10 +240,21 @@ def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateV
 
     Linearity makes the top eigenvector dominate every mixed witness as well.
     """
-    w = induced_witness_operator(p, x, y)
-    lam, vec = top_eigenpair(w)
-    lam = min(max(lam, 0.0), 1.0)
-    return lam, StateVector(vec, p.witness_layout)
+    return _best_acceptance(p, induced_witness_operator(p, x, y))
+
+
+def optimal_acceptances(p: OneWayQmaProtocol,
+                        pairs: list[tuple[str, str]]) -> dict[tuple[str, str], float]:
+    """Best witness acceptance of every (x, y) pair, in the order given, with one
+    verifier run per distinct y."""
+    xs_by_y: dict[str, list[str]] = {}
+    for x, y in pairs:
+        xs_by_y.setdefault(y, []).append(x)
+    lams = {}
+    for y, xs in xs_by_y.items():
+        for x, w in zip(xs, witness_operators(p, y, xs)):
+            lams[x, y] = _best_acceptance(p, w)[0]
+    return {(x, y): lams[x, y] for x, y in pairs}
 
 
 @dataclass(frozen=True)
@@ -254,8 +289,9 @@ def audit_protocol(p: OneWayQmaProtocol, f: CommunicationFunction) -> SuccessAud
     probability at least 2/3, every f=0 pair must stay at or below 1/3."""
     records = []
     ok = True
+    lams = optimal_acceptances(p, [pair for pair, _ in f.pairs()])
     for (x, y), v in f.pairs():
-        lam, _ = optimal_witness(p, x, y)
+        lam = lams[x, y]
         if v == 1:
             verdict = "complete" if lam >= COMPLETENESS_THRESHOLD - ATOL else "violated"
         else:

@@ -407,6 +407,26 @@ class Gate:
     control_values: tuple[int, ...] = ()
 
     def __post_init__(self):
+        self._check_structure()
+        m = self.matrix
+        if np.max(np.abs(m @ m.conj().T - np.eye(len(m)))) > ATOL:
+            raise ValueError(f"gate {self.name!r} is not unitary within {ATOL}")
+
+    @classmethod
+    def _from_checked(cls, name: str, targets, matrix: np.ndarray, controls,
+                      control_values) -> "Gate":
+        """A gate whose matrix comes from an already checked gate (its own, or its
+        adjoint): the structural checks run, the unitarity product does not."""
+        g = object.__new__(cls)
+        # set one by one: touching g.__dict__ would give every gate its own dict
+        for attr, value in (("name", name), ("targets", targets), ("matrix", matrix),
+                            ("controls", controls), ("control_values", control_values)):
+            object.__setattr__(g, attr, value)
+        g._check_structure()
+        return g
+
+    def _check_structure(self):
+        """Normalize the fields and check shape, control values and distinct qubits."""
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -421,23 +441,19 @@ class Gate:
         qubits = self.controls + self.targets
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate {self.name!r}: repeated qubit in {qubits}")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2 ** k))) > ATOL:
-            raise ValueError(f"gate {self.name!r} is not unitary within {ATOL}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
 
     def inverse(self) -> "Gate":
-        return Gate(self.name + "^-1", self.targets, self.matrix.conj().T,
-                    self.controls, self.control_values)
+        return Gate._from_checked(self.name + "^-1", self.targets, self.matrix.conj().T,
+                                  self.controls, self.control_values)
 
     def remapped(self, index_map: dict[int, int]) -> "Gate":
-        return Gate(self.name,
-                    tuple(index_map[t] for t in self.targets),
-                    self.matrix,
-                    tuple(index_map[c] for c in self.controls),
-                    self.control_values)
+        return Gate._from_checked(self.name, tuple(index_map[t] for t in self.targets),
+                                  self.matrix, tuple(index_map[c] for c in self.controls),
+                                  self.control_values)
 
 
 @dataclass(frozen=True)

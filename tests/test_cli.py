@@ -204,8 +204,9 @@ def test_loop_value_errors_exit_2(capsys, monkeypatch):
             verifier=UnitaryCircuit(3, gates), accept_qubit=1,
             alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
         monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))
-        code, err = exit_and_stderr(["demerlin", "run", "--toy", "coin"], capsys)
-        assert code == 2 and "block diagonal" in err and len(err.strip().splitlines()) == 1
+        for command in ("build", "run"):  # build fails in the precondition audit
+            code, err = exit_and_stderr(["demerlin", command, "--toy", "coin"], capsys)
+            assert code == 2 and "block diagonal" in err and len(err.strip().splitlines()) == 1
     monkeypatch.undo()
 
     for name, value, message in [("RESIDUAL_BOUND", -1.0, "not invariant"),

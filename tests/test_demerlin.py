@@ -473,3 +473,65 @@ def test_cli_toy_registry():
         assert f.pairs()
     with pytest.raises(ValueError, match="unknown toy"):
         demerlin_toy("nope")
+
+
+# ---------------------------------------------------------------------------
+# per-input work done once
+
+
+def test_precondition_runs_the_verifier_once_per_no_side_bob_input(monkeypatch):
+    p, f = rac_claim_protocol(4)
+    widths = []
+    apply = UnitaryCircuit.apply
+
+    def counting(self, amps):
+        widths.append(amps.shape[1])
+        return apply(self, amps)
+
+    monkeypatch.setattr(UnitaryCircuit, "apply", counting)
+    demerlinize(p, identity_plan(p.alice_qubits, 1), f=f)
+    no_side = {}
+    for (x, y), v in f.pairs():
+        if v == 0:
+            no_side.setdefault(y, []).append(x)
+    assert len(no_side) == 4 and len(widths) == 4
+    # one run per y, on 2^W columns for each of its no-side x
+    assert sorted(widths) == sorted(2 * len(xs) for xs in no_side.values())
+
+
+def test_initial_columns_are_built_once_and_read_only():
+    p, _ = rac_claim_protocol(4)
+    cols = demerlin_mod._initial_columns(p, "1011")
+    assert demerlin_mod._initial_columns(p, "1011") is cols
+    assert cols.shape == (2 ** (p.verifier.n_qubits - p.bob_bits), 1)
+    with pytest.raises(ValueError, match="read-only"):
+        cols[0, 0] = 0.0
+
+
+def random_basis(rng, dim, k):
+    return np.linalg.qr(rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)))[0]
+
+
+def test_new_directions_of_spanned_columns_skip_the_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    basis = random_basis(rng, 16, 4)
+    cols = basis @ (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called on columns inside the basis")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert demerlin_mod._new_directions(basis, cols).shape == (16, 0)
+
+
+def test_new_directions_grow_the_basis_by_one_new_direction():
+    rng = np.random.default_rng(4)
+    basis = random_basis(rng, 16, 4)
+    outside = rng.normal(size=(16, 1)) + 1j * rng.normal(size=(16, 1))
+    cols = np.hstack([basis[:, :2] + 0.5 * outside, basis[:, 2:3] - outside])
+    new = demerlin_mod._new_directions(basis, cols)
+    assert new.shape == (16, 1)
+    grown = np.hstack([basis, new])
+    np.testing.assert_allclose(grown.conj().T @ grown, np.eye(5), atol=1e-12)
+    residual = outside - grown @ (grown.conj().T @ outside)
+    assert np.linalg.norm(residual) < 1e-12

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from demerlab.advice import _branch_kraus, _witness_effect
-from demerlab.amplify import identity_plan
+from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
 from demerlab.demerlin import demerlinize, evaluate_demerlinized
 from demerlab.protocol import (
     CommunicationFunction,
@@ -11,10 +13,12 @@ from demerlab.protocol import (
     audit_protocol,
     block_circuit,
     induced_witness_operator,
+    optimal_acceptances,
     optimal_witness,
     project,
     protocol_layout,
     rest_projector,
+    witness_operators,
 )
 from demerlab.qcore import (
     Gate,
@@ -372,3 +376,45 @@ def test_kernel_matches_dense_oracle(case):
     np.testing.assert_allclose(sum(k.conj().T @ k for k in kraus),
                                c_z.conj().T @ proj[b] @ c_z, **tol)
     np.testing.assert_allclose(_witness_effect(p, y, z), c_z.conj().T @ proj[1] @ c_z, **tol)
+
+
+# ---------------------------------------------------------------------------
+# one verifier run per Bob input
+
+
+def amplified_coin_u3():
+    base, f = coin_protocol(0.75, 0.25, witness_angle=0.7)
+    plan = desk_plan(1, 1, Fraction(1, 4))
+    assert plan.u == 3
+    return build_outer(build_inner(base, plan.ell), plan.u), f
+
+
+@pytest.mark.parametrize("make", [lambda: rac_claim_protocol(4), coin_protocol, amplified_coin_u3],
+                         ids=["rac4", "coin", "coin-u3"])
+def test_witness_operators_equal_one_input_calls(make):
+    """The batch is split per x after one run; a column's result does not depend
+    on which other columns ran beside it, to the last bit."""
+    p, f = make()
+    xs = f.alice_inputs()
+    for y in sorted({y for (_, y), _ in f.pairs()}):
+        ws = witness_operators(p, y, xs)
+        assert len(ws) == len(xs)
+        for x, w in zip(xs, ws):
+            assert w.shape == (2 ** p.witness_qubits,) * 2
+            assert np.array_equal(w, induced_witness_operator(p, x, y))
+
+
+def test_audit_records_keep_pair_order():
+    p, f = rac_claim_protocol(4)
+    audit = audit_protocol(p, f)
+    assert [(r.x, r.y, r.f_value) for r in audit.records] == [
+        (x, y, v) for (x, y), v in f.pairs()]
+    assert all(r.lam == optimal_witness(p, r.x, r.y)[0] for r in audit.records)
+
+
+def test_optimal_acceptances_follow_the_given_order():
+    p, f = rac_claim_protocol(2)
+    pairs = [pair for pair, _ in reversed(f.pairs())]
+    lams = optimal_acceptances(p, pairs)
+    assert list(lams) == pairs
+    assert all(lams[x, y] == optimal_witness(p, x, y)[0] for x, y in pairs)

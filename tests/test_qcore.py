@@ -301,10 +301,29 @@ def test_top_eigenpair_rejects_non_hermitian():
 
 
 def test_gate_unitarity_enforced():
-    from demerlab.qcore import Gate
-
     with pytest.raises(ValueError, match="not unitary"):
         Gate("bad", (0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not unitary"):  # controls do not bypass the check
+        Gate("bad", (0,), np.array([[2.0, 0.0], [0.0, 1.0]]), (1,), (0,))
+
+
+def test_gate_inverse_of_a_checked_gate_is_its_inverse(rng):
+    g = Gate("u", (2, 0), random_unitary(4, rng), (1,), (0,))
+    inv = g.inverse()
+    assert (inv.targets, inv.controls, inv.control_values) == ((2, 0), (1,), (0,))
+    np.testing.assert_allclose(inv.matrix @ g.matrix, np.eye(4), atol=1e-12)
+    circ = UnitaryCircuit(3, (g, inv))
+    np.testing.assert_allclose(circ.to_matrix(), np.eye(8), atol=1e-12)
+
+
+def test_rebuilt_gates_keep_the_structural_checks():
+    g = cnot(0, 1)
+    with pytest.raises(ValueError, match="repeated qubit"):
+        g.remapped({0: 2, 1: 2})
+    with pytest.raises(ValueError, match="matrix shape"):
+        Gate._from_checked("x", (0, 1), g.matrix, (), ())
+    with pytest.raises(ValueError, match="length mismatch"):
+        Gate._from_checked("x", (0,), g.matrix, (1,), (1, 0))
 
 
 def test_circuit_inverse_roundtrip(rng):

@@ -14,6 +14,11 @@ median and quartiles, how many pairs the change won (ties count for neither
 side), and whether a gain may be claimed: the change wins at least 9 of every
 10 pairs and the medians differ by more than the distance between the base's
 quartiles. Metric directions come from the working tree's BENCHMARK.json.
+
+With --layers it then runs `bench/run.py --trace 1` once per side, with the
+same workload, seed and seconds, and prints every per-layer metric whose
+value differs, the base's next to the change's, so a gain can be traced to
+the layers whose counts and self times moved.
 """
 from __future__ import annotations
 
@@ -37,9 +42,9 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: bench/run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -63,6 +68,20 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> list[dict]
     return rows
 
 
+def _shown(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def layer_diffs(base: dict, change: dict) -> list[list]:
+    """[metric, base value, change value] for each per-layer metric that differs."""
+    rows = []
+    for name in dict.fromkeys([*base["metrics"], *change["metrics"]]):
+        b, c = (run["metrics"].get(name, {}).get("value") for run in (base, change))
+        if b != c:
+            rows.append([name, b, c])
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
@@ -70,6 +89,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--layers", action="store_true",
+                        help="after the pairs, diff one traced run per side")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -89,6 +110,8 @@ def main() -> int:
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + "  ".join(
                 f"{side} pass_s={runs[side][-1]['metrics']['pass_s']['value']:.4g}"
                 for side in ("base", "change")), flush=True)
+        traced = {side: bench_run(trees[side], args.workload, args.seed, args.seconds, trace=1)
+                  for side in trees} if args.layers else None
     rows = summarize(runs, better)
     print(f"\n{args.workload} seed {args.seed}, {args.seconds:g} s runs, base {args.rev} "
           f"vs working tree; medians [q1 .. q3]")
@@ -98,8 +121,14 @@ def main() -> int:
         print(f"{r['metric']:12s} base {bm:10.4g} [{b1:.4g} .. {b3:.4g}]  "
               f"change {cm:10.4g} [{c1:.4g} .. {c3:.4g}]  "
               f"change wins {r['wins']}/{r['pairs']}  gain rule {verdict}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "rev": args.rev, "metrics": rows}))
+    result = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+              "rev": args.rev, "metrics": rows}
+    if traced is not None:
+        result["layers"] = layer_diffs(traced["base"], traced["change"])
+        print("\nper-layer metrics that differ, one traced run per side")
+        for name, b, c in result["layers"]:
+            print(f"{name:42s} base {_shown(b):>14}  change {_shown(c):>14}")
+    print(json.dumps(result))
     return 0
 
 
