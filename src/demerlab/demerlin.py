@@ -338,8 +338,10 @@ def sample_demerlinized(d: DemerlinizedProtocol, x: str, y: str, shots: int,
     """Monte-Carlo estimate of the loop acceptance with per-shot coin draws.
 
     Walks normalized pure-state trajectories through the same round operators
-    the exact evaluation uses, in reachable-subspace coordinates. Returns
-    (estimate, stderr).
+    the exact evaluation uses, in reachable-subspace coordinates, with
+    `monte_carlo_any_outcome1`: every shot starts in x's one start state, so
+    a round steps only the few distinct states its alive shots share, each
+    once per coin. Returns (estimate, stderr); `shots` must be at least 1.
     """
     rng = np.random.default_rng(seed)
     loop, coords = _reachable_loop(d, x, y)

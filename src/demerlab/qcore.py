@@ -43,6 +43,12 @@ __all__ = [
     "top_eigenpair",
     "trace_norm",
     "hermitize",
+    "check_density",
+    "as_density",
+    "effect_kraus",
+    "complex_gaussian",
+    "unit_trace_gram",
+    "scaled_gram",
     "x_gate",
     "h_gate",
     "ry_gate",
@@ -138,7 +144,7 @@ def _check_hermitian(m: np.ndarray, what: str, atol: float = ATOL):
         raise ValueError(f"non-Hermitian input for {what}")
 
 
-def _check_density(m: np.ndarray):
+def check_density(m: np.ndarray):
     """Hermitian, unit trace and no eigenvalue below -ATOL, for a matrix or a stack."""
     _check_hermitian(m, "density matrix")
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -149,9 +155,9 @@ def _check_density(m: np.ndarray):
         raise ValueError("density matrix has eigenvalue below -1e-9")
 
 
-def _effect_kraus(effect: np.ndarray, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
+def effect_kraus(effect: np.ndarray, spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Check 0 <= E <= I and return the square-root Kraus pair (sqrt(I - E), sqrt(E)),
-    for an effect or a stack of them; `spectrum` is E's `np.linalg.eigh` if known."""
+    for an effect or a stack of them; `spectrum` is E's `np.linalg.eigh`, or None."""
     _check_hermitian(effect, "effect operator")
     w, v = np.linalg.eigh(hermitize(effect)) if spectrum is None else spectrum
     if np.min(w) < -ATOL or np.max(w) > 1.0 + ATOL:
@@ -160,17 +166,18 @@ def _effect_kraus(effect: np.ndarray, spectrum=None) -> tuple[np.ndarray, np.nda
     return (v * np.sqrt(1.0 - w)) @ vh, (v * np.sqrt(w)) @ vh
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal real and imaginary parts, real part drawn first."""
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _unit_trace_gram(g: np.ndarray) -> np.ndarray:
+def unit_trace_gram(g: np.ndarray) -> np.ndarray:
     """g g' scaled to unit trace, for a matrix or a stack."""
     m = g @ _dagger(g)
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _scaled_gram(g: np.ndarray, scale) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def scaled_gram(g: np.ndarray, scale) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """g g' scaled to top eigenvalue `scale`, with its spectrum, for a matrix or a stack."""
     m = g @ _dagger(g)
     w, v = np.linalg.eigh(m)
@@ -235,14 +242,15 @@ class DensityMatrix:
         d = self.layout.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
-        _check_density(m)
+        check_density(m)
 
     @property
     def dim(self) -> int:
         return self.layout.dim
 
 
-def _as_density(state) -> DensityMatrix:
+def as_density(state) -> DensityMatrix:
+    """A DensityMatrix as is, or a StateVector's density."""
     if isinstance(state, DensityMatrix):
         return state
     if isinstance(state, StateVector):
@@ -270,22 +278,22 @@ def maximally_mixed(layout) -> DensityMatrix:
 
 def random_state(layout, rng: np.random.Generator) -> StateVector:
     layout = _layout(layout)
-    z = _complex_gaussian(rng, layout.dim)
+    z = complex_gaussian(rng, layout.dim)
     return StateVector(z / np.linalg.norm(z), layout)
 
 
 def random_density(layout, rng: np.random.Generator) -> DensityMatrix:
     layout = _layout(layout)
-    return DensityMatrix(_unit_trace_gram(_complex_gaussian(rng, (layout.dim, layout.dim))), layout)
+    return DensityMatrix(unit_trace_gram(complex_gaussian(rng, (layout.dim, layout.dim))), layout)
 
 
 def random_effect(layout, rng: np.random.Generator, scale: float | None = None) -> "TwoOutcomeMeasurement":
     """Random effect operator 0 <= E <= scale * I (scale defaults to uniform)."""
     layout = _layout(layout)
-    g = _complex_gaussian(rng, (layout.dim, layout.dim))
+    g = complex_gaussian(rng, (layout.dim, layout.dim))
     if scale is None:
         scale = float(rng.uniform(0.0, 1.0))
-    effect, spectrum = _scaled_gram(g, scale)
+    effect, spectrum = scaled_gram(g, scale)
     return TwoOutcomeMeasurement(effect, layout, spectrum=spectrum)
 
 
@@ -311,13 +319,13 @@ def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; layouts concatenate and must not share names."""
-    a, b = _as_density(a), _as_density(b)
+    a, b = as_density(a), as_density(b)
     return DensityMatrix(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
+    rho, sigma = as_density(rho), as_density(sigma)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     return 0.5 * trace_norm(rho.matrix - sigma.matrix)
@@ -346,7 +354,7 @@ class TwoOutcomeMeasurement:
 
     def __post_init__(self, spectrum=None):
         e = np.asarray(self.effect, dtype=complex)
-        m0, m1 = _effect_kraus(e, spectrum)
+        m0, m1 = effect_kraus(e, spectrum)
         object.__setattr__(self, "effect", e)
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m0", m0)
@@ -358,7 +366,7 @@ class TwoOutcomeMeasurement:
         return self.effect.shape[0]
 
     def outcome1_probability(self, rho) -> float:
-        rho = _as_density(rho)
+        rho = as_density(rho)
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: {rho.dim} vs {self.dim}")
         return float(np.real(np.trace(self.effect @ rho.matrix)))
@@ -377,7 +385,7 @@ class MeasurementResult:
 
 def measure_two_outcome(rho, m: TwoOutcomeMeasurement) -> MeasurementResult:
     """Apply the square-root update; a zero-probability branch comes back None."""
-    rho = _as_density(rho)
+    rho = as_density(rho)
     if rho.dim != m.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {m.dim}")
     p1 = m.outcome1_probability(rho)

@@ -32,18 +32,18 @@ from .qcore import (
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
-    _as_density,
-    _check_density,
-    _complex_gaussian,
-    _effect_kraus,
-    _scaled_gram,
-    _unit_trace_gram,
     apply_kraus,
+    as_density,
+    check_density,
+    complex_gaussian,
+    effect_kraus,
     hermitize,
     measure_two_outcome,
+    scaled_gram,
     tensor_product,
     trace_distance,
     trace_norm,
+    unit_trace_gram,
 )
 
 UNION_CHUNK = 64  # seeds per stacked batch in random_union_audit; bounds peak memory
@@ -115,7 +115,7 @@ def union_bound_run(rho, seq: list[TwoOutcomeMeasurement],
     the initial state; otherwise the maximum measured value is used. This is
     `_union_audit` on a stack of one instance.
     """
-    rho = _as_density(rho)
+    rho = as_density(rho)
     d, t = rho.dim, len(seq)
     for m in seq:
         if m.dim != d:
@@ -148,7 +148,7 @@ def _union_audit(rho: np.ndarray, effects: np.ndarray, m0: np.ndarray, m1: np.nd
     p_any = np.clip(1.0 - np.trace(survivor, axis1=-2, axis2=-1).real, 0.0, 1.0)
     bound = t * np.sqrt(np.maximum(eps, 0.0))
     averaged = hermitize(unconditioned)
-    _check_density(averaged)
+    check_density(averaged)
     drift = 0.5 * trace_norm(rho - averaged)
     return [MeasurementSequenceReport(
         lemma="union-bound", t_steps=t, p_any_one=p, bound=bd, averaged_state_drift=dr,
@@ -169,10 +169,10 @@ def random_union_audit(seeds: list[np.random.SeedSequence]) -> list[MeasurementS
         for key in sorted({(n, len(scales)) for n, _, scales, _ in draws}):
             members = [k for k, (n, _, scales, _) in enumerate(draws) if (n, len(scales)) == key]
             _, g_rho, scales, g_effects = map(np.stack, zip(*(draws[k] for k in members)))
-            rho = _unit_trace_gram(g_rho)
-            _check_density(rho)
-            effects, spectrum = _scaled_gram(g_effects, scales)
-            m0, m1 = _effect_kraus(effects, spectrum)
+            rho = unit_trace_gram(g_rho)
+            check_density(rho)
+            effects, spectrum = scaled_gram(g_effects, scales)
+            m0, m1 = effect_kraus(effects, spectrum)
             chunk.update(zip(members, _union_audit(rho, effects, m0, m1)))
         reports += [chunk[k] for k in range(len(draws))]
     return reports
@@ -208,7 +208,7 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
     eta is measured from the supplied instance rather than declared, so the
     precondition T >= N/eta^2 can never go stale.
     """
-    rho, sigma = _as_density(rho), _as_density(sigma)
+    rho, sigma = as_density(rho), as_density(sigma)
     joint_state = tensor_product(rho, sigma)
     eta = joint.outcome1_probability(joint_state)
     n_b = sigma.dim
@@ -270,40 +270,59 @@ def monte_carlo_any_outcome1(rho, kraus0: list[np.ndarray], t_steps: int,
     Each shot then walks T rounds picking a uniformly random outcome-0 Kraus
     operator; the accept chance per round is 1 - ||K psi||^2. Returns
     (estimate, standard error).
+
+    A shot's normalized state is fixed by its start row and its choices so
+    far, so shots share states: the walk keeps one row per distinct state and
+    one state id per alive shot. Each round steps every (state, choice) pair
+    that some alive shot takes once, with its norm, and then moves only ids.
+    It makes the draws of a walk that steps every shot's own row, in the same
+    order, and gets the same norms bit for bit, hence the same estimate.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if t_steps < 0:
+        raise ValueError(f"t_steps must be non-negative, got {t_steps}")
     if isinstance(rho, StateVector):
         rho = rho.amplitudes
     if isinstance(rho, DensityMatrix):
         w, v = np.linalg.eigh(hermitize(rho.matrix))
         w = np.clip(w, 0.0, None)
         w /= w.sum()
-        picks = rng.choice(len(w), size=shots, p=w)
-        states = v.T[picks]
+        ids = rng.choice(len(w), size=shots, p=w)
+        states = v.T
     else:
-        states = np.tile(rho, (shots, 1))
-    n_choices = len(kraus0)
-    accepted = np.zeros(shots, dtype=bool)
-    alive = np.arange(shots)  # states holds the rows of these shots, in this order
-    for _ in range(t_steps):
-        if alive.size == 0:
+        ids = np.zeros(shots, dtype=np.intp)
+        states = np.asarray(rho)[None]
+    n_choices, n_accepted = len(kraus0), 0
+    for _ in range(t_steps):  # ids holds the row of states that each walking shot is in
+        if ids.size == 0:
             break
-        choices = rng.integers(0, n_choices, size=alive.size)
-        for j in range(n_choices):
-            mask = choices == j
-            if mask.any():
-                states[mask] = states[mask] @ kraus0[j].T
+        # pair (state s, choice j) is child j * len(states) + s, so each choice's pairs are a run
+        child = rng.integers(0, n_choices, size=ids.size) * len(states) + ids
+        takers = np.bincount(child, minlength=n_choices * len(states))
+        pairs = np.flatnonzero(takers)
+        runs = np.searchsorted(pairs, len(states) * np.arange(n_choices + 1))
+        stepped = np.empty((pairs.size, states.shape[1]), dtype=complex)
+        for j, (lo, hi) in enumerate(zip(runs[:-1], runs[1:])):
+            if lo == hi:
+                continue
+            rows = states[pairs[lo:hi] % len(states)]
+            if hi - lo == 1 and takers[pairs[lo]] > 1:
+                # a row-per-shot walk multiplies this row as one of several, by BLAS's
+                # matrix product, which rounds unlike the matrix-vector one a lone row gets
+                rows = rows.repeat(2, axis=0)
+            stepped[lo:hi] = (rows @ kraus0[j].T)[:hi - lo]
+        states = stepped
         norms2 = np.einsum("ij,ij->i", states, states.conj()).real
         norms2 = np.clip(norms2, 0.0, 1.0)
-        hits = rng.random(alive.size) > norms2
-        accepted[alive[hits]] = True
-        keep = ~hits
         # a shot survives a zero-norm round only if its uniform draw was exactly 0
-        states = states[keep]
-        states /= np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
-        alive = alive[keep]
-    p_hat = accepted.mean()
-    stderr = sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots)
-    return float(p_hat), float(stderr)
+        states /= np.sqrt(np.maximum(norms2, 1e-300))[:, None]
+        ids = (np.cumsum(takers > 0) - 1)[child]
+        hits = rng.random(ids.size) > norms2[ids]
+        n_accepted += int(np.count_nonzero(hits))
+        ids = ids[~hits]
+    p_hat = n_accepted / shots
+    return p_hat, sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots)
 
 
 def _union_draws(rng: np.random.Generator, max_qubits: int = 4, max_steps: int = 8):
@@ -312,13 +331,13 @@ def _union_draws(rng: np.random.Generator, max_qubits: int = 4, max_steps: int =
     then per step a scale and the effect's Gaussian factor. Returns
     (n, factor, scales (t,), effect factors (t, 2^n, 2^n))."""
     n = int(rng.integers(1, max_qubits + 1))
-    g_rho = _complex_gaussian(rng, (2 ** n, 2 ** n))
+    g_rho = complex_gaussian(rng, (2 ** n, 2 ** n))
     t = int(rng.integers(1, max_steps + 1))
     scale_exp = rng.uniform(-4.0, 0.0)
     scales, g_effects = [], []
     for _ in range(t):
         scales.append(float(10.0 ** scale_exp * rng.uniform(0.2, 1.0)))
-        g_effects.append(_complex_gaussian(rng, (2 ** n, 2 ** n)))
+        g_effects.append(complex_gaussian(rng, (2 ** n, 2 ** n)))
     return n, g_rho, np.array(scales), np.array(g_effects)
 
 
@@ -327,8 +346,8 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
     """Seeded random (state, measurement sequence) pair for union-bound audits."""
     n, g_rho, scales, g_effects = _union_draws(rng, max_qubits, max_steps)
     layout = RegisterLayout.of(("r", n))
-    effects, (w, v) = _scaled_gram(g_effects, scales)
-    return (DensityMatrix(_unit_trace_gram(g_rho), layout),
+    effects, (w, v) = scaled_gram(g_effects, scales)
+    return (DensityMatrix(unit_trace_gram(g_rho), layout),
             [TwoOutcomeMeasurement(e, layout, spectrum=s) for e, s in zip(effects, zip(w, v))])
 
 
@@ -345,12 +364,12 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
     la = RegisterLayout.of(("a", OR_ALICE_QUBITS))
     lb = RegisterLayout.of(("b", witness_qubits))
     for _ in range(1000):
-        g_rho = _complex_gaussian(rng, (la.dim, la.dim))
-        g_sigma = _complex_gaussian(rng, (lb.dim, lb.dim))
+        g_rho = complex_gaussian(rng, (la.dim, la.dim))
+        g_sigma = complex_gaussian(rng, (lb.dim, lb.dim))
         scale = float(rng.uniform(0.5, 1.0))
-        g_effect = _complex_gaussian(rng, (la.dim * lb.dim, la.dim * lb.dim))
-        rho, sigma = _unit_trace_gram(g_rho), _unit_trace_gram(g_sigma)
-        effect, spectrum = _scaled_gram(g_effect, scale)
+        g_effect = complex_gaussian(rng, (la.dim * lb.dim, la.dim * lb.dim))
+        rho, sigma = unit_trace_gram(g_rho), unit_trace_gram(g_sigma)
+        effect, spectrum = scaled_gram(g_effect, scale)
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:
             return (DensityMatrix(rho, la), DensityMatrix(sigma, lb),

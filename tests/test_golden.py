@@ -29,6 +29,7 @@ COMMANDS = {
     "demerlin-build-rac4": "demerlin build --toy rac4",
     "demerlin-run-rac2": "demerlin run --toy rac2 --seed 3 --shots 20000",
     "demerlin-run-coin": "demerlin run --toy coin --seed 3 --final-vote",
+    "demerlin-run-coin-shots": "demerlin run --toy coin --final-vote --shots 20000 --seed 0",
     "rac-audit": "rac audit --n 8 --w 4 --seed 1 --format csv",
     "rac-reduce": "rac reduce --w 4 --n 8",
     "rac-fingerprint": "rac fingerprint --bits 8 --m-bits 6 --trials 10000",

@@ -1,18 +1,21 @@
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from demerlab.amplify import binom_tail
+from demerlab.amplify import binom_tail, build_inner, build_outer, desk_plan, identity_plan
+from demerlab.demerlin import _reachable_loop, demerlinize, sample_demerlinized
 from demerlab.qcore import (
     DensityMatrix,
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
+    hermitize,
     random_density,
     random_effect,
     random_state,
@@ -31,6 +34,7 @@ from demerlab.qlemmas import (
 )
 import demerlab.qlemmas as qlemmas
 from demerlab.cli import main
+from demerlab.toys import coin_protocol, demerlin_toy
 
 Q1 = RegisterLayout.of(("q", 1))
 
@@ -213,7 +217,7 @@ def _mark_middle_instance(monkeypatch, scale):
 
 def _break_marked_effects(monkeypatch, marker):
     """Add an anti-Hermitian part to every stacked effect whose top eigenvalue is `marker`."""
-    gram = qlemmas._scaled_gram
+    gram = qlemmas.scaled_gram
 
     def scaled(g, scales):
         effects, (w, v) = gram(g, scales)
@@ -221,7 +225,7 @@ def _break_marked_effects(monkeypatch, marker):
         effects[w[..., -1] == marker, 0, 1] += 0.1
         return effects, (w, v)
 
-    monkeypatch.setattr(qlemmas, "_scaled_gram", scaled)
+    monkeypatch.setattr(qlemmas, "scaled_gram", scaled)
 
 
 @pytest.mark.parametrize("case", ["non-Hermitian", "spectrum above 1"])
@@ -356,6 +360,139 @@ def test_monte_carlo_holds_only_alive_rows(rng, mixed):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * shots * layout.dim * np.dtype(complex).itemsize
+
+
+def per_shot_walk(rho, kraus0, t_steps, shots, rng):
+    """`monte_carlo_any_outcome1` by its definition: one state row per shot, each
+    multiplied by its own Kraus choice every round. The oracle for the kernel,
+    which steps each distinct state once; it makes the same draws in the same order."""
+    if isinstance(rho, StateVector):
+        rho = rho.amplitudes
+    if isinstance(rho, DensityMatrix):
+        w, v = np.linalg.eigh(hermitize(rho.matrix))
+        w = np.clip(w, 0.0, None)
+        w /= w.sum()
+        picks = rng.choice(len(w), size=shots, p=w)
+        states = v.T[picks]
+    else:
+        states = np.tile(rho, (shots, 1))
+    n_choices = len(kraus0)
+    accepted = np.zeros(shots, dtype=bool)
+    alive = np.arange(shots)  # states holds the rows of these shots, in this order
+    for _ in range(t_steps):
+        if alive.size == 0:
+            break
+        choices = rng.integers(0, n_choices, size=alive.size)
+        for j in range(n_choices):
+            mask = choices == j
+            if mask.any():
+                states[mask] = states[mask] @ kraus0[j].T
+        norms2 = np.einsum("ij,ij->i", states, states.conj()).real
+        norms2 = np.clip(norms2, 0.0, 1.0)
+        hits = rng.random(alive.size) > norms2
+        accepted[alive[hits]] = True
+        keep = ~hits
+        states = states[keep]
+        states /= np.sqrt(np.maximum(norms2[keep], 1e-300))[:, None]
+        alive = alive[keep]
+    p_hat = accepted.mean()
+    return float(p_hat), float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / shots))
+
+
+def _walk_instance(seed, qubits, n_choices, start):
+    """Kraus operators sqrt(I - E) of random effects, one of them replaced by a
+    0/1 diagonal projector, and a start of the given kind, all drawn from `seed`."""
+    gen = np.random.default_rng(seed)
+    layout = RegisterLayout.of(("a", qubits)) if qubits else RegisterLayout.of()
+    kraus0 = [random_effect(layout, gen, scale=float(gen.uniform(0.0, 0.5))).m0
+              for _ in range(n_choices)]
+    kraus0[int(gen.integers(n_choices))] = np.diag(gen.integers(0, 2, size=layout.dim)).astype(complex)
+    if start == "density":  # rank below the dimension whenever the dimension allows
+        rank = int(gen.integers(1, max(layout.dim, 2)))
+        g = gen.normal(size=(layout.dim, rank)) + 1j * gen.normal(size=(layout.dim, rank))
+        rho = g @ g.conj().T
+        return kraus0, DensityMatrix(rho / np.trace(rho).real, layout)
+    psi = random_state(layout, gen)
+    return kraus0, (psi if start == "state" else psi.amplitudes)
+
+
+class _Draws(np.ndarray):
+    """Uniform draws that log the norms they are compared with."""
+
+    def __gt__(self, norms2):
+        self.log.append(np.array(norms2).tobytes())
+        return np.asarray(self) > norms2
+
+
+class _LoggingRng:
+    """A seeded generator whose `random` draws log, per round, the norms each walk
+    tests them against, so two walks can be compared bit for bit."""
+
+    def __init__(self, seed):
+        self.gen, self.norms = np.random.default_rng(seed), []
+
+    def choice(self, *args, **kwargs):
+        return self.gen.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def random(self, size):
+        draws = self.gen.random(size).view(_Draws)
+        draws.log = self.norms
+        return draws
+
+
+def assert_same_walk(rho, kraus0, t_steps, shots, seed):
+    """The kernel and the oracle give the same result from the same seed, see the same
+    norms in every round and leave their generators in the same state."""
+    kernel_rng, oracle_rng = _LoggingRng(seed), _LoggingRng(seed)
+    got = monte_carlo_any_outcome1(rho, kraus0, t_steps, shots, kernel_rng)
+    want = per_shot_walk(rho, kraus0, t_steps, shots, oracle_rng)
+    assert got == want
+    assert kernel_rng.norms == oracle_rng.norms
+    assert kernel_rng.gen.bit_generator.state == oracle_rng.gen.bit_generator.state
+    return want
+
+
+@pytest.mark.parametrize("start", ["state", "density", "flat"])
+@given(seed=st.integers(0, 2 ** 31 - 1), qubits=st.integers(0, 3),
+       n_choices=st.integers(1, 4), t_steps=st.integers(0, 30), shots=st.integers(1, 3000))
+@settings(max_examples=40, deadline=None)
+def test_monte_carlo_matches_per_shot_walk(start, seed, qubits, n_choices, t_steps, shots):
+    kraus0, rho = _walk_instance(seed, qubits, n_choices, start)
+    assert_same_walk(rho, kraus0, t_steps, shots, seed)
+
+
+def _demerlinized(toy):
+    """A README toy as the CLI runs it, or the paper's pipeline on a coin at u = 3."""
+    if toy == "amplified-coin":
+        base, f = coin_protocol(0.75, 0.25, witness_angle=0.7)
+        plan = desk_plan(1, 1, Fraction(1, 4))
+        return demerlinize(build_outer(build_inner(base, plan.ell), plan.u), plan, f=f), f
+    p, f = demerlin_toy(toy)
+    return demerlinize(p, identity_plan(p.alice_qubits, p.witness_qubits), f=f), f
+
+
+@pytest.mark.parametrize("toy,shots", [("rac2", 20_000), ("coin", 20_000), ("amplified-coin", 2_000)])
+def test_demerlinized_loops_match_per_shot_walk(toy, shots):
+    d, f = _demerlinized(toy)
+    for seed, ((x, y), _) in enumerate(f.pairs()):
+        loop, coords = _reachable_loop(d, x, y)
+        want = assert_same_walk(coords[:, 0], loop.rounds, d.t_rounds, shots, seed)
+        assert sample_demerlinized(d, x, y, shots, seed) == want
+
+
+@pytest.mark.parametrize("shots,t_steps,message", [(0, 5, "shots must be at least 1"),
+                                                   (-1, 5, "shots must be at least 1"),
+                                                   (10, -1, "t_steps must be non-negative")])
+def test_sampler_rejects_bad_sizes(shots, t_steps, message):
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_any_outcome1(plus(), [np.eye(2)], t_steps, shots, np.random.default_rng(0))
+    if t_steps >= 0:
+        d, _ = _demerlinized("coin")
+        with pytest.raises(ValueError, match=message):
+            sample_demerlinized(d, "0", "1", shots, 0)
 
 
 def test_report_serialization(rng):
