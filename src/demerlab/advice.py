@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .amplify import binom_tail, build_inner, majority_threshold, min_majority_reps
-from .protocol import OneWayQmaProtocol, accept_effect, project, rest_columns
+from .protocol import OneWayQmaProtocol, accept_effect, per_protocol, project, rest_columns
 from .qcore import ATOL, StateVector, apply_kraus, hermitize, kron_power, top_eigenpair
 
 __all__ = [
@@ -388,6 +388,7 @@ def _advice_columns(p: OneWayQmaProtocol, z: str) -> np.ndarray:
     return rest_columns(p, np.eye(2 ** p.alice_qubits, dtype=complex), wit)
 
 
+@per_protocol
 def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> list[np.ndarray]:
     """Kraus operators on the advice register for one postselected run.
 
@@ -396,20 +397,16 @@ def _branch_kraus(p: OneWayQmaProtocol, x: str, z: str, keep_outcome: int) -> li
     joint space. Tracing the witness and ancilla registers afterwards leaves
     the advice-register map sum_m K_m rho K_m'. Built once per protocol.
     """
-    key = (x, z, keep_outcome)
-    if key not in p._operators:
-        dim_a = 2 ** p.alice_qubits
-        t = project(p, x, _advice_columns(p, z), keep_outcome).reshape(dim_a, -1, dim_a)
-        p._operators[key] = [np.ascontiguousarray(t[:, m, :]) for m in range(t.shape[1])]
-    return p._operators[key]
+    dim_a = 2 ** p.alice_qubits
+    t = project(p, x, _advice_columns(p, z), keep_outcome).reshape(dim_a, -1, dim_a)
+    return [np.ascontiguousarray(t[:, m, :]) for m in range(t.shape[1])]
 
 
+@per_protocol
 def _witness_effect(p: OneWayQmaProtocol, x: str, z: str) -> np.ndarray:
     """Acceptance effect on the advice register for a fixed classical witness,
     built once per protocol."""
-    if (x, z) not in p._operators:
-        p._operators[x, z] = accept_effect(p, x, _advice_columns(p, z))
-    return p._operators[x, z]
+    return accept_effect(p, x, _advice_columns(p, z))
 
 
 def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:

@@ -40,6 +40,7 @@ from .protocol import (
     CommunicationFunction,
     OneWayQmaProtocol,
     optimal_acceptances,
+    per_protocol,
     project,
     rest_columns,
 )
@@ -49,11 +50,10 @@ from .qcore import (
     Gate,
     RegisterLayout,
     UnitaryCircuit,
-    apply_kraus,
+    average_channel_power,
     cnot,
     hermitize,
     increment_gate,
-    trace_norm,
     x_gate,
 )
 from .qlemmas import monte_carlo_any_outcome1
@@ -145,23 +145,26 @@ def _initial_columns(p: OneWayQmaProtocol, x: str,
                      rho_alice: DensityMatrix | None = None) -> np.ndarray:
     """Columns L of the initial state L L' on advice (x) witness (x) ancilla.
 
-    Witness and ancilla are zeroed. Pure advice gives one column, built once per
-    (protocol, x) and kept read-only in `p._operators`; mixed advice gives its
-    eigenvectors scaled by the square roots of their weights.
+    Witness and ancilla are zeroed. Pure advice gives `_pure_columns`; mixed
+    advice gives its eigenvectors scaled by the square roots of their weights.
     """
-    zero = np.eye(2 ** p.witness_qubits, dtype=complex)[:, :1]
     if rho_alice is None:
-        key = (_initial_columns, x)  # no y, (y, z) or (y, z, outcome) key holds a function
-        if key not in p._operators:
-            cols = rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
-            cols.setflags(write=False)
-            p._operators[key] = cols
-        return p._operators[key]
+        return _pure_columns(p, x)
     if rho_alice.dim != 2 ** p.alice_qubits:
         raise ValueError(f"advice state has dimension {rho_alice.dim}, "
                          f"the protocol {2 ** p.alice_qubits}")
     w, v = np.linalg.eigh(hermitize(rho_alice.matrix))
+    zero = np.eye(2 ** p.witness_qubits, 1, dtype=complex)
     return rest_columns(p, v * np.sqrt(np.clip(w, 0.0, None)), zero)
+
+
+@per_protocol
+def _pure_columns(p: OneWayQmaProtocol, x: str) -> np.ndarray:
+    """The one column psi_x (x) |0...0>, built once per (protocol, x) and read-only."""
+    zero = np.eye(2 ** p.witness_qubits, 1, dtype=complex)
+    cols = rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
+    cols.setflags(write=False)
+    return cols
 
 
 def _new_directions(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -232,21 +235,12 @@ class _ReachableLoop:
         if residual > RESIDUAL_BOUND:
             raise ValueError(f"reachable subspace is not invariant: residual "
                              f"{residual:.3g} > {RESIDUAL_BOUND:g}")
-        adjoints = [m.conj().T for m in rounds]
-        effect = np.eye(basis.shape[1], dtype=complex)
-        for _ in range(self.t_rounds):
-            effect = apply_kraus(effect, adjoints) / len(adjoints)
+        effect = average_channel_power(np.eye(basis.shape[1], dtype=complex),
+                                       [m.conj().T for m in rounds], self.t_rounds)
         # commit only a loop that passed its audit
         self.basis, self.images, self.rounds = basis, images, rounds
         self.residual, self.effect = residual, effect
         return basis.conj().T @ cols
-
-    def advice_marginal(self, rho: np.ndarray) -> np.ndarray:
-        """Advice-register marginal of B rho B', without forming it."""
-        k = rho.shape[0]
-        lifted = (self.basis @ rho).reshape(2 ** self.p.alice_qubits, -1, k)
-        b = self.basis.reshape(lifted.shape)
-        return hermitize(np.einsum("arj,brj->ab", lifted, b.conj()))
 
 
 def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
@@ -276,11 +270,9 @@ class DemerlinReport:
     p_accept: float
     yes_bound: float
     no_bound: float
-    advice_drift: tuple[float, ...] = ()
-    drift_budget: tuple[float, ...] = ()
-    passed: bool = True
-    residual: float = 0.0  # invariance residual of the reachable subspace
-    reachable_dim: int = 0
+    passed: bool
+    residual: float  # invariance residual of the reachable subspace
+    reachable_dim: int
 
     def to_json_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "f": self.f_value,
@@ -289,7 +281,6 @@ class DemerlinReport:
 
 
 def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
-                          track_drift: bool = False,
                           rho_alice: DensityMatrix | None = None) -> DemerlinReport:
     """Exact acceptance probability of the emitted loop on input pair (x, y).
 
@@ -298,24 +289,6 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     T * sqrt(5^-W) for f=0 pairs (the union bound over rounds).
     """
     loop, coords = _reachable_loop(d, x, y, rho_alice)
-    drift: list[float] = []
-    budget: list[float] = []
-    if track_drift:
-        rho = coords @ coords.conj().T
-        adv0 = loop.advice_marginal(rho)
-        spent = 0.0
-        for _ in range(d.t_rounds):
-            prev_tr = float(np.trace(rho).real)
-            rho = apply_kraus(rho, loop.rounds) / len(loop.rounds)
-            tr = float(np.trace(rho).real)
-            eps_round = 0.0 if prev_tr <= 1e-15 else max(0.0, 1.0 - tr / prev_tr)
-            spent += sqrt(eps_round)
-            budget.append(spent)
-            if tr > 1e-15:
-                adv_t = loop.advice_marginal(rho / tr)
-                drift.append(0.5 * trace_norm(adv_t - adv0))
-            else:
-                drift.append(1.0)
     p_never = float(np.vdot(coords, loop.effect @ coords).real)  # tr(C' E_y C)
     p_accept = min(max(1.0 - p_never, 0.0), 1.0)
     f_value = d.f.value(x, y) if d.f is not None else None
@@ -327,10 +300,8 @@ def evaluate_demerlinized(d: DemerlinizedProtocol, x: str, y: str,
     elif f_value == 0:
         passed = p_accept <= no_bound + ATOL
     return DemerlinReport(x=x, y=y, f_value=f_value, p_accept=p_accept,
-                          yes_bound=yes_bound, no_bound=no_bound,
-                          advice_drift=tuple(drift), drift_budget=tuple(budget),
-                          passed=passed, residual=loop.residual,
-                          reachable_dim=loop.basis.shape[1])
+                          yes_bound=yes_bound, no_bound=no_bound, passed=passed,
+                          residual=loop.residual, reachable_dim=loop.basis.shape[1])
 
 
 def sample_demerlinized(d: DemerlinizedProtocol, x: str, y: str, shots: int,

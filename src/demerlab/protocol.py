@@ -9,7 +9,9 @@ existential quantifier over witnesses collapses to a top eigenpair.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "optimal_witness",
     "optimal_acceptances",
     "audit_protocol",
+    "per_protocol",
     "block_circuit",
     "accept_rows",
     "project",
@@ -106,14 +109,6 @@ class OneWayQmaProtocol:
     verifier: UnitaryCircuit
     accept_qubit: int
     alice_encode: Callable[[str], StateVector]
-    # values derived from the protocol, filled on first use, live as long as self:
-    #   y                     -> V on Bob's |y> block (`block_circuit`)
-    #   (y, z)                -> accept effect on the advice register for witness z
-    #                            (`advice._witness_effect`)
-    #   (y, z, outcome)       -> Kraus list on the advice register, postselected on
-    #                            `outcome` (`advice._branch_kraus`)
-    #   (_initial_columns, x) -> read-only loop start columns psi_x (x) |0...0>
-    #                            (`demerlin._initial_columns`); no other key holds a function
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -145,8 +140,30 @@ class OneWayQmaProtocol:
         return state
 
 
+def per_protocol(build):
+    """Memoize `build(p, *args)` in `p._operators`: it runs once per protocol and args.
+
+    The key is `build` with its arguments in positional form, so a positional
+    and a keyword spelling of one call share an entry; a build that raises
+    stores nothing.
+    """
+    sig = inspect.signature(build)
+
+    @wraps(build)
+    def memo(p: OneWayQmaProtocol, *args, **kwargs):
+        if kwargs:
+            args = tuple(sig.bind(p, *args, **kwargs).arguments.values())[1:]
+        key = (build, *args)
+        if key not in p._operators:
+            p._operators[key] = build(p, *args)
+        return p._operators[key]
+
+    return memo
+
+
+@per_protocol
 def block_circuit(p: OneWayQmaProtocol, y: str) -> UnitaryCircuit:
-    """V on Bob's |y> block, as a circuit on the n - b rest qubits; built once per y.
+    """V on Bob's |y> block, as a circuit on the n - b rest qubits.
 
     Verifiers read bob_input only through gate controls, so V is block diagonal
     over Bob's basis: a gate whose Bob controls differ from y is dropped, matching
@@ -154,20 +171,18 @@ def block_circuit(p: OneWayQmaProtocol, y: str) -> UnitaryCircuit:
     """
     if len(y) != p.bob_bits or y.strip("01"):
         raise ValueError(f"Bob input {y!r} does not have {p.bob_bits} bits")
-    if y not in p._operators:
-        b, gates = p.bob_bits, []
-        for g in p.verifier.gates:
-            if any(t < b for t in g.targets):
-                raise ValueError("verifier is not block diagonal over bob_input; "
-                                 "cannot slice a classical input block")
-            controls = list(zip(g.controls, g.control_values))
-            if all(y[q] == str(v) for q, v in controls if q < b):
-                kept = [(q - b, v) for q, v in controls if q >= b]
-                gates.append(Gate._from_checked(g.name, tuple(t - b for t in g.targets), g.matrix,
-                                                tuple(q for q, _ in kept),
-                                                tuple(v for _, v in kept)))
-        p._operators[y] = UnitaryCircuit(p.verifier.n_qubits - b, tuple(gates))
-    return p._operators[y]
+    b, gates = p.bob_bits, []
+    for g in p.verifier.gates:
+        if any(t < b for t in g.targets):
+            raise ValueError("verifier is not block diagonal over bob_input; "
+                             "cannot slice a classical input block")
+        controls = list(zip(g.controls, g.control_values))
+        if all(y[q] == str(v) for q, v in controls if q < b):
+            kept = [(q - b, v) for q, v in controls if q >= b]
+            gates.append(Gate._from_checked(g.name, tuple(t - b for t in g.targets), g.matrix,
+                                            tuple(q for q, _ in kept),
+                                            tuple(v for _, v in kept)))
+    return UnitaryCircuit(p.verifier.n_qubits - b, tuple(gates))
 
 
 def accept_rows(p: OneWayQmaProtocol, outcome: int) -> np.ndarray:
@@ -201,7 +216,10 @@ def rest_columns(p: OneWayQmaProtocol, advice: np.ndarray, witness: np.ndarray) 
 
 
 def rest_projector(p: OneWayQmaProtocol, y: str, outcome: int) -> np.ndarray:
-    """Projector V' Pi_outcome V on the whole rest space; only the benchmark trace calls it."""
+    """Projector V' Pi_outcome V on the whole rest space, as a dense matrix.
+
+    Nothing in the package calls it; the benchmark's layer tracer wraps it by name.
+    """
     if p.verifier.n_qubits > DENSITY_MAX_QUBITS:
         raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
     return project(p, y, np.eye(2 ** (p.verifier.n_qubits - p.bob_bits), dtype=complex), outcome)

@@ -31,14 +31,11 @@ __all__ = [
     "Gate",
     "UnitaryCircuit",
     "basis_state",
-    "maximally_mixed",
-    "random_state",
-    "random_density",
-    "random_effect",
     "tensor_product",
     "trace_distance",
     "measure_two_outcome",
     "apply_kraus",
+    "average_channel_power",
     "kron_power",
     "top_eigenpair",
     "trace_norm",
@@ -50,7 +47,6 @@ __all__ = [
     "unit_trace_gram",
     "scaled_gram",
     "x_gate",
-    "h_gate",
     "ry_gate",
     "cnot",
     "mcx",
@@ -271,32 +267,6 @@ def basis_state(layout, bits: str | int) -> StateVector:
     return StateVector(amps, layout)
 
 
-def maximally_mixed(layout) -> DensityMatrix:
-    layout = _layout(layout)
-    return DensityMatrix(np.eye(layout.dim, dtype=complex) / layout.dim, layout)
-
-
-def random_state(layout, rng: np.random.Generator) -> StateVector:
-    layout = _layout(layout)
-    z = complex_gaussian(rng, layout.dim)
-    return StateVector(z / np.linalg.norm(z), layout)
-
-
-def random_density(layout, rng: np.random.Generator) -> DensityMatrix:
-    layout = _layout(layout)
-    return DensityMatrix(unit_trace_gram(complex_gaussian(rng, (layout.dim, layout.dim))), layout)
-
-
-def random_effect(layout, rng: np.random.Generator, scale: float | None = None) -> "TwoOutcomeMeasurement":
-    """Random effect operator 0 <= E <= scale * I (scale defaults to uniform)."""
-    layout = _layout(layout)
-    g = complex_gaussian(rng, (layout.dim, layout.dim))
-    if scale is None:
-        scale = float(rng.uniform(0.0, 1.0))
-    effect, spectrum = scaled_gram(g, scale)
-    return TwoOutcomeMeasurement(effect, layout, spectrum=spectrum)
-
-
 # ---------------------------------------------------------------------------
 # operations on states
 
@@ -315,6 +285,13 @@ def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
     for k in kraus:
         out += k @ rho @ _dagger(k)
     return out
+
+
+def average_channel_power(m: np.ndarray, kraus: Sequence[np.ndarray], t: int) -> np.ndarray:
+    """t applications of the averaged channel m -> sum_K K m K' / len(kraus)."""
+    for _ in range(t):
+        m = apply_kraus(m, kraus) / len(kraus)
+    return m
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -534,15 +511,10 @@ class UnitaryCircuit:
 # gate vocabulary
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 def x_gate(q: int) -> Gate:
     return Gate("x", (q,), _X)
-
-
-def h_gate(q: int) -> Gate:
-    return Gate("h", (q,), _H)
 
 
 def ry_gate(q: int, theta: float, controls: Sequence[int] = (),

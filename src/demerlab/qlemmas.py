@@ -34,6 +34,7 @@ from .qcore import (
     TwoOutcomeMeasurement,
     apply_kraus,
     as_density,
+    average_channel_power,
     check_density,
     complex_gaussian,
     effect_kraus,
@@ -218,9 +219,7 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
         raise ValueError(
             f"need T >= N/eta^2 = {n_b / eta ** 2:.3f}, got T = {t_steps}")
     kraus0 = [m.m0 for m in induced_effects(joint, rho.dim, n_b, basis=basis)]
-    state = rho.matrix
-    for _ in range(t_steps):
-        state = apply_kraus(state, kraus0) / n_b
+    state = average_channel_power(rho.matrix, kraus0, t_steps)
     p_any = 1.0 - float(np.trace(state).real)
     p_any = min(max(p_any, 0.0), 1.0)
     bound = (eta - sqrt(n_b / t_steps)) ** 2

@@ -33,7 +33,6 @@ __all__ = [
     "ReducedAuditRecord",
     "FingerprintScheme",
     "build_code",
-    "repetition_code",
     "rac_round",
     "honest_merlin",
     "cheat_detection_profile",
@@ -43,7 +42,6 @@ __all__ = [
     "audit_reduced",
     "fingerprint",
     "draw_scheme",
-    "exact_collision_probability",
     "DEFAULT_MODULUS",
 ]
 
@@ -148,11 +146,6 @@ def build_code(w: int, rate_factor: int = 4, seed: int = 0,
         if d >= max(target, 1):
             return LinearCode(generator=g, verified_min_distance=d, codewords=table)
     raise ValueError(f"no code with distance >= {target} found in {MAX_CODE_TRIES} tries")
-
-
-def repetition_code(copies: int) -> LinearCode:
-    return LinearCode(generator=np.ones((copies, 1), dtype=np.uint8),
-                      verified_min_distance=copies)
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +405,3 @@ def _data_to_int(data: str, scheme: FingerprintScheme) -> int:
 def fingerprint(data: str, scheme: FingerprintScheme) -> int:
     value = _data_to_int(data, scheme)
     return ((scheme.alpha * value + scheme.beta) % scheme.modulus) % 2 ** scheme.output_bits
-
-
-def exact_collision_probability(modulus: int, output_bits: int,
-                                x: int, y: int) -> Fraction:
-    """Collision probability over all (alpha, beta) draws, by full enumeration.
-
-    Only sensible for small moduli; used to certify the 2^(1-m) bound and the
-    pair-independence of the collision rate at desk scale.
-    """
-    if x == y:
-        raise ValueError("inputs must differ")
-    hits = 0
-    mask = 2 ** output_bits
-    for alpha in range(modulus):
-        hx_base = (alpha * x) % modulus
-        hy_base = (alpha * y) % modulus
-        for beta in range(modulus):
-            if ((hx_base + beta) % modulus) % mask == ((hy_base + beta) % modulus) % mask:
-                hits += 1
-    return Fraction(hits, modulus * modulus)

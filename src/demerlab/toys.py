@@ -30,8 +30,6 @@ from .qcore import RegisterLayout, StateVector, UnitaryCircuit, basis_state, mcx
 __all__ = [
     "coin_protocol",
     "rac_claim_protocol",
-    "rac_plain_protocol",
-    "perturbed_rac_protocol",
     "parity_ma_verifier",
     "parity_qma_verifier",
     "table_qcma_verifier",
@@ -137,38 +135,6 @@ def rac_claim_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFun
     completeness is exactly 1 and soundness exactly 0.
     """
     return _rac_protocol(n_bits, witness_qubits=1)
-
-
-def rac_plain_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
-    """Witness-free variant: Bob just measures Alice's i-th qubit."""
-    return _rac_protocol(n_bits, witness_qubits=0)
-
-
-def perturbed_rac_protocol(n_bits: int,
-                           bad_index: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
-    """rac_claim_protocol with soundness deliberately broken at one index.
-
-    On query bad_index the verifier leaks acceptance probability 0.4 > 1/3
-    even when Alice's bit is 0, so every pair (X, bad_index) with that bit 0
-    violates soundness and nothing else does.
-    """
-    p, f = rac_claim_protocol(n_bits)
-    layout = p.layout
-    m_bits = p.bob_bits
-    advice_off = layout.offset(ADVICE_REGISTER)
-    witness = layout.offset("witness")
-    accept = p.accept_qubit
-    pattern = tuple(int(b) for b in format(bad_index, f"0{m_bits}b"))
-    bob = layout.qubits("bob_input")
-    extra = ry_gate(accept, _accept_angle(0.4),
-                    controls=bob + (advice_off + bad_index, witness),
-                    control_values=pattern + (0, 1))
-    verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,))
-    broken = OneWayQmaProtocol(
-        bob_bits=p.bob_bits, alice_qubits=p.alice_qubits,
-        witness_qubits=p.witness_qubits, ancilla_qubits=p.ancilla_qubits,
-        verifier=verifier, accept_qubit=accept, alice_encode=p.alice_encode)
-    return broken, f
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,24 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from demerlab.protocol import ADVICE_REGISTER, BOB_REGISTER, WITNESS_REGISTER
+from demerlab.qcore import (
+    DensityMatrix,
+    Gate,
+    RegisterLayout,
+    StateVector,
+    TwoOutcomeMeasurement,
+    UnitaryCircuit,
+    complex_gaussian,
+    ry_gate,
+    scaled_gram,
+    unit_trace_gram,
+)
+from demerlab.rac import LinearCode
+from demerlab.toys import _accept_angle, _rac_protocol, rac_claim_protocol
 
 
 @pytest.fixture
@@ -11,3 +30,68 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def maximally_mixed(layout: RegisterLayout) -> DensityMatrix:
+    return DensityMatrix(np.eye(layout.dim, dtype=complex) / layout.dim, layout)
+
+
+def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVector:
+    z = complex_gaussian(rng, layout.dim)
+    return StateVector(z / np.linalg.norm(z), layout)
+
+
+def random_density(layout: RegisterLayout, rng: np.random.Generator) -> DensityMatrix:
+    return DensityMatrix(unit_trace_gram(complex_gaussian(rng, (layout.dim, layout.dim))), layout)
+
+
+def random_effect(layout: RegisterLayout, rng: np.random.Generator,
+                  scale: float | None = None) -> TwoOutcomeMeasurement:
+    """Random effect operator 0 <= E <= scale * I (scale defaults to uniform)."""
+    g = complex_gaussian(rng, (layout.dim, layout.dim))
+    if scale is None:
+        scale = float(rng.uniform(0.0, 1.0))
+    effect, spectrum = scaled_gram(g, scale)
+    return TwoOutcomeMeasurement(effect, layout, spectrum=spectrum)
+
+
+def h_gate(q: int) -> Gate:
+    return Gate("h", (q,), np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
+
+
+def rac_plain_protocol(n_bits: int):
+    """Witness-free variant of `rac_claim_protocol`: Bob just measures Alice's i-th qubit."""
+    return _rac_protocol(n_bits, witness_qubits=0)
+
+
+def perturbed_rac_protocol(n_bits: int, bad_index: int):
+    """rac_claim_protocol with soundness deliberately broken at one index.
+
+    On query bad_index the verifier leaks acceptance probability 0.4 > 1/3
+    even when Alice's bit is 0, so every pair (X, bad_index) with that bit 0
+    violates soundness and nothing else does.
+    """
+    p, f = rac_claim_protocol(n_bits)
+    layout = p.layout
+    pattern = tuple(int(b) for b in format(bad_index, f"0{p.bob_bits}b"))
+    extra = ry_gate(p.accept_qubit, _accept_angle(0.4),
+                    controls=layout.qubits(BOB_REGISTER) + (
+                        layout.offset(ADVICE_REGISTER) + bad_index,
+                        layout.offset(WITNESS_REGISTER)),
+                    control_values=pattern + (0, 1))
+    verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,))
+    return dataclasses.replace(p, verifier=verifier), f
+
+
+def repetition_code(copies: int) -> LinearCode:
+    return LinearCode(generator=np.ones((copies, 1), dtype=np.uint8),
+                      verified_min_distance=copies)
+
+
+def exact_collision_probability(modulus: int, output_bits: int, x: int, y: int) -> Fraction:
+    """Collision probability of the modular fingerprint of x != y over all
+    (alpha, beta) draws, by full enumeration; only sensible for small moduli."""
+    mask = 2 ** output_bits
+    hits = sum(((alpha * x + beta) % modulus) % mask == ((alpha * y + beta) % modulus) % mask
+               for alpha in range(modulus) for beta in range(modulus))
+    return Fraction(hits, modulus * modulus)

@@ -20,8 +20,9 @@ from demerlab.amplify import (
     plan_amplification,
 )
 from demerlab.protocol import induced_witness_operator, optimal_witness
-from demerlab.qcore import RegisterLayout, random_state
+from demerlab.qcore import RegisterLayout
 from demerlab.toys import coin_protocol
+from conftest import random_state
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from demerlab.advice import _branch_kraus, _witness_effect
 from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
-from demerlab.demerlin import demerlinize, evaluate_demerlinized
+from demerlab.demerlin import _initial_columns, demerlinize, evaluate_demerlinized
 from demerlab.protocol import (
     CommunicationFunction,
     OneWayQmaProtocol,
@@ -25,18 +25,17 @@ from demerlab.qcore import (
     RegisterLayout,
     UnitaryCircuit,
     basis_state,
-    random_density,
-    random_state,
     ry_gate,
     x_gate,
 )
-from demerlab.toys import (
-    coin_protocol,
+from demerlab.toys import coin_protocol, rac_claim_protocol
+from conftest import (
     perturbed_rac_protocol,
-    rac_claim_protocol,
     rac_plain_protocol,
+    random_density,
+    random_state,
+    random_unitary,
 )
-from conftest import random_unitary
 from test_qcore import dense_apply
 
 
@@ -279,6 +278,25 @@ def test_block_circuit_rejects_non_block_diagonal():
     p = bob_targeting_protocol((ry_gate(0, 0.4),))  # rotates Bob's register
     with pytest.raises(ValueError, match="block diagonal"):
         block_circuit(p, "0")
+
+
+def test_a_build_that_raises_caches_nothing():
+    p = bob_targeting_protocol((ry_gate(0, 0.4),))
+    _initial_columns(p, "0")  # needs no verifier run, so it is cached
+    before = dict(p._operators)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="block diagonal"):
+            block_circuit(p, "0")
+    assert p._operators == before and len(before) == 1
+
+
+def test_positional_and_keyword_calls_share_one_entry():
+    p, _ = coin_protocol()
+    kraus = _branch_kraus(p, "1", "0", 1)
+    assert _branch_kraus(p, "1", "0", keep_outcome=1) is kraus
+    assert _branch_kraus(p, x="1", z="0", keep_outcome=1) is kraus
+    assert block_circuit(p, y="1") is block_circuit(p, "1")
+    assert _branch_kraus(p, "1", "0", 0) is not kraus
 
 
 def test_a_gate_on_a_bob_qubit_is_rejected_even_when_undone():

@@ -12,14 +12,9 @@ from demerlab.qcore import (
     apply_kraus,
     basis_state,
     cnot,
-    h_gate,
     majority_gate,
-    maximally_mixed,
     measure_two_outcome,
     mcx,
-    random_density,
-    random_effect,
-    random_state,
     ry_gate,
     increment_gate,
     counter_threshold_gate,
@@ -28,7 +23,14 @@ from demerlab.qcore import (
     top_eigenpair,
     trace_distance,
 )
-from conftest import random_unitary
+from conftest import (
+    h_gate,
+    maximally_mixed,
+    random_density,
+    random_effect,
+    random_state,
+    random_unitary,
+)
 
 Q1 = RegisterLayout.of(("q", 1))
 AB = RegisterLayout.of(("A", 1), ("B", 1))

@@ -16,9 +16,6 @@ from demerlab.qcore import (
     StateVector,
     TwoOutcomeMeasurement,
     hermitize,
-    random_density,
-    random_effect,
-    random_state,
 )
 from demerlab.qlemmas import (
     agrees_within_sigma,
@@ -35,6 +32,7 @@ from demerlab.qlemmas import (
 import demerlab.qlemmas as qlemmas
 from demerlab.cli import main
 from demerlab.toys import coin_protocol, demerlin_toy
+from conftest import random_density, random_effect, random_state
 
 Q1 = RegisterLayout.of(("q", 1))
 

@@ -13,15 +13,14 @@ from demerlab.rac import (
     build_code,
     cheat_detection_profile,
     draw_scheme,
-    exact_collision_probability,
     fingerprint,
     honest_merlin,
     rac_round,
-    repetition_code,
     rounds_for_soundness,
     tight_reduction,
     wrapped_code_protocol,
 )
+from conftest import exact_collision_probability, repetition_code
 
 
 def oracle_min_distance(generator: np.ndarray) -> int:
