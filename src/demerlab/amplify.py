@@ -269,23 +269,15 @@ def desk_plan(a: int, w: int, base_error: Fraction = BASE_ERROR) -> Amplificatio
 def _register_map(src: OneWayQmaProtocol, dst_layout: RegisterLayout,
                   advice_block: int, witness_block: int,
                   ancilla_block: int) -> dict[int, int]:
-    """Map a base-protocol qubit index into a composed layout."""
+    """Map a base-protocol qubit index into a composed layout; every copy
+    shares Bob's register, so it keeps block 0."""
+    blocks = {BOB_REGISTER: 0, ADVICE_REGISTER: advice_block,
+              WITNESS_REGISTER: witness_block, ANCILLA_REGISTER: ancilla_block}
     mapping: dict[int, int] = {}
     src_layout = src.layout
-    for name, _ in src_layout.registers:
-        src_qubits = src_layout.qubits(name)
-        if name == BOB_REGISTER:
-            dst = dst_layout.qubits(BOB_REGISTER)[:len(src_qubits)]
-        elif name == ADVICE_REGISTER:
-            off = dst_layout.offset(ADVICE_REGISTER) + advice_block
-            dst = range(off, off + len(src_qubits))
-        elif name == WITNESS_REGISTER:
-            off = dst_layout.offset(WITNESS_REGISTER) + witness_block
-            dst = range(off, off + len(src_qubits))
-        else:
-            off = dst_layout.offset(ANCILLA_REGISTER) + ancilla_block
-            dst = range(off, off + len(src_qubits))
-        mapping.update(dict(zip(src_qubits, dst)))
+    for name in src_layout.names:
+        off = dst_layout.offset(name) + blocks[name]
+        mapping.update((q, off + j) for j, q in enumerate(src_layout.qubits(name)))
     return mapping
 
 

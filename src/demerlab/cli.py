@@ -127,9 +127,12 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(args, command: str, params: dict) -> dict:
-    return {"version": __version__, "command": command, "seed": args.seed,
-            "params": params, "results": [], "pass": True}
+def _report(args, params: dict, rows: list[dict], **extra) -> dict:
+    """The report of every command. It passes iff every row passed and so did
+    the summary, if `extra` has one; `extra`'s keys are top-level fields."""
+    passed = all(r["pass"] for r in rows) and extra.get("summary", {}).get("pass", True)
+    return {"version": __version__, "command": f"{args.group} {args.sub}", "seed": args.seed,
+            "params": params, "results": rows, "pass": passed, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -137,36 +140,28 @@ def _base_report(args, command: str, params: dict) -> dict:
 
 
 def _run_good_as_new(args) -> dict:
-    report = _base_report(args, "lemma good-as-new", {"instances": args.instances})
     layout = RegisterLayout.of(("q", 1))
     plus_state = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), layout)
     proj1 = TwoOutcomeMeasurement(np.array([[0, 0], [0, 1]], dtype=complex), layout)
     eq = good_as_new_check(plus_state, proj1)
-    report["results"].append({"case": "projector-equality", **eq.to_json_dict()})
+    rows = [{"case": "projector-equality", **eq.to_json_dict()}]
     rng_seeds = _child_seeds(args.seed, args.instances)
     for i, ss in enumerate(rng_seeds):
         rng = np.random.default_rng(ss)
         rho, seq = random_union_instance(rng, max_qubits=2, max_steps=1)
         r = good_as_new_check(rho, seq[0])
-        report["results"].append({"case": f"random-{i}", **r.to_json_dict()})
-    report["pass"] = all(r["pass"] for r in report["results"])
-    report["csv_columns"] = ["case", "lemma", "bound", "pass"]
-    return report
+        rows.append({"case": f"random-{i}", **r.to_json_dict()})
+    return _report(args, {"instances": args.instances}, rows,
+                   csv_columns=["case", "lemma", "bound", "pass"])
 
 
 def _run_union(args) -> dict:
-    report = _base_report(args, "lemma union", {"instances": args.instances})
     rows = [r.to_json_dict() for r in random_union_audit(_child_seeds(args.seed, args.instances))]
-    report["results"] = rows
-    report["pass"] = all(r["pass"] for r in rows)
-    report["csv_columns"] = ["lemma", "exact", "bound", "drift", "pass"]
-    return report
+    return _report(args, {"instances": args.instances}, rows,
+                   csv_columns=["lemma", "exact", "bound", "drift", "pass"])
 
 
 def _run_or_bound(args) -> dict:
-    params = {"witness_qubits": args.witness_qubits, "instances": args.instances,
-              "shots": args.shots}
-    report = _base_report(args, "lemma or-bound", params)
     seeds = _child_seeds(args.seed, args.instances + 1)
     rho, sigma, joint, t = projector_or_instance(args.witness_qubits)
     pinned = or_bound_run(rho, sigma, joint, t)
@@ -174,6 +169,7 @@ def _run_or_bound(args) -> dict:
     row["case"] = "eta-two-thirds"
     row["meets_one_ninth"] = pinned.p_any_one >= YES_FLOOR - 1e-9
     if args.shots:
+        # a cross-check only: a 3-sigma miss is a 0.0027 false alarm, not a failed bound
         effects = induced_effects(joint, rho.dim, sigma.dim)
         rng = np.random.default_rng(seeds[0])
         est, err = monte_carlo_any_outcome1(rho, [m.m0 for m in effects], t,
@@ -181,16 +177,16 @@ def _run_or_bound(args) -> dict:
         row["monte_carlo"] = {"estimate": est, "stderr": err,
                               "within_3_sigma": agrees_within_sigma(est, pinned.p_any_one,
                                                                     args.shots)}
-    report["results"].append(row)
+    rows = [row]
     for i, ss in enumerate(seeds[1:]):
         rng = np.random.default_rng(ss)
         rho_i, sigma_i, joint_i, t_i = random_or_instance(rng, args.witness_qubits)
         r = or_bound_run(rho_i, sigma_i, joint_i, t_i).to_json_dict()
         r["case"] = f"random-{i}"
-        report["results"].append(r)
-    report["pass"] = all(r["pass"] for r in report["results"])
-    report["csv_columns"] = ["case", "lemma", "exact", "bound", "pass"]
-    return report
+        rows.append(r)
+    params = {"witness_qubits": args.witness_qubits, "instances": args.instances,
+              "shots": args.shots}
+    return _report(args, params, rows, csv_columns=["case", "lemma", "exact", "bound", "pass"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +194,11 @@ def _run_or_bound(args) -> dict:
 
 
 def _run_amplify_plan(args) -> dict:
-    params = {"alice_qubits": args.alice, "witness_qubits": args.witness,
-              "desk": args.desk}
-    report = _base_report(args, "amplify plan", params)
     plan = (desk_plan if args.desk else plan_amplification)(args.alice, args.witness)
     row = plan.to_json_dict()
     row["pass"] = plan.soundness_cert_log10 <= plan.soundness_target_log10 + 1e-12
-    report["results"].append(row)
-    report["pass"] = row["pass"]
-    return report
+    params = {"alice_qubits": args.alice, "witness_qubits": args.witness, "desk": args.desk}
+    return _report(args, params, [row])
 
 
 def _demerlinized_from_toy(name: str):
@@ -216,18 +208,15 @@ def _demerlinized_from_toy(name: str):
 
 
 def _run_demerlin_build(args) -> dict:
-    report = _base_report(args, "demerlin build", {"toy": args.toy})
     d, _ = _demerlinized_from_toy(args.toy)
     row = resource_report(d).to_json_dict()
     row["W"] = d.witness_qubits
     row["T"] = d.t_rounds
     row["pass"] = True
-    report["results"].append(row)
-    return report
+    return _report(args, {"toy": args.toy}, [row])
 
 
 def _run_demerlin_run(args) -> dict:
-    report = _base_report(args, "demerlin run", {"toy": args.toy, "shots": args.shots})
     d, f = _demerlinized_from_toy(args.toy)
     yes_vals, no_vals, rows = [], [], []
     for (x, y), v in f.pairs():
@@ -264,11 +253,8 @@ def _run_demerlin_run(args) -> dict:
         if no_vals:
             summary["final_vote"]["voted_no_max"] = final_vote_acceptance(
                 summary["p_accept_no_max"], vote)
-    report["results"] = rows
-    report["summary"] = summary
-    report["pass"] = summary["pass"]
-    report["csv_columns"] = ["x", "y", "f", "p_accept", "pass"]
-    return report
+    return _report(args, {"toy": args.toy, "shots": args.shots}, rows, summary=summary,
+                   csv_columns=["x", "y", "f", "p_accept", "pass"])
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +265,6 @@ def _run_rac_audit(args) -> dict:
     if args.n % args.w:
         raise ValueError("--n must be a multiple of --w")
     a = args.n // args.w
-    params = {"n": args.n, "w": args.w, "a": a}
-    report = _base_report(args, "rac audit", params)
     code = build_code(args.w, seed=args.seed)
     rounds = rounds_for_soundness(code)
     completeness_failures = 0
@@ -311,18 +295,11 @@ def _run_rac_audit(args) -> dict:
                  and min_detection >= float(code.distance_ratio) - 1e-12
                  and soundness <= 1.0 / 3.0 + 1e-12),
     }
-    report["results"].append(row)
-    report["pass"] = row["pass"]
-    report["csv_columns"] = ["n", "w", "a", "seed", "block_length", "min_distance",
-                             "completeness", "min_detection", "rounds",
-                             "soundness_after_rounds", "pass"]
-    return report
+    return _report(args, {"n": args.n, "w": args.w, "a": a}, [row], csv_columns=list(row))
 
 
 def _run_rac_reduce(args) -> dict:
     n = args.n if args.n is not None else 2 * args.w
-    params = {"n": n, "w": args.w}
-    report = _base_report(args, "rac reduce", params)
     code = build_code(args.w, seed=args.seed)
     base = wrapped_code_protocol(code, n)
     reduced = tight_reduction(base)
@@ -332,14 +309,10 @@ def _run_rac_reduce(args) -> dict:
     row = {"n": n, "w": args.w, "copies": reduced.copies,
            "per_claim_error": reduced.per_claim_error,
            "worst_error_bound": worst, "pass": worst <= 1.0 / 3.0 + 1e-12}
-    report["results"].append(row)
-    report["pass"] = row["pass"]
-    return report
+    return _report(args, {"n": n, "w": args.w}, [row])
 
 
 def _run_rac_fingerprint(args) -> dict:
-    params = {"bits": args.bits, "m_bits": args.m_bits, "trials": args.trials}
-    report = _base_report(args, "rac fingerprint", params)
     rng = np.random.default_rng(_child_seeds(args.seed, 1)[0])
     collisions = 0
 
@@ -358,9 +331,8 @@ def _run_rac_fingerprint(args) -> dict:
     # one-sided exact test: this many collisions is not unlikely at rate `bound`
     row = {"collision_rate": collisions / args.trials, "bound": bound,
            "pass": binom_tail(args.trials, bound, collisions) >= THREE_SIGMA_RATE / 2}
-    report["results"].append(row)
-    report["pass"] = row["pass"]
-    return report
+    params = {"bits": args.bits, "m_bits": args.m_bits, "trials": args.trials}
+    return _report(args, params, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +340,20 @@ def _run_rac_fingerprint(args) -> dict:
 
 
 def _run_advice_ma_fix(args) -> dict:
-    report = _base_report(args, "advice ma-fix", {"n": args.n})
-    v = parity_ma_verifier(args.n)
-    fixed = ma_fix_advice(v, seed=args.seed)
-    row = fixed.to_json_dict()
+    row = ma_fix_advice(parity_ma_verifier(args.n), seed=args.seed).to_json_dict()
     row["pass"] = True
-    report["results"].append(row)
-    return report
+    return _report(args, {"n": args.n}, [row])
 
 
 def _run_advice_qma_fix(args) -> dict:
-    report = _base_report(args, "advice qma-fix", {"n": args.n,
-                                                   "witness_bits": args.witness_bits})
     if args.witness_bits != 1:
         raise ValueError("the shipped quantum-witness toy uses a 1-qubit witness")
-    v = parity_qma_verifier(args.n)
-    fixed = qma_fix_advice(v, seed=args.seed)
-    row = fixed.to_json_dict()
+    row = qma_fix_advice(parity_qma_verifier(args.n), seed=args.seed).to_json_dict()
     row["pass"] = True
-    report["results"].append(row)
-    return report
+    return _report(args, {"n": args.n, "witness_bits": args.witness_bits}, [row])
 
 
 def _run_advice_qcma_train(args) -> dict:
-    report = _base_report(args, "advice qcma-train",
-                          {"n": args.n, "adv_qubits": args.adv_qubits})
     if args.adv_qubits is not None and args.adv_qubits != 2 ** args.n:
         raise ValueError(f"the table toy at n={args.n} uses {2 ** args.n} advice qubits")
     v = table_qcma_verifier(args.n)
@@ -414,9 +375,7 @@ def _run_advice_qcma_train(args) -> dict:
         "j_fold_correct": all(jfold.values()),
         "pass": (correct and p_t >= floor - 1e-9 and p_t <= (2.0 / 3.0) ** t + 1e-9),
     }
-    report["results"].append(row)
-    report["pass"] = row["pass"]
-    return report
+    return _report(args, {"n": args.n, "adv_qubits": args.adv_qubits}, [row])
 
 
 # ---------------------------------------------------------------------------

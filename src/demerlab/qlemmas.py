@@ -20,7 +20,7 @@ Kraus updates, which is polynomial in T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import erfc, sqrt
 
 import numpy as np
@@ -86,8 +86,8 @@ class MeasurementSequenceReport:
     p_any_one: float
     bound: float
     averaged_state_drift: float
-    params: dict = field(default_factory=dict)
-    passed: bool = True
+    params: dict
+    passed: bool
 
     def to_json_dict(self) -> dict:
         return {"lemma": self.lemma, "params": dict(self.params),

@@ -16,7 +16,7 @@ long strings with short random advice.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -78,16 +78,15 @@ MAX_CODE_TRIES = 500  # generators sampled by build_code before it gives up
 
 @dataclass(frozen=True)
 class LinearCode:
-    """Generator matrix over GF(2) with an exhaustively verified minimum distance,
-    and its codeword table and weights: built once, or taken from `codewords`."""
+    """Generator matrix over GF(2), its codeword table and weights, and its
+    minimum distance found by enumerating every codeword."""
 
     generator: np.ndarray  # shape (W, w), carries w-bit messages to W-bit words
-    verified_min_distance: int
-    codewords: InitVar[np.ndarray | None] = None
     table: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    verified_min_distance: int = field(init=False)
 
-    def __post_init__(self, codewords=None):
+    def __post_init__(self):
         g = np.asarray(self.generator, dtype=np.uint8) % 2
         object.__setattr__(self, "generator", g)
         w = g.shape[1]
@@ -95,15 +94,13 @@ class LinearCode:
             raise ValueError("exhaustive distance verification is capped at w = 16")
         if _gf2_rank(g) != w:
             raise ValueError("generator must have full column rank")
-        table = _codewords(g) if codewords is None else codewords
+        table = _codewords(g)
         table.flags.writeable = False
         weights = table.sum(axis=1)
-        true_d = int(weights[1:].min(initial=g.shape[0] + 1))
-        if true_d != self.verified_min_distance:
-            raise ValueError(
-                f"declared distance {self.verified_min_distance} != true distance {true_d}")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "verified_min_distance",
+                           int(weights[1:].min(initial=g.shape[0] + 1)))
 
     @property
     def block_length(self) -> int:
@@ -141,10 +138,9 @@ def build_code(w: int, rate_factor: int = 4, seed: int = 0,
         g = rng.integers(0, 2, size=(big_w, w), dtype=np.uint8)
         if _gf2_rank(g) != w:
             continue
-        table = _codewords(g)
-        d = int(table[1:].sum(axis=1).min())
-        if d >= max(target, 1):
-            return LinearCode(generator=g, verified_min_distance=d, codewords=table)
+        code = LinearCode(g)
+        if code.verified_min_distance >= max(target, 1):
+            return code
     raise ValueError(f"no code with distance >= {target} found in {MAX_CODE_TRIES} tries")
 
 

@@ -90,33 +90,38 @@ def coin_protocol(yes_prob: float = 2.0 / 3.0, no_prob: float = 1.0 / 3.0,
     return p, f
 
 
-def _index_select_verifier(m_bits: int, witness_qubits: int) -> tuple[UnitaryCircuit, int]:
+def _index_select_verifier(m_bits: int) -> tuple[UnitaryCircuit, int]:
     """Bob's m-bit input i selects advice qubit i of 2^m.
 
     One mcx per i flips the single ancilla qubit iff Bob's input is i, advice
-    qubit i is 1 and, with a witness qubit, the witness claims 1. Returns the
-    circuit and its accept qubit.
+    qubit i is 1 and the witness qubit claims 1. Returns the circuit and its
+    accept qubit.
     """
-    layout = protocol_layout(m_bits, 2 ** m_bits, witness_qubits, 1)
+    layout = protocol_layout(m_bits, 2 ** m_bits, 1, 1)
     bob = layout.qubits(BOB_REGISTER)
-    claim = layout.qubits(WITNESS_REGISTER) if witness_qubits else ()
+    claim = layout.offset(WITNESS_REGISTER)
     advice_off = layout.offset(ADVICE_REGISTER)
     accept = layout.offset(ANCILLA_REGISTER)
     gates = []
     for i in range(2 ** m_bits):
         pattern = tuple(int(b) for b in format(i, f"0{m_bits}b"))
-        gates.append(mcx(controls=bob + (advice_off + i,) + claim, target=accept,
-                         control_values=pattern + (1,) * (1 + len(claim))))
+        gates.append(mcx(controls=bob + (advice_off + i, claim), target=accept,
+                         control_values=pattern + (1, 1)))
     return UnitaryCircuit(layout.n_qubits, tuple(gates)), accept
 
 
-def _rac_protocol(n_bits: int, witness_qubits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
+def rac_claim_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
+    """Random-access toy: Alice sends |X> and Merlin's qubit claims x_i = 1.
+
+    Bob accepts iff the witness qubit is 1 and Alice's i-th qubit is 1, so
+    completeness is exactly 1 and soundness exactly 0.
+    """
     m_bits = int(log2(n_bits))
     if 2 ** m_bits != n_bits:
         raise ValueError("n_bits must be a power of two")
-    verifier, accept = _index_select_verifier(m_bits, witness_qubits)
+    verifier, accept = _index_select_verifier(m_bits)
     p = OneWayQmaProtocol(
-        bob_bits=m_bits, alice_qubits=n_bits, witness_qubits=witness_qubits,
+        bob_bits=m_bits, alice_qubits=n_bits, witness_qubits=1,
         ancilla_qubits=1, verifier=verifier, accept_qubit=accept,
         alice_encode=_basis_encoder(n_bits))
     table = {}
@@ -126,15 +131,6 @@ def _rac_protocol(n_bits: int, witness_qubits: int) -> tuple[OneWayQmaProtocol, 
             table[(xs, format(i, f"0{m_bits}b"))] = int(xs[i])
     f = CommunicationFunction(n_bits_alice=n_bits, m_bits_bob=m_bits, table=table)
     return p, f
-
-
-def rac_claim_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFunction]:
-    """Random-access toy: Alice sends |X> and Merlin's qubit claims x_i = 1.
-
-    Bob accepts iff the witness qubit is 1 and Alice's i-th qubit is 1, so
-    completeness is exactly 1 and soundness exactly 0.
-    """
-    return _rac_protocol(n_bits, witness_qubits=1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +196,7 @@ def table_qcma_verifier(n: int, truth_table: str | None = None) -> QuantumAdvice
     if truth_table is None:
         truth_table = _truth_table(n)
     a_qubits = 2 ** n
-    verifier, accept = _index_select_verifier(n, witness_qubits=1)
+    verifier, accept = _index_select_verifier(n)
     p = OneWayQmaProtocol(
         bob_bits=n, alice_qubits=a_qubits, witness_qubits=1, ancilla_qubits=1,
         verifier=verifier, accept_qubit=accept,

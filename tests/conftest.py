@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from demerlab.protocol import ADVICE_REGISTER, BOB_REGISTER, WITNESS_REGISTER
+from demerlab.protocol import (
+    ADVICE_REGISTER,
+    ANCILLA_REGISTER,
+    BOB_REGISTER,
+    WITNESS_REGISTER,
+    protocol_layout,
+)
 from demerlab.qcore import (
     DensityMatrix,
     Gate,
@@ -13,12 +19,13 @@ from demerlab.qcore import (
     TwoOutcomeMeasurement,
     UnitaryCircuit,
     complex_gaussian,
+    mcx,
     ry_gate,
     scaled_gram,
     unit_trace_gram,
 )
 from demerlab.rac import LinearCode
-from demerlab.toys import _accept_angle, _rac_protocol, rac_claim_protocol
+from demerlab.toys import _accept_angle, rac_claim_protocol
 
 
 @pytest.fixture
@@ -61,7 +68,15 @@ def h_gate(q: int) -> Gate:
 
 def rac_plain_protocol(n_bits: int):
     """Witness-free variant of `rac_claim_protocol`: Bob just measures Alice's i-th qubit."""
-    return _rac_protocol(n_bits, witness_qubits=0)
+    p, f = rac_claim_protocol(n_bits)
+    layout = protocol_layout(p.bob_bits, n_bits, 0, 1)
+    bob = layout.qubits(BOB_REGISTER)
+    advice, accept = layout.offset(ADVICE_REGISTER), layout.offset(ANCILLA_REGISTER)
+    gates = tuple(mcx(controls=bob + (advice + i,), target=accept,
+                      control_values=tuple(map(int, format(i, f"0{p.bob_bits}b"))) + (1,))
+                  for i in range(n_bits))
+    return dataclasses.replace(p, witness_qubits=0, verifier=UnitaryCircuit(layout.n_qubits, gates),
+                               accept_qubit=accept), f
 
 
 def perturbed_rac_protocol(n_bits: int, bad_index: int):
@@ -84,8 +99,7 @@ def perturbed_rac_protocol(n_bits: int, bad_index: int):
 
 
 def repetition_code(copies: int) -> LinearCode:
-    return LinearCode(generator=np.ones((copies, 1), dtype=np.uint8),
-                      verified_min_distance=copies)
+    return LinearCode(generator=np.ones((copies, 1), dtype=np.uint8))
 
 
 def exact_collision_probability(modulus: int, output_bits: int, x: int, y: int) -> Fraction:

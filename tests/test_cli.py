@@ -226,3 +226,51 @@ def test_violated_bound_still_exits_1(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "_run_rac_audit", broken)
     assert main(["rac", "audit", "--out", str(tmp_path / "fail.json")]) == 1
+
+
+# The pass rule through real handlers: a report passes iff every row passed and so
+# did its summary; a Monte-Carlo cross-check outside the summary never fails it.
+
+
+def test_one_failing_row_fails_the_report(tmp_path, monkeypatch):
+    import dataclasses
+
+    import demerlab.cli as cli_mod
+
+    real = cli_mod.good_as_new_check
+    calls = []
+
+    def fail_random_2(rho, m):  # call 0 is the projector equality, call 3 is random-2
+        calls.append(None)
+        r = real(rho, m)
+        return dataclasses.replace(r, passed=False) if len(calls) == 4 else r
+
+    monkeypatch.setattr(cli_mod, "good_as_new_check", fail_random_2)
+    code, payload = run_cli(["lemma", "good-as-new", "--instances", "5", "--seed", "2"],
+                            tmp_path, "gan.json")
+    doc = json.loads(payload)
+    assert code == 1 and doc["pass"] is False
+    assert [r["case"] for r in doc["results"] if not r["pass"]] == ["random-2"]
+    assert len(doc["results"]) == 6
+
+
+def test_failed_summary_check_fails_the_report(tmp_path, monkeypatch):
+    import demerlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "agrees_within_sigma", lambda *a: False)
+    code, payload = run_cli(["demerlin", "run", "--toy", "rac2", "--shots", "200"],
+                            tmp_path, "run.json")
+    doc = json.loads(payload)
+    assert all(r["pass"] for r in doc["results"])
+    assert doc["summary"]["monte_carlo"]["within_3_sigma"] is False
+    assert doc["summary"]["pass"] is False and doc["pass"] is False and code == 1
+
+
+def test_or_bound_sigma_check_does_not_feed_pass(tmp_path, monkeypatch):
+    import demerlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "agrees_within_sigma", lambda *a: False)
+    code, payload = run_cli(["lemma", "or-bound", "--shots", "2000"], tmp_path, "or.json")
+    doc = json.loads(payload)
+    assert doc["results"][0]["monte_carlo"]["within_3_sigma"] is False
+    assert doc["pass"] is True and code == 0

