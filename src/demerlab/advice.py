@@ -116,6 +116,18 @@ class FixedMaAdvice:
                 "certificate": dict(sorted(self.certificate.items()))}
 
 
+def _first_qualifying(advice: RandomizedAdvice, rng: np.random.Generator, reps: int,
+                      certify: Callable[[tuple], dict | None]) -> tuple[int, tuple, dict] | None:
+    """(draw number, tuple, certificate) of the first of MAX_DRAWS seeded advice tuples
+    of length `reps` for which `certify` returns a certificate, or None."""
+    for draw in range(1, MAX_DRAWS + 1):
+        advice_tuple = advice.sample_tuple(rng, reps)
+        cert = certify(advice_tuple)
+        if cert is not None:
+            return draw, advice_tuple, cert
+    return None
+
+
 def _boosted_accept(v: MaToyVerifier, advice_tuple: tuple, x: str, z: str) -> int:
     votes = sum(v.accept(x, r, z) for r in advice_tuple)
     return 1 if votes >= majority_threshold(len(advice_tuple)) else 0
@@ -152,30 +164,24 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
         reps += 2
         if reps > 501:
             raise PromiseViolationError("boosting does not converge; promise too weak")
-    rng = np.random.default_rng(seed)
-    for draw in range(1, MAX_DRAWS + 1):
-        advice_tuple = v.advice.sample_tuple(rng, reps)
+
+    def certify(advice_tuple: tuple) -> dict[str, int] | None:
         cert: dict[str, int] = {}
-        good = True
         for x in v.inputs():
             accepted = [z for z in _witness_strings(v.witness_bits)
                         if _boosted_accept(v, advice_tuple, x, z)]
-            if v.language[x] == 1:
-                if accepted:
-                    cert[x] = int(accepted[0], 2)
-                else:
-                    good = False
-                    break
-            else:
-                if accepted:
-                    good = False
-                    break
-                cert[x] = -1
-        if good:
-            return FixedMaAdvice(reps=reps, advice_tuple=advice_tuple,
-                                 per_pair_error_target=float(target),
-                                 draws_used=draw, certificate=cert)
-    raise PromiseViolationError(f"no qualifying advice tuple within {MAX_DRAWS} draws")
+            if bool(accepted) != (v.language[x] == 1):
+                return None
+            cert[x] = int(accepted[0], 2) if accepted else -1
+        return cert
+
+    found = _first_qualifying(v.advice, np.random.default_rng(seed), reps, certify)
+    if found is None:
+        raise PromiseViolationError(f"no qualifying advice tuple within {MAX_DRAWS} draws")
+    draw, advice_tuple, cert = found
+    return FixedMaAdvice(reps=reps, advice_tuple=advice_tuple,
+                         per_pair_error_target=float(target),
+                         draws_used=draw, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +268,34 @@ def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
             raise PromiseViolationError("boosted witness register exceeds desk scale")
         yes_threshold = 1.0 - 2.0 ** (-3 * w_boost)
         basis_threshold = 2.0 ** (-2 * w_boost)
-        for draw in range(1, MAX_DRAWS + 1):
-            advice_tuple = v.advice.sample_tuple(rng, reps)
+
+        def certify(advice_tuple: tuple) -> dict[str, float] | None:
             certificates: dict[str, float] = {}
-            good = True
             for x in v.inputs():
-                ops = [np.asarray(v.witness_operator(x, r), dtype=complex)
-                       for r in advice_tuple]
-                boosted = _majority_operator(ops)
+                boosted = _majority_operator([np.asarray(v.witness_operator(x, r), dtype=complex)
+                                              for r in advice_tuple])
                 if v.language[x] == 1:
-                    lam, _ = top_eigenpair(boosted)
-                    if lam < yes_threshold - ATOL:
-                        good = False
-                        break
-                else:
-                    diag_max = float(np.max(boosted.diagonal().real))
-                    if diag_max > basis_threshold + ATOL:
-                        good = False
-                        break
-                    lam, _ = top_eigenpair(boosted)
-                    if lam > 2 ** w_boost * diag_max + ATOL or lam > 1.0 / 3.0 + ATOL:
-                        good = False
-                        break
-                    certificates[x] = lam
-            if good:
-                return FixedQmaAdvice(
-                    reps=reps, advice_tuple=advice_tuple,
-                    boosted_witness_qubits=w_boost,
-                    yes_threshold=yes_threshold, basis_threshold=basis_threshold,
-                    draws_used=draw, mixed_state_certificates=certificates)
+                    if top_eigenpair(boosted)[0] < yes_threshold - ATOL:
+                        return None
+                    continue
+                # the basis-diagonal check is cheaper than top_eigenpair, so it runs first
+                diag_max = float(np.max(boosted.diagonal().real))
+                if diag_max > basis_threshold + ATOL:
+                    return None
+                lam, _ = top_eigenpair(boosted)
+                if lam > 2 ** w_boost * diag_max + ATOL or lam > 1.0 / 3.0 + ATOL:
+                    return None
+                certificates[x] = lam
+            return certificates
+
+        found = _first_qualifying(v.advice, rng, reps, certify)
+        if found is not None:
+            draw, advice_tuple, certificates = found
+            return FixedQmaAdvice(
+                reps=reps, advice_tuple=advice_tuple,
+                boosted_witness_qubits=w_boost,
+                yes_threshold=yes_threshold, basis_threshold=basis_threshold,
+                draws_used=draw, mixed_state_certificates=certificates)
         reps += 2
 
 
@@ -360,26 +365,24 @@ class TrainedDecider:
     advice_matrix: np.ndarray  # trained state on the amplified advice register
     error_rate: float          # certified per-run error of the amplified verifier
 
-    def witness_acceptance(self, x: str, z: str) -> float:
-        effect = _witness_effect(self.amplified, x, z)
-        val = float(np.real(np.trace(effect @ self.advice_matrix)))
-        return min(max(val, 0.0), 1.0)
-
     def lambdas(self, x: str) -> dict[str, float]:
-        return {z: self.witness_acceptance(x, z)
-                for z in _witness_strings(self.amplified.witness_qubits)}
+        return _acceptances(self.amplified, x, self.advice_matrix)
 
     def decide(self, x: str) -> DecisionRecord:
         lams = self.lambdas(x)
         best = max(lams.values())
-        if best >= 2.0 / 3.0 - ATOL:
-            verdict = 1
-        elif best <= 1.0 / 3.0 + ATOL:
-            verdict = 0
-        else:
-            raise PromiseViolationError(
-                f"input {x!r}: best witness acceptance {best:.4f} falls in (1/3, 2/3)")
+        verdict = _verdict(best, 2.0 / 3.0, 1.0 / 3.0,
+                           f"input {x!r}: best witness acceptance {best:.4f} falls in (1/3, 2/3)")
         return DecisionRecord(x=x, verdict=verdict, lambdas=lams)
+
+
+def _verdict(value: float, accept_floor: float, reject_ceiling: float, message: str) -> int:
+    """1 at or above `accept_floor`, 0 at or below `reject_ceiling`, within ATOL; else raise."""
+    if value >= accept_floor - ATOL:
+        return 1
+    if value <= reject_ceiling + ATOL:
+        return 0
+    raise PromiseViolationError(message)
 
 
 def _advice_columns(p: OneWayQmaProtocol, z: str) -> np.ndarray:
@@ -409,15 +412,19 @@ def _witness_effect(p: OneWayQmaProtocol, x: str, z: str) -> np.ndarray:
     return accept_effect(p, x, _advice_columns(p, z))
 
 
+def _acceptances(p: OneWayQmaProtocol, x: str, rho: np.ndarray) -> dict[str, float]:
+    """tr(E_xz rho), clipped to [0, 1], for every classical witness z of `p`."""
+    return {z: min(max(float(np.real(np.trace(_witness_effect(p, x, z) @ rho))), 0.0), 1.0)
+            for z in _witness_strings(p.witness_qubits)}
+
+
 def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
     """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell."""
     base = v.protocol
-    psi = v.true_advice.amplitudes
+    rho = v.true_advice.density().matrix
     base_err = Fraction(0)
     for x in v.inputs():
-        best = max(Fraction(float(np.real(psi.conj() @ _witness_effect(base, x, z) @ psi)))
-                   .limit_denominator(10 ** 9)
-                   for z in _witness_strings(base.witness_qubits))
+        best = Fraction(max(_acceptances(base, x, rho).values())).limit_denominator(10 ** 9)
         # completeness is promised for some witness, soundness for every one
         base_err = max(base_err, 1 - best if v.language[x] == 1 else best)
     if base_err > Fraction(1, 3):
@@ -447,17 +454,10 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     amplified, ell, err = _amplify_for_training(v)
     dim_a = 2 ** amplified.alice_qubits
     rho = np.eye(dim_a, dtype=complex) / dim_a
-    true_amp = kron_power(v.true_advice.amplitudes, ell)
-
-    cand: list[tuple[str, str]] = []
-    for x in v.inputs():
-        for z in _witness_strings(amplified.witness_qubits):
-            if v.language[x] == 1:
-                effect = _witness_effect(amplified, x, z)
-                acc = float(np.real(true_amp.conj() @ effect @ true_amp))
-                if acc < 1.0 - err - ATOL:
-                    continue  # rule (b): yes-instances train only on valid witnesses
-            cand.append((x, z))
+    true_rho = kron_power(v.true_advice.density().matrix, ell)
+    # rule (b): yes-instances train only on witnesses the true advice accepts
+    cand = [(x, z) for x in v.inputs() for z, acc in _acceptances(amplified, x, true_rho).items()
+            if v.language[x] == 0 or acc >= 1.0 - err - ATOL]
     triples: list[tuple[str, str, int]] = []
     survivals = [1.0]
     while True:
@@ -523,14 +523,7 @@ def j_fold_decision(decider: TrainedDecider, x: str) -> JFoldDecision:
     lams = decider.lambdas(x)
     boosted = {z: binom_tail(j_copies, lam, maj) for z, lam in lams.items()}
     s = sum(boosted.values()) / len(boosted)
-    accept_floor = 2.0 ** (-(w + 1))
-    reject_ceiling = 2.0 ** (-2 * w)
-    if s >= accept_floor - ATOL:
-        verdict = 1
-    elif s <= reject_ceiling + ATOL:
-        verdict = 0
-    else:
-        raise PromiseViolationError(
-            f"input {x!r}: mean boosted acceptance {s:.5f} in the forbidden band")
+    verdict = _verdict(s, 2.0 ** (-(w + 1)), 2.0 ** (-2 * w),
+                       f"input {x!r}: mean boosted acceptance {s:.5f} in the forbidden band")
     return JFoldDecision(x=x, verdict=verdict, j_copies=j_copies,
                          mean_acceptance=s, boosted_lambdas=boosted)

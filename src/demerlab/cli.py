@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -64,8 +63,6 @@ from .rac import (
 )
 from .toys import DEMERLIN_TOYS, demerlin_toy, parity_ma_verifier, parity_qma_verifier, table_qcma_verifier
 
-ENV_PREFIX = "DEMERLAB_"
-
 
 def _int_at_least(minimum: int):
     """argparse type for an integer count or seed of at least `minimum`."""
@@ -82,19 +79,6 @@ def _int_at_least(minimum: int):
 
 _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
-
-
-def _env_default(name: str, fallback, parse=None):
-    var = ENV_PREFIX + name.upper()
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    if parse is None:
-        return raw
-    try:
-        return parse(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{var}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +126,7 @@ def _report(args, params: dict, rows: list[dict], **extra) -> dict:
 def _run_good_as_new(args) -> dict:
     layout = RegisterLayout.of(("q", 1))
     plus_state = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), layout)
-    proj1 = TwoOutcomeMeasurement(np.array([[0, 0], [0, 1]], dtype=complex), layout)
+    proj1 = TwoOutcomeMeasurement(np.array([[0, 0], [0, 1]], dtype=complex))
     eq = good_as_new_check(plus_state, proj1)
     rows = [{"case": "projector-equality", **eq.to_json_dict()}]
     rng_seeds = _child_seeds(args.seed, args.instances)
@@ -383,16 +367,11 @@ def _run_advice_qcma_train(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = _env_default("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"{ENV_PREFIX}FORMAT: expected json or csv, got {fmt!r}")
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_NON_NEGATIVE,
-                        default=_env_default("seed", 0, _NON_NEGATIVE))
-    common.add_argument("--out", default=_env_default("out", None))
-    common.add_argument("--format", choices=("json", "csv"), default=fmt)
-    common.add_argument("--shots", type=_NON_NEGATIVE,
-                        default=_env_default("shots", 0, _NON_NEGATIVE))
+    common.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    common.add_argument("--out", default=None)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--shots", type=_NON_NEGATIVE, default=0)
 
     parser = _Parser(prog="demerlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="group", required=True)
@@ -457,21 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser_for(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    """build_parser() once per set of raw DEMERLAB_ variables, the only input it
-    reads; a bad value raises on every call, since the cache keeps no exceptions.
-    This pays off where main() runs many times in one process (the test suite, a
-    Python session); handlers are kept by name, so a kept parser dispatches to
-    the module's current function."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process. This pays off where main() runs many
+    times in one process (the test suite, a Python session); handlers are kept
+    by name, so the kept parser dispatches to the module's current function."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the exit code (a usage error exits 2 itself)."""
     try:
-        env = sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX))
-        args = _parser_for(tuple(env)).parse_args(argv)
+        args = _parser().parse_args(argv)
         report = globals()[args.handler](args)
         _emit(report, args)
     except (ValueError, OSError) as exc:  # bad input, or an --out path we cannot write

@@ -324,7 +324,6 @@ class TwoOutcomeMeasurement:
     """
 
     effect: np.ndarray
-    layout: RegisterLayout | None = None
     spectrum: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     m0: np.ndarray = field(init=False, repr=False)
     m1: np.ndarray = field(init=False, repr=False)
@@ -335,8 +334,6 @@ class TwoOutcomeMeasurement:
         object.__setattr__(self, "effect", e)
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m0", m0)
-        if self.layout is not None and self.layout.dim != e.shape[0]:
-            raise ValueError("effect dimension does not match layout")
 
     @property
     def dim(self) -> int:

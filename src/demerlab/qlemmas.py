@@ -106,14 +106,12 @@ def good_as_new_check(rho, m: TwoOutcomeMeasurement) -> GoodAsNewReport:
                            passed=damage <= bound + ATOL)
 
 
-def union_bound_run(rho, seq: list[TwoOutcomeMeasurement],
-                    epsilon: float | None = None) -> MeasurementSequenceReport:
+def union_bound_run(rho, seq: list[TwoOutcomeMeasurement]) -> MeasurementSequenceReport:
     """Exact probability that a measurement sequence ever yields outcome 1.
 
     Composes the outcome-0 square-root updates, so
-    Pr[all 0] = trace(M0_T ... M0_1 rho M0_1' ... M0_T'). If `epsilon` is
-    given, every measurement must trigger with probability at most epsilon on
-    the initial state; otherwise the maximum measured value is used. This is
+    Pr[all 0] = trace(M0_T ... M0_1 rho M0_1' ... M0_T'). Epsilon is the
+    largest trigger probability measured on the initial state. This is
     `_union_audit` on a stack of one instance.
     """
     rho = as_density(rho)
@@ -123,25 +121,16 @@ def union_bound_run(rho, seq: list[TwoOutcomeMeasurement],
             raise ValueError(f"dimension mismatch: {d} vs {m.dim}")
     stacks = (np.array([getattr(m, name) for m in seq], dtype=complex).reshape(1, t, d, d)
               for name in ("effect", "m0", "m1"))
-    return _union_audit(rho.matrix[None], *stacks, epsilon)[0]
+    return _union_audit(rho.matrix[None], *stacks)[0]
 
 
-def _union_audit(rho: np.ndarray, effects: np.ndarray, m0: np.ndarray, m1: np.ndarray,
-                 epsilon: float | None = None) -> list[MeasurementSequenceReport]:
+def _union_audit(rho: np.ndarray, effects: np.ndarray, m0: np.ndarray,
+                 m1: np.ndarray) -> list[MeasurementSequenceReport]:
     """`union_bound_run` on a (B, d, d) stack of checked densities at once, with effects
     and Kraus pairs as (B, T, d, d) stacks; the averaged states are checked too."""
     b, t, d = effects.shape[:3]
     per_step = np.trace(effects @ rho[:, None], axis1=-2, axis2=-1).real
-    measured = per_step.max(axis=1) if t else np.zeros(b)
-    if epsilon is None:
-        eps = measured
-    else:
-        over = measured > epsilon + ATOL
-        if np.any(over):
-            raise ValueError(
-                f"declared epsilon {epsilon} exceeded: a measurement triggers with "
-                f"probability {measured[over][0]} on the initial state")
-        eps = np.full(b, float(epsilon))
+    eps = per_step.max(axis=1) if t else np.zeros(b)
     survivor = unconditioned = rho
     for j in range(t):
         survivor = apply_kraus(survivor, [m0[:, j]])
@@ -179,31 +168,18 @@ def random_union_audit(seeds: list[np.random.SeedSequence]) -> list[MeasurementS
     return reports
 
 
-def induced_effects(joint: TwoOutcomeMeasurement, dim_a: int, dim_b: int,
-                    basis: np.ndarray | None = None) -> list[TwoOutcomeMeasurement]:
-    """Effects on the first factor induced by fixing basis states of the second.
-
-    `basis` columns give an orthonormal basis of the second factor; the
-    computational basis is the default.
-    """
+def induced_effects(joint: TwoOutcomeMeasurement, dim_a: int,
+                    dim_b: int) -> list[TwoOutcomeMeasurement]:
+    """Effects on the first factor induced by fixing computational basis states of the second."""
     e = joint.effect
     if e.shape[0] != dim_a * dim_b:
         raise ValueError(f"joint effect dim {e.shape[0]} != {dim_a}*{dim_b}")
-    if basis is None:
-        basis = np.eye(dim_b, dtype=complex)
-    elif np.max(np.abs(basis.conj().T @ basis - np.eye(dim_b))) > 1e-8:
-        raise ValueError("supplied basis is not orthonormal")
     t = e.reshape(dim_a, dim_b, dim_a, dim_b)
-    out = []
-    for j in range(dim_b):
-        b = basis[:, j]
-        ej = np.einsum("ambk,m,k->ab", t, b.conj(), b)
-        out.append(TwoOutcomeMeasurement(hermitize(ej)))
-    return out
+    return [TwoOutcomeMeasurement(hermitize(t[:, j, :, j])) for j in range(dim_b)]
 
 
-def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
-                 basis: np.ndarray | None = None) -> MeasurementSequenceReport:
+def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement,
+                 t_steps: int) -> MeasurementSequenceReport:
     """Exact accept probability of T induced measurements at random basis states.
 
     eta is measured from the supplied instance rather than declared, so the
@@ -218,7 +194,7 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement, t_steps: int,
     if t_steps < n_b / eta ** 2:
         raise ValueError(
             f"need T >= N/eta^2 = {n_b / eta ** 2:.3f}, got T = {t_steps}")
-    kraus0 = [m.m0 for m in induced_effects(joint, rho.dim, n_b, basis=basis)]
+    kraus0 = [m.m0 for m in induced_effects(joint, rho.dim, n_b)]
     state = average_channel_power(rho.matrix, kraus0, t_steps)
     p_any = 1.0 - float(np.trace(state).real)
     p_any = min(max(p_any, 0.0), 1.0)
@@ -347,7 +323,7 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
     layout = RegisterLayout.of(("r", n))
     effects, (w, v) = scaled_gram(g_effects, scales)
     return (DensityMatrix(unit_trace_gram(g_rho), layout),
-            [TwoOutcomeMeasurement(e, layout, spectrum=s) for e, s in zip(effects, zip(w, v))])
+            [TwoOutcomeMeasurement(e, spectrum=s) for e, s in zip(effects, zip(w, v))])
 
 
 OR_ALICE_QUBITS = 1
@@ -372,7 +348,7 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:
             return (DensityMatrix(rho, la), DensityMatrix(sigma, lb),
-                    TwoOutcomeMeasurement(effect, la.concat(lb), spectrum=spectrum), 9 * lb.dim)
+                    TwoOutcomeMeasurement(effect, spectrum=spectrum), 9 * lb.dim)
     raise ValueError("could not draw an instance with eta above the floor")
 
 
@@ -395,6 +371,5 @@ def projector_or_instance(witness_qubits: int,
     rho = StateVector(np.array([1.0, 0.0], dtype=complex), la).density()
     sigma = StateVector(s, lb).density()
     proj_a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    joint = TwoOutcomeMeasurement(np.kron(proj_a, np.outer(phi, phi.conj())),
-                                  la.concat(lb))
+    joint = TwoOutcomeMeasurement(np.kron(proj_a, np.outer(phi, phi.conj())))
     return rho, sigma, joint, 9 * n_b

@@ -59,7 +59,7 @@ def random_effect(layout: RegisterLayout, rng: np.random.Generator,
     if scale is None:
         scale = float(rng.uniform(0.0, 1.0))
     effect, spectrum = scaled_gram(g, scale)
-    return TwoOutcomeMeasurement(effect, layout, spectrum=spectrum)
+    return TwoOutcomeMeasurement(effect, spectrum=spectrum)
 
 
 def h_gate(q: int) -> Gate:

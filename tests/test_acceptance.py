@@ -91,7 +91,7 @@ def test_criterion_3_good_as_new_equality():
     """Projector-on-|+> instance reaches damage = bound = 1/sqrt(2)."""
     layout = RegisterLayout.of(("q", 1))
     plus = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2), layout)
-    m = TwoOutcomeMeasurement(np.diag([0.0, 1.0]).astype(complex), layout)
+    m = TwoOutcomeMeasurement(np.diag([0.0, 1.0]).astype(complex))
     r = good_as_new_check(plus, m)
     target = 1 / np.sqrt(2)
     ok = (abs(r.damage - target) <= 1e-9 and abs(r.bound - target) <= 1e-9

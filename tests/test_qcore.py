@@ -224,7 +224,7 @@ def test_random_effect_spectrum_is_decomposed_once(n):
         eye = np.eye(layout.dim)
         np.testing.assert_allclose(m.m0.conj().T @ m.m0 + m.m1.conj().T @ m.m1, eye, atol=1e-12)
         # the handed-over spectrum gives the Kraus pair a fresh decomposition gives
-        ref = TwoOutcomeMeasurement(m.effect, layout)
+        ref = TwoOutcomeMeasurement(m.effect)
         np.testing.assert_allclose(m.m0, ref.m0, atol=1e-12)
         np.testing.assert_allclose(m.m1, ref.m1, atol=1e-12)
 

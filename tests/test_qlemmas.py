@@ -130,7 +130,7 @@ def test_union_four_steps_at_four_percent(rng):
         raw = random_effect(layout, rng, scale=1.0)
         eps = raw.outcome1_probability(rho)
         seq.append(TwoOutcomeMeasurement(raw.effect * (0.04 / eps)))
-    r = union_bound_run(rho, seq, epsilon=0.04)
+    r = union_bound_run(rho, seq)
     assert r.bound == pytest.approx(0.8, abs=1e-12)
     assert r.p_any_one <= 0.8
     # and the exact value still matches the branch-enumeration oracle
@@ -144,13 +144,6 @@ def test_union_four_steps_at_four_percent(rng):
             branch = k @ branch @ k.conj().T
         total += float(np.trace(branch).real)
     assert r.p_any_one == pytest.approx(total, abs=1e-10)
-
-
-def test_union_declared_epsilon_audited(rng):
-    rho = random_density(Q1, rng)
-    m = TwoOutcomeMeasurement(np.eye(2, dtype=complex) * 0.5)
-    with pytest.raises(ValueError, match="epsilon"):
-        union_bound_run(rho, [m], epsilon=0.1)
 
 
 def test_union_bound_thousand_random_instances():
@@ -302,16 +295,6 @@ def test_or_bound_precondition_enforced(rng):
     rho, sigma, joint, _ = projector_or_instance(1)
     with pytest.raises(ValueError, match="N/eta"):
         or_bound_run(rho, sigma, joint, t_steps=2)
-
-
-def test_or_bound_custom_basis(rng):
-    # the lemma quantifies over any orthonormal basis of the witness factor
-    from conftest import random_unitary
-
-    rho, sigma, joint, t = projector_or_instance(1)
-    basis = random_unitary(2, rng)
-    r = or_bound_run(rho, sigma, joint, t, basis=basis)
-    assert r.passed
 
 
 def test_or_bound_random_sweep():
