@@ -1,7 +1,9 @@
 """Fixing randomized advice by counting, and training quantum advice by
 postselection, at exhaustively checkable scale.
 
-Three procedures:
+All three procedures audit one `AdviceVerifier`: a `OneWayQmaProtocol` whose
+Bob input is the problem input and whose Alice input is the advice string,
+with a language and a distribution over advice strings.
 
 * ma_fix_advice: majority-boost a verifier that uses randomized advice until
   each constrained (input, witness) pair errs with probability below
@@ -21,20 +23,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .amplify import binom_tail, build_inner, majority_threshold, min_majority_reps
-from .protocol import OneWayQmaProtocol, accept_effect, per_protocol, project, rest_columns
-from .qcore import ATOL, StateVector, apply_kraus, hermitize, kron_power, top_eigenpair
+from .protocol import (
+    OneWayQmaProtocol,
+    accept_effect,
+    per_protocol,
+    project,
+    rest_columns,
+    witness_operators,
+)
+from .qcore import ATOL, apply_kraus, hermitize, kron_power, top_eigenpair
 
 __all__ = [
     "PromiseViolationError",
     "RandomizedAdvice",
-    "MaToyVerifier",
-    "QmaToyVerifier",
-    "QuantumAdviceVerifier",
+    "AdviceVerifier",
     "FixedMaAdvice",
     "FixedQmaAdvice",
     "TrainingSet",
@@ -79,26 +87,40 @@ class RandomizedAdvice:
 
 
 @dataclass(frozen=True)
-class MaToyVerifier:
-    """Deterministic verifier with randomized advice and a classical witness."""
+class AdviceVerifier:
+    """A protocol deciding a language with randomized advice.
 
-    n_bits: int
-    witness_bits: int
+    Bob's input register carries the problem input x. Alice's input is an
+    advice string, which `protocol.alice_encode` maps to the advice state.
+    The fixers draw advice strings from `advice`; training takes the mixture
+    of their encoded states as the true advice.
+    """
+
+    protocol: OneWayQmaProtocol
     language: dict[str, int]
     advice: RandomizedAdvice
-    accept: Callable[[str, object, str], int]
+
+    def __post_init__(self):
+        for x in self.language:
+            if len(x) != self.protocol.bob_bits:
+                raise ValueError(f"language input {x!r} does not fit the input register")
 
     def inputs(self) -> list[str]:
         return sorted(self.language)
 
-    def accept_probability(self, x: str, z: str) -> Fraction:
-        total = Fraction(0)
-        for r, p in zip(self.advice.values, self.advice.probs):
-            a = self.accept(x, r, z)
-            if a not in (0, 1):
-                raise ValueError("verifier must be deterministic (accept in {0, 1})")
-            total += p * a
-        return total
+
+def _advice_operators(v: AdviceVerifier) -> dict[str, dict[object, np.ndarray]]:
+    """Witness operator of every input under every advice value, one Bob-block run per input."""
+    values = list(v.advice.values)
+    return {x: dict(zip(values, witness_operators(v.protocol, x, values))) for x in v.inputs()}
+
+
+def _basis_acceptances(op: np.ndarray) -> list[int]:
+    """Acceptance of each basis witness, read off the diagonal; each must be exactly 0 or 1."""
+    diag = op.diagonal().real
+    if not np.isin(diag, (0.0, 1.0)).all():
+        raise ValueError("verifier must be deterministic (accept in {0, 1})")
+    return [int(d) for d in diag]
 
 
 @dataclass(frozen=True)
@@ -128,13 +150,9 @@ def _first_qualifying(advice: RandomizedAdvice, rng: np.random.Generator, reps: 
     return None
 
 
-def _boosted_accept(v: MaToyVerifier, advice_tuple: tuple, x: str, z: str) -> int:
-    votes = sum(v.accept(x, r, z) for r in advice_tuple)
-    return 1 if votes >= majority_threshold(len(advice_tuple)) else 0
-
-
-def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
-    """Find a fixed advice tuple deciding every input of a toy verifier.
+def ma_fix_advice(v: AdviceVerifier, seed: int = 7) -> FixedMaAdvice:
+    """Find a fixed advice tuple deciding every input of a verifier whose basis
+    witnesses are accepted with probability 0 or 1 under each advice value.
 
     Boosting: the smallest odd tuple length whose exact majority-vote error on
     every constrained pair drops below 2^-n * 2^-w. Constrained pairs are the
@@ -143,22 +161,27 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
     sampling, whose success probability the union bound keeps positive, and
     is re-verified exhaustively before being returned.
     """
-    target = Fraction(1, 2 ** v.n_bits * 2 ** v.witness_bits)
+    zs = _witness_strings(v.protocol.witness_qubits)
+    target = Fraction(1, 2 ** v.protocol.bob_bits * len(zs))
+    hits = {x: {r: _basis_acceptances(op) for r, op in ops.items()}
+            for x, ops in _advice_operators(v).items()}
     worst = Fraction(0)  # largest single-run error over the constrained pairs
     for x in v.inputs():
-        probs = {z: v.accept_probability(x, z) for z in _witness_strings(v.witness_bits)}
+        probs = [sum((p * hits[x][r][i] for r, p in zip(v.advice.values, v.advice.probs)),
+                     Fraction(0)) for i in range(len(zs))]
         if v.language[x] == 1:
-            best = max(probs.values())
+            best = max(probs)
             if best < Fraction(2, 3):
                 raise PromiseViolationError(f"yes-instance {x!r} has no witness at 2/3")
             worst = max(worst, 1 - best)
         else:
-            for z, p in probs.items():
+            for z, p in zip(zs, probs):
                 if p > Fraction(1, 3):
                     raise PromiseViolationError(f"no-instance {x!r} accepts witness {z!r}")
                 worst = max(worst, p)
     # at odd reps a pair wanting 1 errs with Pr[Bin(reps, 1 - p) >= maj], and
-    # the tail rises with the error, so the worst pair bounds every pair
+    # the tail rises with the error, so the worst pair bounds every pair; the
+    # union bound over all pairs needs the strict <
     reps = 1
     while binom_tail(reps, worst, majority_threshold(reps)) >= target:
         reps += 2
@@ -166,13 +189,14 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
             raise PromiseViolationError("boosting does not converge; promise too weak")
 
     def certify(advice_tuple: tuple) -> dict[str, int] | None:
+        maj = majority_threshold(len(advice_tuple))
         cert: dict[str, int] = {}
         for x in v.inputs():
-            accepted = [z for z in _witness_strings(v.witness_bits)
-                        if _boosted_accept(v, advice_tuple, x, z)]
+            accepted = [i for i in range(len(zs))
+                        if sum(hits[x][r][i] for r in advice_tuple) >= maj]
             if bool(accepted) != (v.language[x] == 1):
                 return None
-            cert[x] = int(accepted[0], 2) if accepted else -1
+            cert[x] = accepted[0] if accepted else -1
         return cert
 
     found = _first_qualifying(v.advice, np.random.default_rng(seed), reps, certify)
@@ -186,24 +210,6 @@ def ma_fix_advice(v: MaToyVerifier, seed: int = 7) -> FixedMaAdvice:
 
 # ---------------------------------------------------------------------------
 # quantum witness variant
-
-
-@dataclass(frozen=True)
-class QmaToyVerifier:
-    """Verifier with randomized advice and a quantum witness register.
-
-    `witness_operator(x, r)` returns the Hermitian acceptance operator on the
-    witness space for one advice draw.
-    """
-
-    n_bits: int
-    witness_qubits: int
-    language: dict[str, int]
-    advice: RandomizedAdvice
-    witness_operator: Callable[[str, object], np.ndarray]
-
-    def inputs(self) -> list[str]:
-        return sorted(self.language)
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,7 @@ def _majority_operator(ops: Sequence[np.ndarray]) -> np.ndarray:
     return hermitize(sum(table[need:]))
 
 
-def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
+def qma_fix_advice(v: AdviceVerifier, seed: int = 7) -> FixedQmaAdvice:
     """Fixed advice tuple for a quantum-witness toy verifier.
 
     Parallel repetition replaces in-place amplification, so the boosted
@@ -259,9 +265,10 @@ def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
     mixed state then caps the optimal no-instance witness at 2^w' times the
     basis maximum, which is checked numerically and must land at or below 1/3.
     """
-    w = v.witness_qubits
+    w = v.protocol.witness_qubits
     reps = 3 if w == 1 else 1
     rng = np.random.default_rng(seed)
+    ops = _advice_operators(v)
     while True:
         w_boost = reps * w
         if w_boost > 10:
@@ -272,8 +279,7 @@ def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
         def certify(advice_tuple: tuple) -> dict[str, float] | None:
             certificates: dict[str, float] = {}
             for x in v.inputs():
-                boosted = _majority_operator([np.asarray(v.witness_operator(x, r), dtype=complex)
-                                              for r in advice_tuple])
+                boosted = _majority_operator([ops[x][r] for r in advice_tuple])
                 if v.language[x] == 1:
                     if top_eigenpair(boosted)[0] < yes_threshold - ATOL:
                         return None
@@ -301,27 +307,6 @@ def qma_fix_advice(v: QmaToyVerifier, seed: int = 7) -> FixedQmaAdvice:
 
 # ---------------------------------------------------------------------------
 # quantum advice with classical witnesses: postselection training
-
-
-@dataclass(frozen=True)
-class QuantumAdviceVerifier:
-    """Verifier taking quantum advice and a classical witness.
-
-    The protocol's bob_input register carries the problem input x; the advice
-    register holds the advice state (the honest one is `true_advice`).
-    """
-
-    protocol: OneWayQmaProtocol
-    language: dict[str, int]
-    true_advice: StateVector
-
-    def __post_init__(self):
-        for x in self.language:
-            if len(x) != self.protocol.bob_bits:
-                raise ValueError(f"language input {x!r} does not fit the input register")
-
-    def inputs(self) -> list[str]:
-        return sorted(self.language)
 
 
 @dataclass(frozen=True)
@@ -359,7 +344,7 @@ class DecisionRecord:
 
 @dataclass(frozen=True)
 class TrainedDecider:
-    verifier: QuantumAdviceVerifier
+    verifier: AdviceVerifier
     amplified: OneWayQmaProtocol
     ell: int
     advice_matrix: np.ndarray  # trained state on the amplified advice register
@@ -418,15 +403,23 @@ def _acceptances(p: OneWayQmaProtocol, x: str, rho: np.ndarray) -> dict[str, flo
             for z in _witness_strings(p.witness_qubits)}
 
 
-def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
+def _true_advice(v: AdviceVerifier) -> np.ndarray:
+    """Density matrix of the true advice: the advice values' encoded states, mixed."""
+    return sum(float(p) * v.protocol.advice_state(r).density().matrix
+               for r, p in zip(v.advice.values, v.advice.probs))
+
+
+def _amplify_for_training(v: AdviceVerifier) -> tuple[OneWayQmaProtocol, int, float]:
     """Inner-repetition count with error 1/A^4 at the fixpoint A = a * ell."""
     base = v.protocol
-    rho = v.true_advice.density().matrix
+    rho = _true_advice(v)
     base_err = Fraction(0)
     for x in v.inputs():
-        best = Fraction(max(_acceptances(base, x, rho).values())).limit_denominator(10 ** 9)
-        # completeness is promised for some witness, soundness for every one
-        base_err = max(base_err, 1 - best if v.language[x] == 1 else best)
+        best = Fraction(max(_acceptances(base, x, rho).values()))
+        # completeness is promised for some witness, soundness for every one;
+        # the error rounds up to the 1e-9 grid, so the bound is never optimistic
+        err = 1 - best if v.language[x] == 1 else best
+        base_err = max(base_err, Fraction(ceil(err * 10 ** 9), 10 ** 9))
     if base_err > Fraction(1, 3):
         raise PromiseViolationError(f"base verifier error {float(base_err):.3f} exceeds 1/3")
     ell = 1
@@ -441,7 +434,7 @@ def _amplify_for_training(v: QuantumAdviceVerifier) -> tuple[OneWayQmaProtocol, 
     raise PromiseViolationError("amplification fixpoint did not converge")
 
 
-def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
+def qcma_train(v: AdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     """Greedy maximal postselection training from the maximally mixed state.
 
     Candidates are (input, witness) pairs; rule (b) restricts yes-instances
@@ -454,7 +447,7 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     amplified, ell, err = _amplify_for_training(v)
     dim_a = 2 ** amplified.alice_qubits
     rho = np.eye(dim_a, dtype=complex) / dim_a
-    true_rho = kron_power(v.true_advice.density().matrix, ell)
+    true_rho = kron_power(_true_advice(v), ell)
     # rule (b): yes-instances train only on witnesses the true advice accepts
     cand = [(x, z) for x in v.inputs() for z, acc in _acceptances(amplified, x, true_rho).items()
             if v.language[x] == 0 or acc >= 1.0 - err - ATOL]
@@ -486,11 +479,10 @@ def qcma_train(v: QuantumAdviceVerifier) -> tuple[TrainingSet, TrainedDecider]:
     return training, decider
 
 
-def true_advice_wrong_probability(v: QuantumAdviceVerifier, training: TrainingSet,
+def true_advice_wrong_probability(v: AdviceVerifier, training: TrainingSet,
                                   decider: TrainedDecider) -> float:
     """Exact probability that the true advice errs somewhere along the history."""
-    psi = kron_power(v.true_advice.amplitudes, decider.ell)
-    rho = np.outer(psi, psi.conj())
+    rho = kron_power(_true_advice(v), decider.ell)
     for x, z, label in training.triples:
         rho = apply_kraus(rho, _branch_kraus(decider.amplified, x, z, keep_outcome=label))
     return min(max(1.0 - float(np.trace(rho).real), 0.0), 1.0)

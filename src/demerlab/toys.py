@@ -8,14 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import asin, log2, sqrt
 
-import numpy as np
-
-from .advice import (
-    MaToyVerifier,
-    QmaToyVerifier,
-    QuantumAdviceVerifier,
-    RandomizedAdvice,
-)
+from .advice import AdviceVerifier, RandomizedAdvice
 from .protocol import (
     ADVICE_REGISTER,
     ANCILLA_REGISTER,
@@ -30,8 +23,8 @@ from .qcore import RegisterLayout, StateVector, UnitaryCircuit, basis_state, mcx
 __all__ = [
     "coin_protocol",
     "rac_claim_protocol",
-    "parity_ma_verifier",
-    "parity_qma_verifier",
+    "table_protocol",
+    "hint_table_verifier",
     "table_qcma_verifier",
     "demerlin_toy",
     "DEMERLIN_TOYS",
@@ -134,76 +127,63 @@ def rac_claim_protocol(n_bits: int) -> tuple[OneWayQmaProtocol, CommunicationFun
 
 
 # ---------------------------------------------------------------------------
-# advice-module toys
+# advice-module toys: one table protocol, two kinds of advice
 
 
-def _parity(x: str) -> int:
-    return sum(int(b) for b in x) % 2
+def table_protocol(n: int, witness_angle: float) -> OneWayQmaProtocol:
+    """Alice's input is a 2^n-bit table in basis qubits; Bob's n-bit input x
+    reads its bit x (`_index_select_verifier(n)`).
+
+    Bob accepts iff the witness claims 1 and table bit x is 1. A nonzero
+    witness_angle puts ry(-angle) on the witness qubit first, so the accepted
+    claim becomes ry(angle)|1>, a superposition.
+    """
+    a_qubits = 2 ** n
+    verifier, accept = _index_select_verifier(n)
+    if witness_angle:
+        claim = protocol_layout(n, a_qubits, 1, 1).offset(WITNESS_REGISTER)
+        verifier = UnitaryCircuit(verifier.n_qubits,
+                                  (ry_gate(claim, -witness_angle),) + verifier.gates)
+    return OneWayQmaProtocol(
+        bob_bits=n, alice_qubits=a_qubits, witness_qubits=1, ancilla_qubits=1,
+        verifier=verifier, accept_qubit=accept, alice_encode=_basis_encoder(a_qubits))
 
 
 def _truth_table(n: int) -> str:
-    return "".join(str(_parity(format(i, f"0{n}b"))) for i in range(2 ** n))
+    """Parity's truth table on n bits."""
+    return "".join(str(bin(i).count("1") % 2) for i in range(2 ** n))
 
 
-def _hint_advice(n: int) -> tuple[RandomizedAdvice, dict[str, int]]:
-    """Hint-table advice for parity on n bits, and the parity language: the
-    advice is the full truth table with probability 3/4 and its complement
-    otherwise."""
+def _table_language(n: int, table: str) -> dict[str, int]:
+    return {format(i, f"0{n}b"): int(bit) for i, bit in enumerate(table)}
+
+
+def hint_table_verifier(n: int, witness_angle: float = 0.0) -> AdviceVerifier:
+    """Parity on n bits with hint-table advice on `table_protocol`.
+
+    The advice is parity's truth table with probability 3/4 and its
+    complement otherwise, so the best witness accepts yes-instances with
+    probability 3/4 and no-instances with 1/4.
+    """
     table = _truth_table(n)
     anti = "".join("1" if c == "0" else "0" for c in table)
     advice = RandomizedAdvice(values=(table, anti), probs=(Fraction(3, 4), Fraction(1, 4)))
-    language = {format(i, f"0{n}b"): _parity(format(i, f"0{n}b")) for i in range(2 ** n)}
-    return advice, language
+    return AdviceVerifier(protocol=table_protocol(n, witness_angle),
+                          language=_table_language(n, table), advice=advice)
 
 
-def parity_ma_verifier(n: int) -> MaToyVerifier:
-    """Parity language with hint-table advice (`_hint_advice`).
-    Arthur accepts iff the witness claims 1 and the hint row agrees."""
-    advice, language = _hint_advice(n)
+def table_qcma_verifier(n: int, truth_table: str | None = None) -> AdviceVerifier:
+    """Training toy on `table_protocol`: the true advice is the language's
+    truth table itself, with probability 1.
 
-    def accept(x: str, hint: object, z: str) -> int:
-        row = str(hint)[int(x, 2)]
-        return 1 if (z == "1" and row == "1") else 0
-
-    return MaToyVerifier(n_bits=n, witness_bits=1, language=language,
-                         advice=advice, accept=accept)
-
-
-def parity_qma_verifier(n: int, witness_angle: float = 0.0) -> QmaToyVerifier:
-    """Quantum-witness parity toy with hint-table advice (`_hint_advice`): the
-    acceptance operator projects onto the claim state |1> (rotated by
-    witness_angle) scaled by the hint row."""
-    advice, language = _hint_advice(n)
-    c, s = np.cos(witness_angle / 2.0), np.sin(witness_angle / 2.0)
-    claim = np.array([-s, c], dtype=complex)
-    proj = np.outer(claim, claim.conj())
-
-    def witness_operator(x: str, hint: object) -> np.ndarray:
-        row = str(hint)[int(x, 2)]
-        return proj if row == "1" else np.zeros((2, 2), dtype=complex)
-
-    return QmaToyVerifier(n_bits=n, witness_qubits=1, language=language,
-                          advice=advice, witness_operator=witness_operator)
-
-
-def table_qcma_verifier(n: int, truth_table: str | None = None) -> QuantumAdviceVerifier:
-    """Quantum advice = the language's truth table as 2^n basis qubits.
-
-    The verifier accepts iff the witness claims 1 and the advice qubit
-    indexed by x measures 1. Base errors are exactly zero, so the training
-    loop's amplification fixpoint is ell = 1.
+    Base errors are exactly zero, so the training loop's amplification
+    fixpoint is ell = 1.
     """
     if truth_table is None:
         truth_table = _truth_table(n)
-    a_qubits = 2 ** n
-    verifier, accept = _index_select_verifier(n)
-    p = OneWayQmaProtocol(
-        bob_bits=n, alice_qubits=a_qubits, witness_qubits=1, ancilla_qubits=1,
-        verifier=verifier, accept_qubit=accept,
-        alice_encode=_constant_encoder(a_qubits))
-    language = {format(i, f"0{n}b"): int(truth_table[i]) for i in range(2 ** n)}
-    true_advice = basis_state(RegisterLayout.of((ADVICE_REGISTER, a_qubits)), truth_table)
-    return QuantumAdviceVerifier(protocol=p, language=language, true_advice=true_advice)
+    advice = RandomizedAdvice(values=(truth_table,), probs=(Fraction(1),))
+    return AdviceVerifier(protocol=table_protocol(n, 0.0),
+                          language=_table_language(n, truth_table), advice=advice)
 
 
 # ---------------------------------------------------------------------------

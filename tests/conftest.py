@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from demerlab.advice import AdviceVerifier, RandomizedAdvice
+from demerlab.amplify import majority_threshold
 from demerlab.protocol import (
     ADVICE_REGISTER,
     ANCILLA_REGISTER,
     BOB_REGISTER,
     WITNESS_REGISTER,
+    OneWayQmaProtocol,
+    induced_witness_operator,
     protocol_layout,
 )
 from demerlab.qcore import (
@@ -18,6 +22,7 @@ from demerlab.qcore import (
     StateVector,
     TwoOutcomeMeasurement,
     UnitaryCircuit,
+    basis_state,
     complex_gaussian,
     mcx,
     ry_gate,
@@ -96,6 +101,25 @@ def perturbed_rac_protocol(n_bits: int, bad_index: int):
                     control_values=pattern + (0, 1))
     verifier = UnitaryCircuit(layout.n_qubits, p.verifier.gates + (extra,))
     return dataclasses.replace(p, verifier=verifier), f
+
+
+def one_qubit_advice_verifier(gates, language: dict[str, int],
+                              values: tuple = ("0", "1")) -> AdviceVerifier:
+    """Advice verifier on qubits (bob, advice, witness, accept) = (0, 1, 2, 3):
+    each advice string is a basis state of the advice qubit, drawn uniformly."""
+    layout = RegisterLayout.of((ADVICE_REGISTER, 1))
+    p = OneWayQmaProtocol(bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
+                          verifier=UnitaryCircuit(4, tuple(gates)), accept_qubit=3,
+                          alice_encode=lambda r: basis_state(layout, r))
+    advice = RandomizedAdvice(values=values, probs=(Fraction(1, len(values)),) * len(values))
+    return AdviceVerifier(protocol=p, language=language, advice=advice)
+
+
+def boosted_basis_accepts(v: AdviceVerifier, advice_tuple: tuple, x: str) -> list[int]:
+    """Basis witnesses that a majority of `advice_tuple` accepts on input x, each
+    vote read off one pair's induced witness operator."""
+    votes = sum(induced_witness_operator(v.protocol, r, x).diagonal().real for r in advice_tuple)
+    return [z for z, count in enumerate(votes) if count >= majority_threshold(len(advice_tuple))]
 
 
 def repetition_code(copies: int) -> LinearCode:

@@ -9,15 +9,14 @@ from fractions import Fraction
 import numpy as np
 
 from demerlab.advice import (
-    _boosted_accept,
-    _witness_strings,
+    _majority_operator,
     ma_fix_advice,
     qcma_train,
     qma_fix_advice,
 )
 from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
 from demerlab.demerlin import demerlinize, evaluate_demerlinized, sample_demerlinized
-from demerlab.protocol import optimal_witness
+from demerlab.protocol import induced_witness_operator, optimal_witness
 from demerlab.qcore import RegisterLayout, StateVector, TwoOutcomeMeasurement, top_eigenpair
 from demerlab.qlemmas import (
     agrees_within_sigma,
@@ -37,8 +36,9 @@ from demerlab.rac import (
     tight_reduction,
     wrapped_code_protocol,
 )
-from demerlab.toys import coin_protocol, parity_ma_verifier, parity_qma_verifier, rac_claim_protocol, table_qcma_verifier
-from demerlab.advice import _majority_operator
+from demerlab.toys import coin_protocol, hint_table_verifier, rac_claim_protocol, table_qcma_verifier
+
+from conftest import boosted_basis_accepts
 
 
 def report(n, passed, detail):
@@ -186,21 +186,18 @@ def test_criterion_7_advice_fixing():
     start = time.monotonic()
     errors = 0
     for n in (2, 3):
-        v = parity_ma_verifier(n)
+        v = hint_table_verifier(n)
         fixed = ma_fix_advice(v, seed=7)
         for x in v.inputs():
-            accepted = [z for z in _witness_strings(v.witness_bits)
-                        if _boosted_accept(v, fixed.advice_tuple, x, z)]
-            if bool(accepted) != (v.language[x] == 1):
+            if bool(boosted_basis_accepts(v, fixed.advice_tuple, x)) != (v.language[x] == 1):
                 errors += 1
     basis_checked = True
     for n in (2, 3):
-        q = parity_qma_verifier(n, witness_angle=0.5)
+        q = hint_table_verifier(n, witness_angle=0.5)
         qfixed = qma_fix_advice(q, seed=7)
         w = qfixed.boosted_witness_qubits
         for x in q.inputs():
-            ops = [np.asarray(q.witness_operator(x, r), dtype=complex)
-                   for r in qfixed.advice_tuple]
+            ops = [induced_witness_operator(q.protocol, r, x) for r in qfixed.advice_tuple]
             boosted = _majority_operator(ops)
             lam, _ = top_eigenpair(boosted)
             if q.language[x] == 1:

@@ -1,14 +1,14 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from demerlab.advice import (
-    MaToyVerifier,
+    AdviceVerifier,
     PromiseViolationError,
     RandomizedAdvice,
     TrainingSet,
-    _boosted_accept,
     _majority_operator,
     _witness_strings,
     j_fold_decision,
@@ -17,9 +17,18 @@ from demerlab.advice import (
     qma_fix_advice,
     true_advice_wrong_probability,
 )
-from demerlab.amplify import binom_tail, majority_threshold
-from demerlab.qcore import top_eigenpair
-from demerlab.toys import parity_ma_verifier, parity_qma_verifier, table_qcma_verifier
+from demerlab.amplify import binom_tail, build_inner, majority_threshold
+from demerlab.protocol import induced_witness_operator, witness_operators
+from demerlab.qcore import mcx, ry_gate, top_eigenpair
+from demerlab.toys import (
+    _accept_angle,
+    coin_protocol,
+    hint_table_verifier,
+    table_protocol,
+    table_qcma_verifier,
+)
+
+from conftest import boosted_basis_accepts, one_qubit_advice_verifier
 
 
 # ---------------------------------------------------------------------------
@@ -31,32 +40,33 @@ def test_advice_distribution_validation():
         RandomizedAdvice(values=("a", "b"), probs=(Fraction(1, 2), Fraction(1, 3)))
 
 
+def test_advice_verifier_rejects_inputs_that_do_not_fit_bob_register():
+    with pytest.raises(ValueError, match="input register"):
+        one_qubit_advice_verifier((), {"00": 1})
+
+
 def test_ma_fix_ignores_advice_when_verifier_decides_alone():
-    advice = RandomizedAdvice(values=("x", "y"), probs=(Fraction(1, 2), Fraction(1, 2)))
-    language = {"0": 1, "1": 0}
-    v = MaToyVerifier(n_bits=1, witness_bits=1, language=language, advice=advice,
-                      accept=lambda x, r, z: 1 if (x == "0" and z == "1") else 0)
+    # accept iff Bob's bit is 0 and the witness claims 1, whatever the advice
+    v = one_qubit_advice_verifier([mcx(controls=(0, 2), target=3, control_values=(0, 1))],
+                                  {"0": 1, "1": 0})
     fixed = ma_fix_advice(v, seed=3)
     assert fixed.draws_used == 1  # every tuple works
 
 
 def test_ma_fix_parity_toy_certificate():
-    v = parity_ma_verifier(2)
+    v = hint_table_verifier(2)
     fixed = ma_fix_advice(v, seed=7)
     # per-pair boosted error target is 2^-n * 2^-w
     assert fixed.per_pair_error_target == pytest.approx(2.0 ** (-2) * 2.0 ** (-1))
     # exhaustive re-verification with zero errors
     for x in v.inputs():
-        accepted = [z for z in _witness_strings(v.witness_bits)
-                    if _boosted_accept(v, fixed.advice_tuple, x, z)]
-        if v.language[x] == 1:
-            assert accepted
-        else:
-            assert not accepted
+        accepted = boosted_basis_accepts(v, fixed.advice_tuple, x)
+        assert bool(accepted) == (v.language[x] == 1)
+        assert fixed.certificate[x] == (accepted[0] if accepted else -1)
 
 
 def test_ma_fix_boost_reaches_target_exactly():
-    v = parity_ma_verifier(2)
+    v = hint_table_verifier(2)
     fixed = ma_fix_advice(v, seed=7)
     maj = majority_threshold(fixed.reps)
     # constrained yes-pairs sit at 3/4, no-pairs at 1/4; both boosted errors
@@ -67,21 +77,37 @@ def test_ma_fix_boost_reaches_target_exactly():
     assert err_prev >= Fraction(1, 8)
 
 
+def test_ma_fix_keeps_strict_union_bound_at_n1(tmp_path):
+    # at n=1 the single-run tail equals the target 1/4 exactly, and a union
+    # bound over 4 pairs at 1/4 each totals 1, so one repetition is not enough
+    from demerlab.cli import main
+
+    assert binom_tail(1, Fraction(1, 4), 1) == Fraction(1, 2 ** 1 * 2 ** 1)
+    out = tmp_path / "ma1.json"
+    assert main(["advice", "ma-fix", "--n", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["reps"] == 3
+
+
 def test_ma_fix_detects_promise_violation():
-    advice = RandomizedAdvice(values=("r",), probs=(Fraction(1),))
-    v = MaToyVerifier(n_bits=1, witness_bits=1, language={"0": 1, "1": 0},
-                      advice=advice, accept=lambda x, r, z: 0)
+    # an empty circuit never accepts, so the yes-instance has no witness
+    v = one_qubit_advice_verifier((), {"0": 1, "1": 0}, values=("0",))
     with pytest.raises(PromiseViolationError):
         ma_fix_advice(v)
 
 
+def test_ma_fix_requires_zero_one_basis_acceptances():
+    # the witness claim half-accepts, which a counting argument cannot use
+    v = one_qubit_advice_verifier([ry_gate(3, _accept_angle(0.5), controls=(2,))],
+                                  {"0": 1, "1": 0})
+    with pytest.raises(ValueError, match="deterministic"):
+        ma_fix_advice(v)
+
+
 def test_ma_fix_n3():
-    v = parity_ma_verifier(3)
+    v = hint_table_verifier(3)
     fixed = ma_fix_advice(v, seed=11)
     for x in v.inputs():
-        accepted = [z for z in _witness_strings(v.witness_bits)
-                    if _boosted_accept(v, fixed.advice_tuple, x, z)]
-        assert bool(accepted) == (v.language[x] == 1)
+        assert bool(boosted_basis_accepts(v, fixed.advice_tuple, x)) == (v.language[x] == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +122,14 @@ def test_majority_operator_diag_matches_binomial():
 
 
 def test_qma_fix_parity_certificates():
-    v = parity_qma_verifier(2, witness_angle=0.6)
+    v = hint_table_verifier(2, witness_angle=0.6)
     fixed = qma_fix_advice(v, seed=7)
     w = fixed.boosted_witness_qubits
     assert fixed.yes_threshold == pytest.approx(1.0 - 2.0 ** (-3 * w))
     assert fixed.basis_threshold == pytest.approx(2.0 ** (-2 * w))
     # exhaustive re-verification: rebuild the boosted operators from the tuple
     for x in v.inputs():
-        ops = [np.asarray(v.witness_operator(x, r), dtype=complex)
-               for r in fixed.advice_tuple]
+        ops = [induced_witness_operator(v.protocol, r, x) for r in fixed.advice_tuple]
         boosted = _majority_operator(ops)
         lam, _ = top_eigenpair(boosted)
         if v.language[x] == 1:
@@ -115,6 +140,20 @@ def test_qma_fix_parity_certificates():
             # mixed-state cap: optimal <= 2^w * best basis state, and <= 1/3
             assert lam <= 2 ** w * diag_max + 1e-9
             assert lam <= 1.0 / 3.0 + 1e-9
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.5])
+def test_majority_operator_matches_inner_repetition_circuit(angle):
+    # second route: three copies of one hint through build_inner's reversible
+    # majority vote (a 14-qubit circuit) give the DP's boosted operator
+    p = table_protocol(1, angle)
+    inner = build_inner(p, 3)
+    assert inner.verifier.n_qubits == 14
+    for x in ("0", "1"):
+        for hint in ("00", "01", "10", "11"):
+            op = witness_operators(p, x, [hint])[0]
+            circuit = witness_operators(inner, x, [hint])[0]
+            assert np.allclose(_majority_operator([op] * 3), circuit, atol=1e-12)
 
 
 def test_mixed_state_inequality_on_rotated_operator(rng):
@@ -147,6 +186,16 @@ def test_empty_training_is_maximally_mixed():
     ts = TrainingSet(triples=(), survivals=(1.0,), maximal=False)
     assert ts.size == 0
     assert ts.survivals[0] == 1.0
+
+
+def test_training_error_rounds_outward():
+    # true base error 1/3 + 1e-12: rounding the acceptance to the nearest
+    # 1e-9 would certify exactly 1/3 and let the promise pass
+    p, _ = coin_protocol(2 / 3 - 1e-12, 1 / 3 - 1e-12)
+    v = AdviceVerifier(protocol=p, language={"1": 1, "0": 0},
+                       advice=RandomizedAdvice(values=("0",), probs=(Fraction(1),)))
+    with pytest.raises(PromiseViolationError, match="exceeds 1/3"):
+        qcma_train(v)
 
 
 def test_qcma_train_two_qubit_table():

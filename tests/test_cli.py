@@ -126,6 +126,10 @@ def exit_and_stderr(argv, capsys):
     ["amplify", "plan", "--alice", "1", "--witness", "2", "--c-u", "1"],
     ["rac", "audit", "--a", "2"],
     ["lemma", "or-bound", "--witness-qubits", "4", "--instances", "1"],  # no draw clears eta
+    # the table protocol at n=4 needs 4 + 16 + 1 + 1 = 22 qubits, above the cap of 16
+    ["advice", "ma-fix", "--n", "4"],
+    ["advice", "qma-fix", "--n", "4"],
+    ["advice", "qcma-train", "--n", "4"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)

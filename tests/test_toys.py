@@ -7,8 +7,7 @@ from demerlab.protocol import audit_protocol, optimal_witness
 from demerlab.rac import build_code
 from demerlab.toys import (
     coin_protocol,
-    parity_ma_verifier,
-    parity_qma_verifier,
+    hint_table_verifier,
     rac_claim_protocol,
     table_qcma_verifier,
 )
@@ -41,31 +40,39 @@ def test_rac_claim_promise_is_zero_one(n_bits):
 
 
 def test_ma_toy_hint_probabilities():
-    v = parity_ma_verifier(2)
-    for x in v.inputs():
-        p_good = v.accept_probability(x, "1")
-        if v.language[x] == 1:
-            assert float(p_good) == pytest.approx(0.75)
-        else:
-            assert float(p_good) == pytest.approx(0.25)
-        assert v.accept_probability(x, "0") == 0
+    from demerlab.advice import _advice_operators
+
+    v = hint_table_verifier(2)
+    for x, ops in _advice_operators(v).items():
+        # acceptance of basis witness z averaged over the hint draw
+        p_claim = [sum(p * ops[r][z, z].real for r, p in zip(v.advice.values, v.advice.probs))
+                   for z in (0, 1)]
+        assert p_claim[1] == (0.75 if v.language[x] == 1 else 0.25)
+        assert p_claim[0] == 0
 
 
 def test_qma_toy_operators_are_scaled_projectors():
-    v = parity_qma_verifier(2, witness_angle=0.4)
+    from demerlab.advice import _advice_operators
+
+    angle = 0.4
+    v = hint_table_verifier(2, witness_angle=angle)
     truth, anti = v.advice.values
-    for x in v.inputs():
-        w_good = v.witness_operator(x, truth if v.language[x] else anti)
+    claim = np.array([-np.sin(angle / 2), np.cos(angle / 2)])
+    for x, ops in _advice_operators(v).items():
+        w_good = ops[truth if v.language[x] else anti]
         eigs = np.linalg.eigvalsh(w_good)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-9)
         assert eigs[0] == pytest.approx(0.0, abs=1e-9)
+        # the rotated claim state ry(angle)|1>, projected
+        assert np.allclose(w_good, np.outer(claim, claim), atol=1e-12)
+        assert np.array_equal(ops[anti if v.language[x] else truth], np.zeros((2, 2)))
 
 
 def test_qcma_toy_base_errors_are_zero():
     v = table_qcma_verifier(1, truth_table="10")
     from demerlab.advice import _witness_effect, _witness_strings
 
-    psi = v.true_advice.amplitudes
+    psi = v.protocol.advice_state(*v.advice.values).amplitudes
     for x in v.inputs():
         for z in _witness_strings(v.protocol.witness_qubits):
             acc = float(np.real(psi.conj() @ _witness_effect(v.protocol, x, z) @ psi))
