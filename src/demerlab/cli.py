@@ -54,8 +54,7 @@ from .rac import (
     audit_reduced,
     build_code,
     cheat_detection_profile,
-    draw_scheme,
-    fingerprint,
+    fingerprint_collisions,
     honest_merlin,
     rac_round,
     rounds_for_soundness,
@@ -298,20 +297,8 @@ def _run_rac_reduce(args) -> dict:
 
 
 def _run_rac_fingerprint(args) -> dict:
-    rng = np.random.default_rng(_child_seeds(args.seed, 1)[0])
-    collisions = 0
-
-    def random_bits() -> str:
-        return "".join(map(str, rng.integers(0, 2, size=args.bits).tolist()))
-
-    for _ in range(args.trials):
-        scheme = draw_scheme(rng, output_bits=args.m_bits)
-        x = random_bits()
-        y = x
-        while y == x:
-            y = random_bits()
-        if fingerprint(x, scheme) == fingerprint(y, scheme):
-            collisions += 1
+    collisions = fingerprint_collisions(_child_seeds(args.seed, 1)[0], args.bits, args.m_bits,
+                                        args.trials)
     bound = 2.0 ** (1 - args.m_bits)
     # one-sided exact test: this many collisions is not unlikely at rate `bound`
     row = {"collision_rate": collisions / args.trials, "bound": bound,

@@ -119,51 +119,63 @@ def union_bound_run(rho, seq: list[TwoOutcomeMeasurement]) -> MeasurementSequenc
     for m in seq:
         if m.dim != d:
             raise ValueError(f"dimension mismatch: {d} vs {m.dim}")
-    stacks = (np.array([getattr(m, name) for m in seq], dtype=complex).reshape(1, t, d, d)
+    stacks = (np.array([getattr(m, name) for m in seq], dtype=complex).reshape(t, d, d)
               for name in ("effect", "m0", "m1"))
-    return _union_audit(rho.matrix[None], *stacks)[0]
+    return _union_audit(rho.matrix[None], np.array([t]), *stacks)[0]
 
 
-def _union_audit(rho: np.ndarray, effects: np.ndarray, m0: np.ndarray,
+def _union_audit(rho: np.ndarray, steps: np.ndarray, effects: np.ndarray, m0: np.ndarray,
                  m1: np.ndarray) -> list[MeasurementSequenceReport]:
-    """`union_bound_run` on a (B, d, d) stack of checked densities at once, with effects
-    and Kraus pairs as (B, T, d, d) stacks; the averaged states are checked too."""
-    b, t, d = effects.shape[:3]
-    per_step = np.trace(effects @ rho[:, None], axis1=-2, axis2=-1).real
-    eps = per_step.max(axis=1) if t else np.zeros(b)
-    survivor = unconditioned = rho
-    for j in range(t):
-        survivor = apply_kraus(survivor, [m0[:, j]])
-        unconditioned = apply_kraus(unconditioned, [m0[:, j], m1[:, j]])
+    """`union_bound_run` on a (B, d, d) stack of checked densities at once.
+
+    Instance i has steps[i] measurements, most steps first, and its effects and
+    Kraus pairs are the next steps[i] rows of the flat (sum(steps), d, d) stacks.
+    Step j updates the prefix of instances with more than j steps. The averaged
+    states are checked too.
+    """
+    b, d = rho.shape[:2]
+    starts = np.cumsum(steps) - steps
+    per_step = np.trace(effects @ rho.repeat(steps, axis=0), axis1=-2, axis2=-1).real
+    eps = np.zeros(b)
+    eps[steps > 0] = np.maximum.reduceat(per_step, starts[steps > 0])
+    survivor, unconditioned = rho.copy(), rho.copy()
+    for j in range(steps.max(initial=0)):
+        k = np.count_nonzero(steps > j)
+        rows = starts[:k] + j
+        survivor[:k] = apply_kraus(survivor[:k], [m0[rows]])
+        unconditioned[:k] = apply_kraus(unconditioned[:k], [m0[rows], m1[rows]])
     p_any = np.clip(1.0 - np.trace(survivor, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    bound = t * np.sqrt(np.maximum(eps, 0.0))
+    bound = steps * np.sqrt(np.maximum(eps, 0.0))
     averaged = hermitize(unconditioned)
     check_density(averaged)
     drift = 0.5 * trace_norm(rho - averaged)
     return [MeasurementSequenceReport(
         lemma="union-bound", t_steps=t, p_any_one=p, bound=bd, averaged_state_drift=dr,
         params={"epsilon": e, "dim": d}, passed=(p <= bd + ATOL) and (dr <= bd + ATOL))
-        for p, bd, dr, e in zip(p_any.tolist(), bound.tolist(), drift.tolist(), eps.tolist())]
+        for t, p, bd, dr, e in zip(steps.tolist(), p_any.tolist(), bound.tolist(),
+                                   drift.tolist(), eps.tolist())]
 
 
 def random_union_audit(seeds: list[np.random.SeedSequence]) -> list[MeasurementSequenceReport]:
     """`union_bound_run(*random_union_instance(np.random.default_rng(s)))` for each seed, in order.
 
     Instances are drawn UNION_CHUNK seeds at a time; within a chunk, those of
-    one dimension and step count are built, checked and audited as one stack.
+    one dimension are built, checked and audited as one stack, most steps first.
     """
     reports = []
     for start in range(0, len(seeds), UNION_CHUNK):
         draws = [_union_draws(np.random.default_rng(s)) for s in seeds[start:start + UNION_CHUNK]]
         chunk = {}
-        for key in sorted({(n, len(scales)) for n, _, scales, _ in draws}):
-            members = [k for k, (n, _, scales, _) in enumerate(draws) if (n, len(scales)) == key]
-            _, g_rho, scales, g_effects = map(np.stack, zip(*(draws[k] for k in members)))
-            rho = unit_trace_gram(g_rho)
+        for n in sorted({draw[0] for draw in draws}):
+            members = sorted((k for k, draw in enumerate(draws) if draw[0] == n),
+                             key=lambda k: len(draws[k][2]), reverse=True)
+            _, g_rho, scales, g_effects = zip(*(draws[k] for k in members))
+            rho = unit_trace_gram(np.stack(g_rho))
             check_density(rho)
-            effects, spectrum = scaled_gram(g_effects, scales)
+            effects, spectrum = scaled_gram(np.concatenate(g_effects), np.concatenate(scales))
             m0, m1 = effect_kraus(effects, spectrum)
-            chunk.update(zip(members, _union_audit(rho, effects, m0, m1)))
+            steps = np.array([len(s) for s in scales])
+            chunk.update(zip(members, _union_audit(rho, steps, effects, m0, m1)))
         reports += [chunk[k] for k in range(len(draws))]
     return reports
 
@@ -328,6 +340,7 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
 
 OR_ALICE_QUBITS = 1
 OR_MIN_ETA = 0.34  # eta floor that makes T = 9N rounds enough
+OR_MAX_WITNESS_QUBITS = 3  # above it random draws' eta stays below OR_MIN_ETA
 
 
 def random_or_instance(rng: np.random.Generator, witness_qubits: int,
@@ -335,7 +348,14 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
     """Random OR-bound instance with measured eta large enough for T = 9N.
 
     Only the accepted draw is built into (and checked as) states and a measurement.
+    Past OR_MAX_WITNESS_QUBITS it raises before drawing: in 300 draws at W = 4 the
+    largest eta was 0.328.
     """
+    if witness_qubits > OR_MAX_WITNESS_QUBITS:
+        raise ValueError(
+            f"random OR instances reach eta >= {OR_MIN_ETA} only up to "
+            f"{OR_MAX_WITNESS_QUBITS} witness qubits, got {witness_qubits}; larger W "
+            "needs a constructed family (ROADMAP item 14)")
     la = RegisterLayout.of(("a", OR_ALICE_QUBITS))
     lb = RegisterLayout.of(("b", witness_qubits))
     for _ in range(1000):

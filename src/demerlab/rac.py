@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
     "tight_reduction",
     "audit_reduced",
     "fingerprint",
-    "draw_scheme",
+    "fingerprint_collisions",
     "DEFAULT_MODULUS",
 ]
 
@@ -361,6 +362,22 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
 # pairwise-independent fingerprinting
 
 DEFAULT_MODULUS = (1 << 89) - 1  # Mersenne prime, 89-bit capacity
+_RAW_CHUNK = 4096  # raw PCG64 words turned into Python ints at a time; bounds memory
+
+
+def _check_output_range(modulus: int, output_bits: int) -> None:
+    if 2 ** output_bits > modulus:
+        raise ValueError("output range must not exceed the modulus")
+
+
+def _check_capacity(data_bits: int, modulus: int) -> None:
+    capacity = modulus.bit_length() - 1
+    if data_bits > capacity:
+        raise ValueError(f"data length {data_bits} exceeds capacity {capacity}")
+
+
+def _hash(value: int, alpha: int, beta: int, modulus: int, output_bits: int) -> int:
+    return ((alpha * value + beta) % modulus) % 2 ** output_bits
 
 
 @dataclass(frozen=True)
@@ -375,29 +392,58 @@ class FingerprintScheme:
     def __post_init__(self):
         if not (0 <= self.alpha < self.modulus and 0 <= self.beta < self.modulus):
             raise ValueError("coefficients must lie in [0, modulus)")
-        if 2 ** self.output_bits > self.modulus:
-            raise ValueError("output range must not exceed the modulus")
-
-    @property
-    def capacity_bits(self) -> int:
-        return self.modulus.bit_length() - 1
-
-
-def draw_scheme(rng: np.random.Generator, modulus: int = DEFAULT_MODULUS,
-                output_bits: int = 32) -> FingerprintScheme:
-    """Coefficients from four 63-bit words, each pair joined high word first."""
-    a_hi, a_lo, b_hi, b_lo = rng.integers(0, 2 ** 63, size=4).tolist()
-    return FingerprintScheme(modulus=modulus, output_bits=output_bits,
-                             alpha=(a_hi << 63 | a_lo) % modulus,
-                             beta=(b_hi << 63 | b_lo) % modulus)
-
-
-def _data_to_int(data: str, scheme: FingerprintScheme) -> int:
-    if len(data) > scheme.capacity_bits:
-        raise ValueError(f"data length {len(data)} exceeds capacity {scheme.capacity_bits}")
-    return int(data, 2) if data else 0
+        _check_output_range(self.modulus, self.output_bits)
 
 
 def fingerprint(data: str, scheme: FingerprintScheme) -> int:
-    value = _data_to_int(data, scheme)
-    return ((scheme.alpha * value + scheme.beta) % scheme.modulus) % 2 ** scheme.output_bits
+    _check_capacity(len(data), scheme.modulus)
+    value = int(data, 2) if data else 0
+    return _hash(value, scheme.alpha, scheme.beta, scheme.modulus, scheme.output_bits)
+
+
+def fingerprint_collisions(seed: np.random.SeedSequence, bits: int, output_bits: int,
+                           trials: int) -> int:
+    """Collisions of the DEFAULT_MODULUS fingerprint over `trials` draws of a scheme
+    and two distinct `bits`-bit strings.
+
+    A trial takes, from `np.random.default_rng(seed)`, `integers(0, 2**63, size=4)`
+    for the scheme (alpha from the first pair of words, beta from the second, each
+    pair joined high word first, reduced mod p), then `integers(0, 2, size=bits)` for
+    x, then again for y until y != x; the first bit drawn leads the string. Those
+    values are replayed from a fresh PCG64's raw words, read _RAW_CHUNK at a time: a
+    63-bit draw is a word >> 1 (Lemire's method never rejects at that range), and a
+    bit draw is the top bit of the next 32-bit half, the low half of a new word
+    first. PCG64 keeps an unused high half for the next bit draw, past 64-bit draws.
+    """
+    _check_output_range(DEFAULT_MODULUS, output_bits)
+    _check_capacity(bits, DEFAULT_MODULUS)
+    bit_generator = np.random.PCG64(seed)
+
+    def raw_words():
+        while True:
+            yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
+
+    def half_top_bits():
+        for word in words:  # resumes after any whole words taken in between
+            yield word >> 31 & 1
+            yield word >> 63
+
+    def bit_string() -> int:
+        value = 0
+        for bit in islice(halves, bits):
+            value = value << 1 | bit
+        return value
+
+    words = raw_words()
+    halves = half_top_bits()
+    collisions = 0
+    for _ in range(trials):
+        a_hi, a_lo, b_hi, b_lo = islice(words, 4)
+        alpha = (a_hi >> 1 << 63 | a_lo >> 1) % DEFAULT_MODULUS
+        beta = (b_hi >> 1 << 63 | b_lo >> 1) % DEFAULT_MODULUS
+        x = y = bit_string()
+        while y == x:
+            y = bit_string()
+        collisions += (_hash(x, alpha, beta, DEFAULT_MODULUS, output_bits)
+                       == _hash(y, alpha, beta, DEFAULT_MODULUS, output_bits))
+    return collisions

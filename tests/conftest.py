@@ -29,7 +29,7 @@ from demerlab.qcore import (
     scaled_gram,
     unit_trace_gram,
 )
-from demerlab.rac import LinearCode
+from demerlab.rac import DEFAULT_MODULUS, FingerprintScheme, LinearCode, fingerprint
 from demerlab.toys import _accept_angle, rac_claim_protocol
 
 
@@ -133,3 +133,32 @@ def exact_collision_probability(modulus: int, output_bits: int, x: int, y: int) 
     hits = sum(((alpha * x + beta) % modulus) % mask == ((alpha * y + beta) % modulus) % mask
                for alpha in range(modulus) for beta in range(modulus))
     return Fraction(hits, modulus * modulus)
+
+
+def draw_scheme(rng: np.random.Generator, modulus: int = DEFAULT_MODULUS,
+                output_bits: int = 32) -> FingerprintScheme:
+    """Coefficients from four 63-bit words, each pair joined high word first."""
+    a_hi, a_lo, b_hi, b_lo = rng.integers(0, 2 ** 63, size=4).tolist()
+    return FingerprintScheme(modulus=modulus, output_bits=output_bits,
+                             alpha=(a_hi << 63 | a_lo) % modulus,
+                             beta=(b_hi << 63 | b_lo) % modulus)
+
+
+def per_call_collisions(seed: np.random.SeedSequence, bits: int, output_bits: int,
+                        trials: int) -> int:
+    """The per-call draw loop that `rac.fingerprint_collisions` replays from raw
+    words: per trial a scheme, then x, then y until y != x, each bit string from
+    one `integers(0, 2, size=bits)` call, hashed with `rac.fingerprint`."""
+    rng = np.random.default_rng(seed)
+
+    def random_bits() -> str:
+        return "".join(map(str, rng.integers(0, 2, size=bits).tolist()))
+
+    collisions = 0
+    for _ in range(trials):
+        scheme = draw_scheme(rng, output_bits=output_bits)
+        x = y = random_bits()
+        while y == x:
+            y = random_bits()
+        collisions += fingerprint(x, scheme) == fingerprint(y, scheme)
+    return collisions

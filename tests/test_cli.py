@@ -125,7 +125,7 @@ def exit_and_stderr(argv, capsys):
     ["amplify", "plan", "--alice", "1", "--witness", "0"],
     ["amplify", "plan", "--alice", "1", "--witness", "2", "--c-u", "1"],
     ["rac", "audit", "--a", "2"],
-    ["lemma", "or-bound", "--witness-qubits", "4", "--instances", "1"],  # no draw clears eta
+    ["lemma", "or-bound", "--witness-qubits", "4", "--instances", "1"],  # random draws stop at 3
     # the table protocol at n=4 needs 4 + 16 + 1 + 1 = 22 qubits, above the cap of 16
     ["advice", "ma-fix", "--n", "4"],
     ["advice", "qma-fix", "--n", "4"],
@@ -135,6 +135,22 @@ def test_invalid_input_exits_2_with_one_line(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_or_bound_past_the_random_limit_fails_before_drawing(monkeypatch, capsys, tmp_path):
+    import demerlab.qlemmas as qlemmas
+
+    draws = []
+    gaussian = qlemmas.complex_gaussian
+    monkeypatch.setattr(qlemmas, "complex_gaussian",
+                        lambda rng, shape: draws.append(shape) or gaussian(rng, shape))
+    code, err = exit_and_stderr(["lemma", "or-bound", "--witness-qubits", "4"], capsys)
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert "only up to 3 witness qubits" in err and "constructed family" in err
+    assert draws == []
+    assert main(["lemma", "or-bound", "--witness-qubits", "3", "--instances", "1",
+                 "--out", str(tmp_path / "or.json")]) == 0
+    assert draws
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -12,15 +12,20 @@ from demerlab.rac import (
     audit_reduced,
     build_code,
     cheat_detection_profile,
-    draw_scheme,
     fingerprint,
+    fingerprint_collisions,
     honest_merlin,
     rac_round,
     rounds_for_soundness,
     tight_reduction,
     wrapped_code_protocol,
 )
-from conftest import exact_collision_probability, repetition_code
+from conftest import (
+    draw_scheme,
+    exact_collision_probability,
+    per_call_collisions,
+    repetition_code,
+)
 
 
 def oracle_min_distance(generator: np.ndarray) -> int:
@@ -274,6 +279,7 @@ def test_wrapped_protocol_survival_table_matches_formula():
 
 def test_fingerprint_capacity_enforced(rng):
     scheme = draw_scheme(rng, modulus=97, output_bits=3)
+    assert fingerprint("1" * 6, scheme) < 8
     with pytest.raises(ValueError, match="capacity"):
         fingerprint("1" * 64, scheme)
 
@@ -381,20 +387,44 @@ def test_rac_audit_builds_one_profile_per_substring_and_offset(monkeypatch, tmp_
     assert len({(honest_merlin(x, i, code), i % 4) for x, i, code in calls}) == len(calls)
 
 
-def test_rac_fingerprint_hashes_twice_per_trial(monkeypatch, tmp_path):
-    import demerlab.cli as cli
-    import demerlab.rac as rac
+@pytest.mark.parametrize("bits, output_bits", [
+    (1, 1), (2, 1), (7, 3), (8, 6), (16, 4), (16, 88), (88, 40)])
+def test_fingerprint_collisions_match_the_per_call_oracle(bits, output_bits):
+    # bits 1 redraws y on about half the trials, odd widths leave a half word for
+    # the next draw, and 88-bit strings run past one raw-word chunk
+    for seed in np.random.SeedSequence(bits * 100 + output_bits).spawn(20):
+        assert (fingerprint_collisions(seed, bits, output_bits, 150)
+                == per_call_collisions(seed, bits, output_bits, 150))
 
-    calls = _count_calls(monkeypatch, [rac, cli], "fingerprint")
-    assert cli.main(["rac", "fingerprint", "--trials", "10000", "--out",
-                     str(tmp_path / "fp.json")]) == 0
-    assert len(calls) == 20_000
+
+@pytest.mark.parametrize("bits, output_bits, message", [
+    (8, 89, "output range must not exceed the modulus"),
+    (89, 6, "data length 89 exceeds capacity 88"),
+])
+def test_fingerprint_collisions_check_sizes_once_like_the_scheme(bits, output_bits, message):
+    seed = np.random.SeedSequence(0)
+    with pytest.raises(ValueError, match=message):
+        per_call_collisions(seed, bits, output_bits, 1)
+    with pytest.raises(ValueError, match=message):
+        fingerprint_collisions(seed, bits, output_bits, 1)
+
+
+def test_rac_fingerprint_report_counts_the_per_call_oracle_collisions(tmp_path):
+    import demerlab.cli as cli
+
+    out = tmp_path / "fp.json"
+    for seed in (1, 7):  # seed 0 is the golden report's
+        assert cli.main(["rac", "fingerprint", "--trials", "10000", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        want = per_call_collisions(cli._child_seeds(seed, 1)[0], 8, 6, 10_000)
+        assert json.loads(out.read_text())["results"][0]["collision_rate"] == want / 10_000
 
 
 def test_rac_fingerprint_judges_collisions_by_an_exact_binomial_tail(monkeypatch, tmp_path):
     import demerlab.cli as cli
 
-    monkeypatch.setattr(cli, "fingerprint", lambda data, scheme: 0)  # every trial collides
+    # every trial collides
+    monkeypatch.setattr(cli, "fingerprint_collisions", lambda seed, bits, m, trials: trials)
     out = tmp_path / "fp.json"
     # one collision has probability 2^(1-6) = 1/32 at the bound, above the
     # one-sided 3-sigma rate 0.00135, so it is no evidence against the bound
