@@ -484,7 +484,7 @@ def true_advice_wrong_probability(v: AdviceVerifier, training: TrainingSet,
     """Exact probability that the true advice errs somewhere along the history."""
     rho = kron_power(_true_advice(v), decider.ell)
     for x, z, label in training.triples:
-        rho = apply_kraus(rho, _branch_kraus(decider.amplified, x, z, keep_outcome=label))
+        rho = apply_kraus(rho, _branch_kraus(decider.amplified, x, z, label))
     return min(max(1.0 - float(np.trace(rho).real), 0.0), 1.0)
 
 

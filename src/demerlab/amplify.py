@@ -48,7 +48,6 @@ __all__ = [
     "build_outer",
 ]
 
-WIDTH_CAP = 16  # composed protocols must stay statevector-simulable
 MAX_REPS = 2001  # search cap on majority-vote repetition counts
 DESK_MAX_REPS = 99  # search cap on ell and u in desk_plan
 BASE_ERROR = Fraction(1, 3)  # the bounded-error promise every plan starts from
@@ -281,11 +280,9 @@ def _register_map(src: OneWayQmaProtocol, dst_layout: RegisterLayout,
     return mapping
 
 
-def _tensor_power_encoder(base_encode, base_qubits: int, copies: int):
-    layout = RegisterLayout.of((ADVICE_REGISTER, base_qubits * copies))
-
+def _tensor_power_encoder(base_encode, copies: int):
     def encode(x: str) -> StateVector:
-        return StateVector(kron_power(base_encode(x).amplitudes, copies), layout)
+        return StateVector(kron_power(base_encode(x).amplitudes, copies))
     return encode
 
 
@@ -300,8 +297,6 @@ def build_inner(p: OneWayQmaProtocol, ell: int) -> OneWayQmaProtocol:
         raise ValueError("ell must be at least 1")
     a, w, k = p.alice_qubits, p.witness_qubits, p.ancilla_qubits
     layout = protocol_layout(p.bob_bits, a * ell, w * ell, k * ell + 1)
-    if layout.n_qubits > WIDTH_CAP:
-        raise ValueError(f"inner protocol needs {layout.n_qubits} qubits, cap is {WIDTH_CAP}")
     gates: list[Gate] = []
     accepts: list[int] = []
     for i in range(ell):
@@ -319,7 +314,7 @@ def build_inner(p: OneWayQmaProtocol, ell: int) -> OneWayQmaProtocol:
         ancilla_qubits=k * ell + 1,
         verifier=circuit,
         accept_qubit=out_qubit,
-        alice_encode=_tensor_power_encoder(p.advice_state, a, ell),
+        alice_encode=_tensor_power_encoder(p.advice_state, ell),
     )
 
 
@@ -336,8 +331,6 @@ def build_outer(inner: OneWayQmaProtocol, u: int) -> OneWayQmaProtocol:
     tally_bits = u.bit_length()  # holds counts 0..u
     anc_total = k_in + tally_bits + 1
     layout = protocol_layout(inner.bob_bits, a_in * u, w_in, anc_total)
-    if layout.n_qubits > WIDTH_CAP:
-        raise ValueError(f"outer protocol needs {layout.n_qubits} qubits, cap is {WIDTH_CAP}")
     anc_off = layout.offset(ANCILLA_REGISTER)
     tally = tuple(range(anc_off + k_in, anc_off + k_in + tally_bits))
     out_qubit = anc_off + k_in + tally_bits
@@ -358,5 +351,5 @@ def build_outer(inner: OneWayQmaProtocol, u: int) -> OneWayQmaProtocol:
         ancilla_qubits=anc_total,
         verifier=circuit,
         accept_qubit=out_qubit,
-        alice_encode=_tensor_power_encoder(inner.advice_state, a_in, u),
+        alice_encode=_tensor_power_encoder(inner.advice_state, u),
     )

@@ -37,7 +37,7 @@ from .demerlin import (
     resource_report,
     sample_demerlinized,
 )
-from .qcore import RegisterLayout, StateVector, TwoOutcomeMeasurement
+from .qcore import StateVector, TwoOutcomeMeasurement
 from .qlemmas import (
     THREE_SIGMA_RATE,
     agrees_within_sigma,
@@ -124,8 +124,7 @@ def _report(args, params: dict, rows: list[dict], **extra) -> dict:
 
 
 def _run_good_as_new(args) -> dict:
-    layout = RegisterLayout.of(("q", 1))
-    plus_state = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), layout)
+    plus_state = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     proj1 = TwoOutcomeMeasurement(np.array([[0, 0], [0, 1]], dtype=complex))
     eq = good_as_new_check(plus_state, proj1)
     rows = [{"case": "projector-equality", **eq.to_json_dict()}]

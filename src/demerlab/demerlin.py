@@ -21,7 +21,7 @@ witness and ancilla) with Bob's classical input y sliced out. This is
 polynomial in T and matches the emitted circuit gate for gate.
 
 The effect E_y depends on y alone, so it is computed once per Bob input and
-cached on the DemerlinizedProtocol. It lives on the subspace the round
+cached on the base protocol. It lives on the subspace the round
 operators can reach from the initial states (reachability analysis of
 quantum Markov chains, Ying-Feng-Yu-Ying 2013), which for the amplified
 coin has 4 to 8 dimensions while the rest space has 256 to 8192. The round
@@ -29,7 +29,7 @@ operators are applied to statevector batches, never built as 2^n matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -39,6 +39,7 @@ from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
+    block_circuit,
     optimal_acceptances,
     per_protocol,
     project,
@@ -85,8 +86,6 @@ class DemerlinizedProtocol:
 
     base: OneWayQmaProtocol
     f: CommunicationFunction | None
-    # Bob input -> _ReachableLoop; filled by evaluation, lives as long as self
-    _loops: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def witness_qubits(self) -> int:
@@ -193,11 +192,15 @@ class _ReachableLoop:
     `cover` meets a vector outside span(B). Per x: nothing but the coordinates
     B' C of x's initial columns C, which are themselves built once per
     (protocol, x); covering an already spanned C runs no verifier and no SVD.
+
+    The loop is memoized on its protocol, so it keeps no reference to it (that
+    would be a cycle only the garbage collector frees): `cover` takes it.
     """
 
-    def __init__(self, d: DemerlinizedProtocol, y: str):
-        p = d.base
-        self.p, self.y, self.t_rounds = p, y, d.t_rounds
+    def __init__(self, p: OneWayQmaProtocol, y: str):
+        # T = 9 * 2^W rounds, as in DemerlinizedProtocol.t_rounds
+        self.y, self.t_rounds = y, 9 * 2 ** p.witness_qubits
+        block_circuit(p, y)  # rejects a bad y or verifier before the loop is cached
         self.dim = 2 ** (p.verifier.n_qubits - p.bob_bits)
         # X^z is the index permutation that flips the witness bits set in z;
         # the witness bits sit just above the ancilla bits
@@ -209,15 +212,16 @@ class _ReachableLoop:
         self.effect = np.zeros((0, 0), dtype=complex)
         self.residual = 0.0
 
-    def round_images(self, cols: np.ndarray) -> np.ndarray:
+    def round_images(self, p: OneWayQmaProtocol, cols: np.ndarray) -> np.ndarray:
         """P0_z cols = X^z V' Pi_0 V X^z cols for every z, shape (2^W, dim, m)."""
         m = cols.shape[1]
         flipped = np.concatenate([cols[perm] for perm in self.perms], axis=1)
-        back = project(self.p, self.y, flipped, 0)
+        back = project(p, self.y, flipped, 0)
         return np.stack([back[perm, z * m:(z + 1) * m] for z, perm in enumerate(self.perms)])
 
-    def cover(self, cols: np.ndarray) -> np.ndarray:
-        """Grow the basis until it spans `cols`; returns their coordinates B' cols."""
+    def cover(self, p: OneWayQmaProtocol, cols: np.ndarray) -> np.ndarray:
+        """Grow the basis until it spans `cols`, running p's verifier; returns
+        their coordinates B' cols."""
         new = _new_directions(self.basis, cols)
         if not new.shape[1]:
             return self.basis.conj().T @ cols
@@ -226,7 +230,7 @@ class _ReachableLoop:
             basis = np.hstack([basis, new])
             if basis.shape[1] > MAX_REACHABLE_DIM:
                 raise ValueError(f"reachable subspace grew past {MAX_REACHABLE_DIM} dimensions")
-            grown = self.round_images(new)
+            grown = self.round_images(p, new)
             images = np.concatenate([images, grown], axis=2)
             new = _new_directions(basis, np.hstack(list(grown)))
         rounds = [basis.conj().T @ img for img in images]
@@ -243,23 +247,27 @@ class _ReachableLoop:
         return basis.conj().T @ cols
 
 
+@per_protocol
+def _loop(p: OneWayQmaProtocol, y: str, alice_inputs: tuple[str, ...]) -> _ReachableLoop:
+    """The loop for y, built once per (protocol, y, alice_inputs): it first covers
+    the initial states of `alice_inputs`, so its basis and effect are computed once
+    however many pairs share y. A loop whose audit raises is not cached."""
+    loop = _ReachableLoop(p, y)
+    if alice_inputs:
+        loop.cover(p, np.hstack([_initial_columns(p, a) for a in alice_inputs]))
+    return loop
+
+
 def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
                     rho_alice: DensityMatrix | None = None) -> tuple[_ReachableLoop, np.ndarray]:
-    """The cached loop for y, covering the initial state of x (or rho_alice).
+    """The cached loop for y and `d.f`'s Alice inputs, covering the initial state
+    of x (or rho_alice).
 
-    Built once per y: a new loop first covers every Alice input of `d.f`, so
-    its basis and effect are computed once however many pairs share y. Per x
-    it only reads x's cached initial columns and projects them onto the basis;
-    `rho_alice`'s columns are built on every call.
+    Per x it only reads x's cached initial columns and projects them onto the
+    basis; `rho_alice`'s columns are built on every call.
     """
-    loop = d._loops.get(y)
-    if loop is None:
-        loop = _ReachableLoop(d, y)
-        if d.f is not None:
-            loop.cover(np.hstack([_initial_columns(d.base, a) for a in d.f.alice_inputs()]))
-    coords = loop.cover(_initial_columns(d.base, x, rho_alice))
-    d._loops[y] = loop  # cached only once it has run, so a rejected y is not kept
-    return loop, coords
+    loop = _loop(d.base, y, tuple(d.f.alice_inputs()) if d.f is not None else ())
+    return loop, loop.cover(d.base, _initial_columns(d.base, x, rho_alice))
 
 
 @dataclass(frozen=True)
@@ -331,10 +339,8 @@ def _witness_prep_gates(d: DemerlinizedProtocol, z: int,
 
 
 def emitted_layout(d: DemerlinizedProtocol) -> RegisterLayout:
-    regs = list(d.base.layout.registers)
-    regs.append(("flag", 1))
-    regs.append(("counter", d.counter_qubits))
-    return RegisterLayout(tuple(regs))
+    """The base protocol's registers, then the loop's flag and counter."""
+    return RegisterLayout.of(*d.base.layout.registers, ("flag", 1), ("counter", d.counter_qubits))
 
 
 def emitted_circuit(d: DemerlinizedProtocol, coins: list[int]) -> UnitaryCircuit:

@@ -9,7 +9,6 @@ existential quantifier over witnesses collapses to a top eigenpair.
 """
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable
@@ -127,12 +126,6 @@ class OneWayQmaProtocol:
         return protocol_layout(self.bob_bits, self.alice_qubits,
                                self.witness_qubits, self.ancilla_qubits)
 
-    @property
-    def witness_layout(self) -> RegisterLayout:
-        if self.witness_qubits == 0:
-            return RegisterLayout(())
-        return RegisterLayout.of((WITNESS_REGISTER, self.witness_qubits))
-
     def advice_state(self, x: str) -> StateVector:
         state = self.alice_encode(x)
         if state.amplitudes.shape[0] != 2 ** self.alice_qubits:
@@ -143,16 +136,12 @@ class OneWayQmaProtocol:
 def per_protocol(build):
     """Memoize `build(p, *args)` in `p._operators`: it runs once per protocol and args.
 
-    The key is `build` with its arguments in positional form, so a positional
-    and a keyword spelling of one call share an entry; a build that raises
-    stores nothing.
+    The key is `build` with its arguments, which are positional only (a keyword
+    call is a TypeError); a build that raises stores nothing.
     """
-    sig = inspect.signature(build)
 
     @wraps(build)
-    def memo(p: OneWayQmaProtocol, *args, **kwargs):
-        if kwargs:
-            args = tuple(sig.bind(p, *args, **kwargs).arguments.values())[1:]
+    def memo(p: OneWayQmaProtocol, *args):
         key = (build, *args)
         if key not in p._operators:
             p._operators[key] = build(p, *args)
@@ -250,7 +239,7 @@ def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray
 
 def _best_acceptance(p: OneWayQmaProtocol, w: np.ndarray) -> tuple[float, StateVector]:
     lam, vec = top_eigenpair(w)
-    return min(max(lam, 0.0), 1.0), StateVector(vec, p.witness_layout)
+    return min(max(lam, 0.0), 1.0), StateVector(vec)
 
 
 def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateVector]:

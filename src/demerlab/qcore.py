@@ -1,10 +1,12 @@
-"""Dense linear algebra over explicitly laid-out qubit registers.
+"""Dense linear algebra on qubit registers.
 
 States, density matrices, two-outcome measurements, and gate-list unitary
-circuits, all as small immutable values backed by numpy arrays. Every
-operation is a pure function, so callers may fan out over independent
-instances freely. Qubit 0 is the most significant bit of the basis index,
-i.e. ``basis_state(layout, "011")`` puts amplitude 1 at index 3.
+circuits, all as small immutable values backed by numpy arrays. A state is
+its checked amplitudes or matrix; which qubits form which named register is
+decided by the protocol that owns them (`RegisterLayout`). Every operation
+is a pure function, so callers may fan out over independent instances
+freely. Qubit 0 is the most significant bit of the basis index, i.e.
+``basis_state(3, "011")`` puts amplitude 1 at index 3.
 """
 from __future__ import annotations
 
@@ -85,10 +87,6 @@ class RegisterLayout:
         return sum(w for _, w in self.registers)
 
     @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.registers)
 
@@ -109,15 +107,6 @@ class RegisterLayout:
     def qubits(self, name: str) -> tuple[int, ...]:
         off = self.offset(name)
         return tuple(range(off, off + self.width(name)))
-
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        return RegisterLayout(self.registers + other.registers)
-
-
-def _layout(regs) -> RegisterLayout:
-    if isinstance(regs, RegisterLayout):
-        return regs
-    return RegisterLayout.of(*regs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,46 +192,48 @@ def top_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
 # states
 
 
+def _check_qubits(size: int, cap: int, what: str):
+    """Check that `size` is 2^n for some n with 0 <= n <= cap."""
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"{what} {size} is not a power of 2")
+    if size > 2 ** cap:
+        raise ValueError(f"{what} {size} needs {size.bit_length() - 1} qubits, cap is {cap}")
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state with unit L2 norm on an explicit register layout."""
+    """Pure state with unit L2 norm on at most MAX_QUBITS qubits."""
 
     amplitudes: np.ndarray
-    layout: RegisterLayout
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.shape[0] != self.layout.dim:
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} does not match layout dim {self.layout.dim}")
+        _check_qubits(amps.shape[0], MAX_QUBITS, "amplitude length")
         if abs(np.linalg.norm(amps) - 1.0) > ATOL:
             raise ValueError(f"state norm {np.linalg.norm(amps)} is not 1 within {ATOL}")
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix on an explicit register layout."""
+    """Hermitian, unit-trace, PSD matrix on at most DENSITY_MAX_QUBITS qubits."""
 
     matrix: np.ndarray
-    layout: RegisterLayout
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if self.layout.n_qubits > DENSITY_MAX_QUBITS:
-            raise ValueError(f"dense density matrices are capped at {DENSITY_MAX_QUBITS} qubits")
-        d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        _check_qubits(m.shape[0], DENSITY_MAX_QUBITS, "density matrix size")
         check_density(m)
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.matrix.shape[0]
 
 
 def as_density(state) -> DensityMatrix:
@@ -254,17 +245,18 @@ def as_density(state) -> DensityMatrix:
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state).__name__}")
 
 
-def basis_state(layout, bits: str | int) -> StateVector:
-    layout = _layout(layout)
+def basis_state(n_qubits: int, bits: str | int) -> StateVector:
+    """|bits> on n_qubits qubits; `bits` is a bit string or a basis index."""
+    _check_qubits(2 ** n_qubits, MAX_QUBITS, "basis state length")
     if isinstance(bits, str):
-        if len(bits) != layout.n_qubits:
-            raise ValueError(f"bit string length {len(bits)} != {layout.n_qubits} qubits")
+        if len(bits) != n_qubits:
+            raise ValueError(f"bit string length {len(bits)} != {n_qubits} qubits")
         index = int(bits, 2) if bits else 0
     else:
         index = int(bits)
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(2 ** n_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps, layout)
+    return StateVector(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +287,9 @@ def average_channel_power(m: np.ndarray, kraus: Sequence[np.ndarray], t: int) ->
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; layouts concatenate and must not share names."""
+    """Kronecker product a (x) b; a's qubits come first."""
     a, b = as_density(a), as_density(b)
-    return DensityMatrix(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
+    return DensityMatrix(np.kron(a.matrix, b.matrix))
 
 
 def trace_distance(rho, sigma) -> float:
@@ -370,7 +362,7 @@ def measure_two_outcome(rho, m: TwoOutcomeMeasurement) -> MeasurementResult:
             posts.append(None)
             continue
         branch = apply_kraus(rho.matrix, [kraus])
-        posts.append(DensityMatrix(hermitize(branch) / np.trace(branch).real, rho.layout))
+        posts.append(DensityMatrix(hermitize(branch) / np.trace(branch).real))
     return MeasurementResult(p1=p1, post0=posts[0], post1=posts[1])
 
 

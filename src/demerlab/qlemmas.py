@@ -29,7 +29,6 @@ from .amplify import binom_tail
 from .qcore import (
     ATOL,
     DensityMatrix,
-    RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
     apply_kraus,
@@ -213,7 +212,7 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement,
     bound = (eta - sqrt(n_b / t_steps)) ** 2
     tr = float(np.trace(state).real)
     if tr > 1e-15:
-        survivor = DensityMatrix(hermitize(state) / tr, rho.layout)
+        survivor = DensityMatrix(hermitize(state) / tr)
         drift = trace_distance(rho, survivor)
     else:
         drift = 1.0
@@ -332,9 +331,8 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
                           max_steps: int = 8) -> tuple[DensityMatrix, list[TwoOutcomeMeasurement]]:
     """Seeded random (state, measurement sequence) pair for union-bound audits."""
     n, g_rho, scales, g_effects = _union_draws(rng, max_qubits, max_steps)
-    layout = RegisterLayout.of(("r", n))
     effects, (w, v) = scaled_gram(g_effects, scales)
-    return (DensityMatrix(unit_trace_gram(g_rho), layout),
+    return (DensityMatrix(unit_trace_gram(g_rho)),
             [TwoOutcomeMeasurement(e, spectrum=s) for e, s in zip(effects, zip(w, v))])
 
 
@@ -356,19 +354,18 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
             f"random OR instances reach eta >= {OR_MIN_ETA} only up to "
             f"{OR_MAX_WITNESS_QUBITS} witness qubits, got {witness_qubits}; larger W "
             "needs a constructed family (ROADMAP item 14)")
-    la = RegisterLayout.of(("a", OR_ALICE_QUBITS))
-    lb = RegisterLayout.of(("b", witness_qubits))
+    da, db = 2 ** OR_ALICE_QUBITS, 2 ** witness_qubits
     for _ in range(1000):
-        g_rho = complex_gaussian(rng, (la.dim, la.dim))
-        g_sigma = complex_gaussian(rng, (lb.dim, lb.dim))
+        g_rho = complex_gaussian(rng, (da, da))
+        g_sigma = complex_gaussian(rng, (db, db))
         scale = float(rng.uniform(0.5, 1.0))
-        g_effect = complex_gaussian(rng, (la.dim * lb.dim, la.dim * lb.dim))
+        g_effect = complex_gaussian(rng, (da * db, da * db))
         rho, sigma = unit_trace_gram(g_rho), unit_trace_gram(g_sigma)
         effect, spectrum = scaled_gram(g_effect, scale)
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:
-            return (DensityMatrix(rho, la), DensityMatrix(sigma, lb),
-                    TwoOutcomeMeasurement(effect, spectrum=spectrum), 9 * lb.dim)
+            return (DensityMatrix(rho), DensityMatrix(sigma),
+                    TwoOutcomeMeasurement(effect, spectrum=spectrum), 9 * db)
     raise ValueError("could not draw an instance with eta above the floor")
 
 
@@ -380,16 +377,14 @@ def projector_or_instance(witness_qubits: int,
     supplied sigma with probability eta, so eta is hit by construction.
     """
     eta = 2.0 / 3.0
-    la = RegisterLayout.of(("a", 1))
-    lb = RegisterLayout.of(("b", witness_qubits))
-    n_b = lb.dim
+    n_b = 2 ** witness_qubits
     s = np.zeros(n_b, dtype=complex)
     s[0] = 1.0
     phi = np.zeros(n_b, dtype=complex)
     phi[0] = sqrt(eta)
     phi[1] = sqrt(1.0 - eta)
-    rho = StateVector(np.array([1.0, 0.0], dtype=complex), la).density()
-    sigma = StateVector(s, lb).density()
+    rho = StateVector(np.array([1.0, 0.0], dtype=complex)).density()
+    sigma = StateVector(s).density()
     proj_a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     joint = TwoOutcomeMeasurement(np.kron(proj_a, np.outer(phi, phi.conj())))
     return rho, sigma, joint, 9 * n_b

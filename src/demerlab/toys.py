@@ -6,6 +6,7 @@ the same circuit vocabulary the composition machinery manipulates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import asin, log2, sqrt
 
 from .advice import AdviceVerifier, RandomizedAdvice
@@ -18,7 +19,7 @@ from .protocol import (
     OneWayQmaProtocol,
     protocol_layout,
 )
-from .qcore import RegisterLayout, StateVector, UnitaryCircuit, basis_state, mcx, ry_gate
+from .qcore import UnitaryCircuit, basis_state, mcx, ry_gate
 
 __all__ = [
     "coin_protocol",
@@ -37,21 +38,13 @@ def _accept_angle(p: float) -> float:
 
 
 def _basis_encoder(n_qubits: int):
-    layout = RegisterLayout.of((ADVICE_REGISTER, n_qubits))
-
-    def encode(x: str) -> StateVector:
-        return basis_state(layout, x)
-
-    return encode
+    """Alice's x as the basis state |x> on n_qubits qubits."""
+    return partial(basis_state, n_qubits)
 
 
 def _constant_encoder(n_qubits: int):
-    layout = RegisterLayout.of((ADVICE_REGISTER, n_qubits))
-
-    def encode(_: str) -> StateVector:
-        return basis_state(layout, 0)
-
-    return encode
+    """|0...0> on n_qubits qubits for every input."""
+    return lambda _: basis_state(n_qubits, 0)
 
 
 def coin_protocol(yes_prob: float = 2.0 / 3.0, no_prob: float = 1.0 / 3.0,

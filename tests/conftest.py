@@ -18,7 +18,6 @@ from demerlab.protocol import (
 from demerlab.qcore import (
     DensityMatrix,
     Gate,
-    RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
     UnitaryCircuit,
@@ -44,23 +43,23 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def maximally_mixed(layout: RegisterLayout) -> DensityMatrix:
-    return DensityMatrix(np.eye(layout.dim, dtype=complex) / layout.dim, layout)
+def maximally_mixed(n_qubits: int) -> DensityMatrix:
+    return DensityMatrix(np.eye(2 ** n_qubits, dtype=complex) / 2 ** n_qubits)
 
 
-def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVector:
-    z = complex_gaussian(rng, layout.dim)
-    return StateVector(z / np.linalg.norm(z), layout)
+def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
+    z = complex_gaussian(rng, 2 ** n_qubits)
+    return StateVector(z / np.linalg.norm(z))
 
 
-def random_density(layout: RegisterLayout, rng: np.random.Generator) -> DensityMatrix:
-    return DensityMatrix(unit_trace_gram(complex_gaussian(rng, (layout.dim, layout.dim))), layout)
+def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
+    return DensityMatrix(unit_trace_gram(complex_gaussian(rng, (2 ** n_qubits, 2 ** n_qubits))))
 
 
-def random_effect(layout: RegisterLayout, rng: np.random.Generator,
+def random_effect(n_qubits: int, rng: np.random.Generator,
                   scale: float | None = None) -> TwoOutcomeMeasurement:
     """Random effect operator 0 <= E <= scale * I (scale defaults to uniform)."""
-    g = complex_gaussian(rng, (layout.dim, layout.dim))
+    g = complex_gaussian(rng, (2 ** n_qubits, 2 ** n_qubits))
     if scale is None:
         scale = float(rng.uniform(0.0, 1.0))
     effect, spectrum = scaled_gram(g, scale)
@@ -107,10 +106,9 @@ def one_qubit_advice_verifier(gates, language: dict[str, int],
                               values: tuple = ("0", "1")) -> AdviceVerifier:
     """Advice verifier on qubits (bob, advice, witness, accept) = (0, 1, 2, 3):
     each advice string is a basis state of the advice qubit, drawn uniformly."""
-    layout = RegisterLayout.of((ADVICE_REGISTER, 1))
     p = OneWayQmaProtocol(bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
                           verifier=UnitaryCircuit(4, tuple(gates)), accept_qubit=3,
-                          alice_encode=lambda r: basis_state(layout, r))
+                          alice_encode=lambda r: basis_state(1, r))
     advice = RandomizedAdvice(values=values, probs=(Fraction(1, len(values)),) * len(values))
     return AdviceVerifier(protocol=p, language=language, advice=advice)
 

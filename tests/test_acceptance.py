@@ -17,7 +17,7 @@ from demerlab.advice import (
 from demerlab.amplify import build_inner, build_outer, desk_plan, identity_plan
 from demerlab.demerlin import demerlinize, evaluate_demerlinized, sample_demerlinized
 from demerlab.protocol import induced_witness_operator, optimal_witness
-from demerlab.qcore import RegisterLayout, StateVector, TwoOutcomeMeasurement, top_eigenpair
+from demerlab.qcore import StateVector, TwoOutcomeMeasurement, top_eigenpair
 from demerlab.qlemmas import (
     agrees_within_sigma,
     good_as_new_check,
@@ -89,8 +89,7 @@ def test_criterion_2_or_bound_suite():
 
 def test_criterion_3_good_as_new_equality():
     """Projector-on-|+> instance reaches damage = bound = 1/sqrt(2)."""
-    layout = RegisterLayout.of(("q", 1))
-    plus = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2), layout)
+    plus = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
     m = TwoOutcomeMeasurement(np.diag([0.0, 1.0]).astype(complex))
     r = good_as_new_check(plus, m)
     target = 1 / np.sqrt(2)

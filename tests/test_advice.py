@@ -235,7 +235,7 @@ def test_qcma_train_maximality_counterfactual():
         for z in _witness_strings(decider.amplified.witness_qubits):
             if v.language[x] == 1 and decider.lambdas(x)[z] < 1 - decider.error_rate - 1e-9:
                 continue  # rule (b) excludes invalid witnesses for yes-instances
-            kraus = _branch_kraus(decider.amplified, x, z, keep_outcome=v.language[x])
+            kraus = _branch_kraus(decider.amplified, x, z, v.language[x])
             branch = sum(k @ rho @ k.conj().T for k in kraus)
             assert float(np.trace(branch).real) > 2.0 / 3.0 + 1e-9
 

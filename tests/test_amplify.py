@@ -20,8 +20,7 @@ from demerlab.amplify import (
     plan_amplification,
 )
 from demerlab.protocol import induced_witness_operator, optimal_witness
-from demerlab.qcore import RegisterLayout
-from demerlab.toys import coin_protocol
+from demerlab.toys import coin_protocol, table_qcma_verifier
 from conftest import random_state
 
 
@@ -218,6 +217,15 @@ def test_inner_preserves_unitarity_and_accept_contract():
     assert inner.accept_qubit < inner.verifier.n_qubits
 
 
+def test_layers_past_the_qubit_cap_raise_before_building():
+    # the composed protocol's register layout holds the one 16-qubit cap
+    with pytest.raises(ValueError, match="layout needs 22 qubits, cap is 16"):
+        build_inner(table_qcma_verifier(1).protocol, 5)
+    p, _ = coin_protocol()
+    with pytest.raises(ValueError, match="layout needs 19 qubits, cap is 16"):
+        build_outer(build_inner(p, 1), 11)
+
+
 # ---------------------------------------------------------------------------
 # outer layer
 
@@ -308,7 +316,7 @@ def test_outer_soundness_freshness_conditional(rng):
     eps = 1.0 / 3.0  # inner soundness of the base no-instance
 
     witnesses = [np.array([1, 0], complex), np.array([0, 1], complex),
-                 random_state(RegisterLayout.of(("w", 1)), rng).amplitudes]
+                 random_state(1, rng).amplitudes]
 
     def zero_ket(k):
         v = np.zeros(2 ** k, dtype=complex)

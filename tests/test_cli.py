@@ -197,7 +197,7 @@ def test_loop_value_errors_exit_2(capsys, monkeypatch):
     import demerlab.cli as cli_mod
     import demerlab.demerlin as demerlin_mod
     from demerlab.protocol import OneWayQmaProtocol
-    from demerlab.qcore import RegisterLayout, UnitaryCircuit, basis_state, ry_gate, x_gate
+    from demerlab.qcore import UnitaryCircuit, basis_state, ry_gate, x_gate
     from demerlab.toys import coin_protocol
 
     # a verifier that writes Bob's register, even to undo it, cannot be sliced per Bob input
@@ -206,7 +206,7 @@ def test_loop_value_errors_exit_2(capsys, monkeypatch):
         leaky = OneWayQmaProtocol(
             bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
             verifier=UnitaryCircuit(3, gates), accept_qubit=1,
-            alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+            alice_encode=lambda x: basis_state(1, "0"))
         monkeypatch.setattr(cli_mod, "demerlin_toy", lambda name: (leaky, f))
         for command in ("build", "run"):  # build fails in the precondition audit
             code, err = exit_and_stderr(["demerlin", command, "--toy", "coin"], capsys)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 
@@ -19,7 +21,6 @@ from demerlab.demerlin import (
 )
 from demerlab.protocol import OneWayQmaProtocol
 from demerlab.qcore import (
-    RegisterLayout,
     UnitaryCircuit,
     apply_kraus,
     basis_state,
@@ -29,6 +30,12 @@ from demerlab.qlemmas import agrees_within_sigma
 from demerlab.toys import coin_protocol, demerlin_toy, rac_claim_protocol
 from conftest import maximally_mixed
 from test_protocol import dense_projectors
+
+
+def cached_loops(p):
+    """The loops memoized on protocol p, by (Bob input, Alice inputs covered first)."""
+    return {key[1:]: loop for key, loop in p._operators.items()
+            if key[0] is demerlin_mod._loop.__wrapped__}
 
 
 def make_rac(n_bits=4):
@@ -125,7 +132,7 @@ def test_all_pairs_separate_with_gap():
 
 def test_mixed_advice_supported():
     d, _ = make_coin()
-    rho = maximally_mixed(d.base.advice_state("0").layout)
+    rho = maximally_mixed(d.base.alice_qubits)
     r = evaluate_demerlinized(d, "0", "1", rho_alice=rho)
     assert 0.0 <= r.p_accept <= 1.0
 
@@ -182,7 +189,9 @@ def test_every_toy_pair_matches_dense_oracle(name):
             r = evaluate_demerlinized(dd, x, y)
             assert r.p_accept == pytest.approx(expected, abs=1e-12)
             assert r.residual <= 1e-9
-    assert set(d._loops) == {y for (_, y), _ in f.pairs()}
+    ys = {y for (_, y), _ in f.pairs()}
+    # d covers f's Alice inputs first; d_bare shares the protocol with its own loops
+    assert set(cached_loops(p)) == {(y, xs) for y in ys for xs in (tuple(f.alice_inputs()), ())}
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7])
@@ -193,7 +202,7 @@ def test_amplified_coin_matches_dense_oracle(angle):
     d = demerlinize(build_outer(build_inner(base, plan.ell), plan.u), plan, f=f)
     for (x, y), _ in f.pairs():
         assert_matches_oracle(d, x, y)
-    assert d._loops["1"].basis.shape[1] < 2 ** 8
+    assert cached_loops(d.base)["1", tuple(f.alice_inputs())].basis.shape[1] < 2 ** 8
 
 
 def test_drift_sequences_match_dense_oracle():
@@ -210,7 +219,7 @@ def test_drift_sequences_match_dense_oracle():
 def test_maximally_mixed_advice_matches_dense_oracle(name):
     p, f = demerlin_toy(name)
     d = demerlinize(p, identity_plan(p.alice_qubits, p.witness_qubits), f=f)
-    rho = maximally_mixed(RegisterLayout.of(("advice", p.alice_qubits)))
+    rho = maximally_mixed(p.alice_qubits)
     for y in sorted({y for (_, y), _ in f.pairs()}):
         x = f.alice_inputs()[0]
         assert_matches_oracle(d, x, y, rho_alice=rho)
@@ -231,12 +240,13 @@ def test_loop_rejects_non_block_diagonal_verifier():
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
         verifier=circ, accept_qubit=1,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        alice_encode=lambda x: basis_state(1, "0"))
     d = demerlinize(p, identity_plan(1, 1))
     with pytest.raises(ValueError, match="block diagonal"):
         evaluate_demerlinized(d, "0", "0")
     with pytest.raises(ValueError, match="block diagonal"):
         sample_demerlinized(d, "0", "0", shots=10, seed=0)
+    assert not cached_loops(p)
 
 
 def test_residual_audit_raises_and_caches_nothing(monkeypatch):
@@ -246,21 +256,37 @@ def test_residual_audit_raises_and_caches_nothing(monkeypatch):
         monkeypatch.setattr(demerlin_mod, name, value)
         with pytest.raises(ValueError, match=match):
             evaluate_demerlinized(d, "0", "1")
-        assert not d._loops
+        assert not cached_loops(d.base)
         monkeypatch.undo()
     assert evaluate_demerlinized(d, "0", "1").passed
 
 
 def test_cache_lives_on_the_protocol_instance():
+    d, f = make_coin()
+    key = ("1", tuple(f.alice_inputs()))
+    evaluate_demerlinized(d, "0", "1")
+    loop = cached_loops(d.base)[key]
+    evaluate_demerlinized(d, "0", "1")
+    evaluate_demerlinized(DemerlinizedProtocol(base=d.base, f=f), "1", "1")
+    assert cached_loops(d.base) == {key: loop}
+    twin, _ = make_coin()
+    assert not cached_loops(twin.base)
+    assert [fl.name for fl in fields(DemerlinizedProtocol)] == ["base", "f"]
+
+
+def test_cached_loops_do_not_keep_their_protocol_alive():
+    # the loop lives in the protocol's memo; a loop that held the protocol would
+    # make a cycle that only the garbage collector frees, raising peak memory
     d, _ = make_coin()
     evaluate_demerlinized(d, "0", "1")
-    loop = d._loops["1"]
-    evaluate_demerlinized(d, "0", "1")
-    assert d._loops["1"] is loop
-    twin, _ = make_coin()
-    assert not twin._loops
-    cache = next(fl for fl in fields(DemerlinizedProtocol) if fl.name == "_loops")
-    assert not cache.compare and not cache.repr and not cache.init
+    assert cached_loops(d.base)
+    ref = weakref.ref(d.base)
+    gc.disable()
+    try:
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

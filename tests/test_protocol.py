@@ -22,7 +22,6 @@ from demerlab.protocol import (
 )
 from demerlab.qcore import (
     Gate,
-    RegisterLayout,
     UnitaryCircuit,
     basis_state,
     ry_gate,
@@ -85,7 +84,7 @@ def witness_independent_protocol() -> OneWayQmaProtocol:
     return OneWayQmaProtocol(
         bob_bits=0, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=accept,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        alice_encode=lambda x: basis_state(1, "0"))
 
 
 def test_witness_independent_verifier(rng):
@@ -116,10 +115,10 @@ def test_induced_operator_matches_direct_simulation(rng):
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=3,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        alice_encode=lambda x: basis_state(1, "0"))
     w = induced_witness_operator(p, "0", "1")
     for _ in range(50):
-        phi = random_state(RegisterLayout.of(("w", 1)), rng).amplitudes
+        phi = random_state(1, rng).amplitudes
         expected = direct_acceptance(p, "0", "1", phi)
         assert np.real(phi.conj() @ w @ phi) == pytest.approx(expected, abs=1e-9)
 
@@ -129,7 +128,7 @@ def test_optimal_witness_beats_random_search(rng):
     lam, _ = optimal_witness(p, "0", "1")
     best = 0.0
     for _ in range(10_000):
-        phi = random_state(RegisterLayout.of(("w", 1)), rng).amplitudes
+        phi = random_state(1, rng).amplitudes
         best = max(best, direct_acceptance(p, "0", "1", phi))
     assert best <= lam + 1e-9
     assert lam - best <= 1e-3  # the random search certifies lambda from below
@@ -140,7 +139,7 @@ def test_mixed_witness_dominance(rng):
     w = induced_witness_operator(p, "0", "1")
     lam, _ = optimal_witness(p, "0", "1")
     for _ in range(100):
-        sigma = random_density(RegisterLayout.of(("w", 1)), rng)
+        sigma = random_density(1, rng)
         assert float(np.real(np.trace(w @ sigma.matrix))) <= lam + 1e-9
 
 
@@ -168,7 +167,7 @@ def test_audit_always_reject_trivial():
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=1,
         verifier=circ, accept_qubit=3,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        alice_encode=lambda x: basis_state(1, "0"))
     f = CommunicationFunction(1, 1, {("0", "0"): 0, ("0", "1"): 0})
     assert audit_protocol(p, f).passed
 
@@ -252,7 +251,7 @@ def test_rest_projector_keeps_the_dense_cap():
     p = OneWayQmaProtocol(
         bob_bits=1, alice_qubits=12, witness_qubits=0, ancilla_qubits=0,
         verifier=UnitaryCircuit(13, ()), accept_qubit=1,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 12)), 0))
+        alice_encode=lambda x: basis_state(12, 0))
     with pytest.raises(ValueError, match="capped at 12 qubits"):
         rest_projector(p, "0", outcome=1)
 
@@ -271,7 +270,7 @@ def bob_targeting_protocol(gates):
     return OneWayQmaProtocol(
         bob_bits=1, alice_qubits=1, witness_qubits=1, ancilla_qubits=0,
         verifier=UnitaryCircuit(3, gates), accept_qubit=1,
-        alice_encode=lambda x: basis_state(RegisterLayout.of(("advice", 1)), "0"))
+        alice_encode=lambda x: basis_state(1, "0"))
 
 
 def test_block_circuit_rejects_non_block_diagonal():
@@ -290,13 +289,18 @@ def test_a_build_that_raises_caches_nothing():
     assert p._operators == before and len(before) == 1
 
 
-def test_positional_and_keyword_calls_share_one_entry():
+def test_memo_takes_positional_arguments_only():
     p, _ = coin_protocol()
     kraus = _branch_kraus(p, "1", "0", 1)
-    assert _branch_kraus(p, "1", "0", keep_outcome=1) is kraus
-    assert _branch_kraus(p, x="1", z="0", keep_outcome=1) is kraus
-    assert block_circuit(p, y="1") is block_circuit(p, "1")
+    assert _branch_kraus(p, "1", "0", 1) is kraus
+    assert block_circuit(p, "1") is block_circuit(p, "1")
     assert _branch_kraus(p, "1", "0", 0) is not kraus
+    before = dict(p._operators)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'keep_outcome'"):
+        _branch_kraus(p, "1", "0", keep_outcome=1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'y'"):
+        block_circuit(p, y="0")
+    assert p._operators == before
 
 
 def test_a_gate_on_a_bob_qubit_is_rejected_even_when_undone():
@@ -365,7 +369,7 @@ def block_diagonal_protocols(draw):
                                      max_size=len(controls))))
         gates.append(Gate("u", tuple(targets), random_unitary(2 ** len(targets), rng),
                           controls, values))
-    psi = random_state(RegisterLayout.of(("advice", a)), rng)
+    psi = random_state(a, rng)
     p = OneWayQmaProtocol(
         bob_bits=b, alice_qubits=a, witness_qubits=w, ancilla_qubits=c,
         verifier=UnitaryCircuit(n, tuple(gates)),
@@ -390,7 +394,7 @@ def test_kernel_matches_dense_oracle(case):
     np.testing.assert_allclose(project(p, y, np.eye(dim, dtype=complex), b), proj[b], **tol)
     np.testing.assert_allclose(induced_witness_operator(p, "0", y),
                                c_x.conj().T @ proj[1] @ c_x, **tol)
-    kraus = _branch_kraus(p, y, z, keep_outcome=b)
+    kraus = _branch_kraus(p, y, z, b)
     np.testing.assert_allclose(sum(k.conj().T @ k for k in kraus),
                                c_z.conj().T @ proj[b] @ c_z, **tol)
     np.testing.assert_allclose(_witness_effect(p, y, z), c_z.conj().T @ proj[1] @ c_z, **tol)

@@ -32,8 +32,6 @@ from conftest import (
     random_unitary,
 )
 
-Q1 = RegisterLayout.of(("q", 1))
-AB = RegisterLayout.of(("A", 1), ("B", 1))
 
 
 def ket(*amps):
@@ -42,7 +40,7 @@ def ket(*amps):
 
 
 def plus_state():
-    return StateVector(ket(1, 1), Q1)
+    return StateVector(ket(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +54,52 @@ def test_layout_rejects_name_collision():
 
 def test_layout_rejects_unknown_register():
     with pytest.raises(ValueError, match="unknown register"):
-        Q1.offset("nope")
+        RegisterLayout.of(("q", 1)).offset("nope")
 
 
 def test_state_norm_enforced():
     with pytest.raises(ValueError, match="norm"):
-        StateVector(np.array([1.0, 1.0]), Q1)
+        StateVector(np.array([1.0, 1.0]))
 
 
 def test_density_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), Q1)
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2), Q1)
+        DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex), Q1)
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_state_length_is_a_power_of_two_within_the_cap():
+    with pytest.raises(ValueError, match="not a power of 2"):
+        StateVector(np.ones(3) / np.sqrt(3.0))
+    big = np.zeros(2 ** 17, dtype=complex)
+    big[0] = 1.0
+    with pytest.raises(ValueError, match="needs 17 qubits, cap is 16"):
+        StateVector(big)
+    assert StateVector(np.ones(1)).amplitudes.shape == (1,)  # no qubits is one amplitude
+
+
+def test_density_size_is_a_square_power_of_two_within_the_cap():
+    with pytest.raises(ValueError, match="not a power of 2"):
+        DensityMatrix(np.eye(3) / 3.0)
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.ones((2, 4)) / 2.0)
+    # a broadcast view of one complex zero: the 2^13-square matrix is never allocated
+    big = np.broadcast_to(np.complex128(0.0), (2 ** 13, 2 ** 13))
+    with pytest.raises(ValueError, match="needs 13 qubits, cap is 12"):
+        DensityMatrix(big)
+    assert DensityMatrix(np.ones((1, 1))).dim == 1
+
+
+def test_basis_state_takes_a_qubit_count():
+    assert np.flatnonzero(basis_state(3, "011").amplitudes).tolist() == [3]
+    assert np.flatnonzero(basis_state(2, 2).amplitudes).tolist() == [2]
+    with pytest.raises(ValueError, match="length 2 != 3 qubits"):
+        basis_state(3, "01")
+    with pytest.raises(ValueError, match="cap is 16"):  # raised before 2^40 amplitudes exist
+        basis_state(40, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +107,25 @@ def test_density_validation():
 
 
 def test_tensor_basis_case():
-    a = basis_state(RegisterLayout.of(("A", 1)), "0").density()
-    b = basis_state(RegisterLayout.of(("B", 1)), "0").density()
+    a = basis_state(1, "0").density()
+    b = basis_state(1, "0").density()
     out = tensor_product(a, b)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.allclose(out.matrix, expected)
-    assert out.layout.names == ("A", "B")
 
 
 def test_tensor_maximally_mixed_composes():
-    a = maximally_mixed(RegisterLayout.of(("A", 1)))
-    b = maximally_mixed(RegisterLayout.of(("B", 1)))
+    a = maximally_mixed(1)
+    b = maximally_mixed(1)
     assert np.allclose(tensor_product(a, b).matrix, np.eye(4) / 4)
 
 
 def test_tensor_matches_kronecker_oracle():
     # |+><+| (x) |1><1| against an explicit index-loop Kronecker product
     a = plus_state().density()
-    b = basis_state(RegisterLayout.of(("B", 1)), "1").density()
-    out = tensor_product(DensityMatrix(a.matrix, RegisterLayout.of(("A", 1))), b)
+    b = basis_state(1, "1").density()
+    out = tensor_product(a, b)
     oracle = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -107,40 +135,33 @@ def test_tensor_matches_kronecker_oracle():
     assert np.allclose(out.matrix, oracle, atol=1e-12)
 
 
-def test_tensor_rejects_register_collision():
-    a = maximally_mixed(Q1)
-    with pytest.raises(ValueError, match="collision"):
-        tensor_product(a, a)
-
-
 # ---------------------------------------------------------------------------
 # trace distance
 
 
 def test_trace_distance_basics():
     assert trace_distance(plus_state(), plus_state()) == pytest.approx(0.0, abs=1e-12)
-    assert trace_distance(basis_state(Q1, "0"), basis_state(Q1, "1")) == pytest.approx(1.0, abs=1e-9)
-    assert trace_distance(basis_state(Q1, "0"), plus_state()) == pytest.approx(
+    assert trace_distance(basis_state(1, "0"), basis_state(1, "1")) == pytest.approx(1.0, abs=1e-9)
+    assert trace_distance(basis_state(1, "0"), plus_state()) == pytest.approx(
         np.sqrt(0.5), abs=1e-9)
 
 
 def test_trace_distance_singular_value_oracle(rng):
-    layout = RegisterLayout.of(("q", 2))
-    rho, sigma = random_density(layout, rng), random_density(layout, rng)
+    rho, sigma = random_density(2, rng), random_density(2, rng)
     oracle = 0.5 * np.linalg.svd(rho.matrix - sigma.matrix, compute_uv=False).sum()
     assert trace_distance(rho, sigma) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_dimension_mismatch_raises(rng):
     with pytest.raises(ValueError, match="dimension mismatch"):
-        trace_distance(random_density(Q1, rng), random_density(RegisterLayout.of(("q", 2)), rng))
+        trace_distance(random_density(1, rng), random_density(2, rng))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_trace_distance_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
-    a, b, c = (random_density(Q1, rng) for _ in range(3))
+    a, b, c = (random_density(1, rng) for _ in range(3))
     assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
 
 
@@ -157,7 +178,7 @@ def test_orthonormal_basis_averages_to_identity(rng):
 
 
 def test_apply_kraus_matches_explicit_sum(rng):
-    rho = random_density(AB, rng).matrix
+    rho = random_density(2, rng).matrix
     kraus = [random_unitary(4, rng) / np.sqrt(3) for _ in range(3)]
     expected = sum(k @ rho @ k.conj().T for k in kraus)
     np.testing.assert_allclose(apply_kraus(rho, kraus), expected, atol=1e-14)
@@ -166,10 +187,10 @@ def test_apply_kraus_matches_explicit_sum(rng):
 
 
 def test_kron_power_matches_kron_chain(rng):
-    v = random_state(Q1, rng).amplitudes
+    v = random_state(1, rng).amplitudes
     assert np.array_equal(kron_power(v, 1), v)
     np.testing.assert_allclose(kron_power(v, 3), np.kron(np.kron(v, v), v), atol=0)
-    m = random_density(Q1, rng).matrix
+    m = random_density(1, rng).matrix
     assert kron_power(m, 2).shape == (4, 4)
 
 
@@ -184,7 +205,7 @@ def test_measurement_kraus_completeness(rng):
 
 
 def test_measure_certain_outcome(rng):
-    rho = random_density(Q1, rng)
+    rho = random_density(1, rng)
     m = TwoOutcomeMeasurement(np.eye(2, dtype=complex))
     r = measure_two_outcome(rho, m)
     assert r.p1 == pytest.approx(1.0, abs=1e-12)
@@ -193,7 +214,7 @@ def test_measure_certain_outcome(rng):
 
 
 def test_measure_uniform_effect_leaves_state(rng):
-    rho = random_density(Q1, rng)
+    rho = random_density(1, rng)
     m = TwoOutcomeMeasurement(np.eye(2, dtype=complex) / 2)
     r = measure_two_outcome(rho, m)
     assert r.p1 == pytest.approx(0.5, abs=1e-12)
@@ -215,13 +236,12 @@ def test_measure_projector_update_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_effect_spectrum_is_decomposed_once(n):
-    layout = RegisterLayout.of(("q", n))
     for seed in range(5):
         rng = np.random.default_rng(seed)
         scale = float(rng.uniform(0.05, 0.9))
-        m = random_effect(layout, rng, scale=scale)
+        m = random_effect(n, rng, scale=scale)
         assert np.linalg.eigvalsh(m.effect)[-1] == pytest.approx(scale, abs=1e-12)
-        eye = np.eye(layout.dim)
+        eye = np.eye(2 ** n)
         np.testing.assert_allclose(m.m0.conj().T @ m.m0 + m.m1.conj().T @ m.m1, eye, atol=1e-12)
         # the handed-over spectrum gives the Kraus pair a fresh decomposition gives
         ref = TwoOutcomeMeasurement(m.effect)
@@ -230,7 +250,7 @@ def test_random_effect_spectrum_is_decomposed_once(n):
 
 
 def test_random_effect_default_scale_is_an_effect():
-    m = random_effect(AB, np.random.default_rng(3))
+    m = random_effect(2, np.random.default_rng(3))
     w = np.linalg.eigvalsh(m.effect)
     assert -1e-12 <= w[0] and w[-1] <= 1.0 + 1e-12
     np.testing.assert_allclose(m.m0.conj().T @ m.m0 + m.m1.conj().T @ m.m1, np.eye(4),
@@ -251,8 +271,7 @@ def test_handed_over_spectrum_is_still_checked():
 @settings(max_examples=30, deadline=None)
 def test_measurement_conserves_probability(seed):
     rng = np.random.default_rng(seed)
-    layout = RegisterLayout.of(("q", 2))
-    rho = random_density(layout, rng)
+    rho = random_density(2, rng)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     e = g @ g.conj().T
     e = e / (np.linalg.eigvalsh(e).max() * float(rng.uniform(1.0, 3.0)))
@@ -338,7 +357,7 @@ def test_circuit_inverse_roundtrip(rng):
 
 def test_circuit_apply_matches_matrix(rng):
     circ = UnitaryCircuit(3, (h_gate(1), cnot(1, 2), ry_gate(0, 1.1)))
-    psi = random_state(RegisterLayout.of(("q", 3)), rng).amplitudes
+    psi = random_state(3, rng).amplitudes
     assert np.allclose(circ.apply(psi), circ.to_matrix() @ psi, atol=1e-9)
 
 
@@ -420,7 +439,7 @@ def test_compiled_kernel_matches_dense_oracle(case):
 def test_circuit_compiles_once(rng):
     circ = UnitaryCircuit(3, (h_gate(0), mcx((0, 2), 1, (1, 0)), increment_gate((2, 0))))
     assert circ._steps is None  # nothing is compiled before the first apply
-    psi = random_state(RegisterLayout.of(("q", 3)), rng).amplitudes
+    psi = random_state(3, rng).amplitudes
     first = circ.apply(psi)
     steps = circ._steps
     # mcx on target 1, controls 0=1 and 2=0: the slice keeps qubit 1 and the batch

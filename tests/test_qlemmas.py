@@ -12,7 +12,6 @@ from demerlab.amplify import binom_tail, build_inner, build_outer, desk_plan, id
 from demerlab.demerlin import _reachable_loop, demerlinize, sample_demerlinized
 from demerlab.qcore import (
     DensityMatrix,
-    RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
     hermitize,
@@ -34,11 +33,8 @@ from demerlab.cli import main
 from demerlab.toys import coin_protocol, demerlin_toy
 from conftest import random_density, random_effect, random_state
 
-Q1 = RegisterLayout.of(("q", 1))
-
-
 def plus():
-    return StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2), Q1)
+    return StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +42,7 @@ def plus():
 
 
 def test_good_as_new_zero_effect(rng):
-    rho = random_density(Q1, rng)
+    rho = random_density(1, rng)
     r = good_as_new_check(rho, TwoOutcomeMeasurement(np.zeros((2, 2), dtype=complex)))
     assert r.epsilon == pytest.approx(0.0, abs=1e-12)
     assert r.damage == pytest.approx(0.0, abs=1e-9)
@@ -54,7 +50,7 @@ def test_good_as_new_zero_effect(rng):
 
 
 def test_good_as_new_uniform_effect(rng):
-    rho = random_density(Q1, rng)
+    rho = random_density(1, rng)
     r = good_as_new_check(rho, TwoOutcomeMeasurement(np.eye(2, dtype=complex) / 2))
     assert r.epsilon == pytest.approx(0.5, abs=1e-12)
     assert r.damage == pytest.approx(0.0, abs=1e-9)
@@ -86,7 +82,7 @@ def test_good_as_new_random_sweep(rng):
 
 
 def test_union_all_zero_effects(rng):
-    rho = random_density(Q1, rng)
+    rho = random_density(1, rng)
     seq = [TwoOutcomeMeasurement(np.zeros((2, 2), dtype=complex)) for _ in range(4)]
     r = union_bound_run(rho, seq)
     assert r.p_any_one == pytest.approx(0.0, abs=1e-12)
@@ -94,8 +90,8 @@ def test_union_all_zero_effects(rng):
 
 
 def test_union_single_step_equals_epsilon(rng):
-    rho = random_density(Q1, rng)
-    m = random_effect(Q1, rng, scale=0.4)
+    rho = random_density(1, rng)
+    m = random_effect(1, rng, scale=0.4)
     r = union_bound_run(rho, [m])
     assert r.p_any_one == pytest.approx(m.outcome1_probability(rho), abs=1e-12)
     assert r.p_any_one <= np.sqrt(r.p_any_one) + 1e-12
@@ -104,9 +100,8 @@ def test_union_single_step_equals_epsilon(rng):
 def test_union_exact_matches_branch_enumeration(rng):
     # enumerate all 2^T outcome branches explicitly and add up every branch
     # that contains at least one outcome 1
-    layout = RegisterLayout.of(("q", 2))
-    rho = random_density(layout, rng)
-    seq = [random_effect(layout, rng, scale=0.3) for _ in range(4)]
+    rho = random_density(2, rng)
+    seq = [random_effect(2, rng, scale=0.3) for _ in range(4)]
     r = union_bound_run(rho, seq)
     total = 0.0
     for outcomes in itertools.product((0, 1), repeat=4):
@@ -123,11 +118,10 @@ def test_union_exact_matches_branch_enumeration(rng):
 def test_union_four_steps_at_four_percent(rng):
     # four effects rescaled to trigger at exactly 0.04 on the initial state:
     # the exact any-outcome-1 probability must stay at or below 4 * 0.2 = 0.8
-    layout = RegisterLayout.of(("q", 2))
-    rho = random_density(layout, rng)
+    rho = random_density(2, rng)
     seq = []
     for _ in range(4):
-        raw = random_effect(layout, rng, scale=1.0)
+        raw = random_effect(2, rng, scale=1.0)
         eps = raw.outcome1_probability(rho)
         seq.append(TwoOutcomeMeasurement(raw.effect * (0.04 / eps)))
     r = union_bound_run(rho, seq)
@@ -261,9 +255,8 @@ def test_union_report_is_prefix_stable(k, tmp_path):
 
 
 def test_or_bound_certain_acceptance(rng):
-    layout_a, layout_b = RegisterLayout.of(("a", 1)), RegisterLayout.of(("b", 1))
-    rho = random_density(layout_a, rng)
-    sigma = random_density(layout_b, rng)
+    rho = random_density(1, rng)
+    sigma = random_density(1, rng)
     joint = TwoOutcomeMeasurement(np.eye(4, dtype=complex))
     r = or_bound_run(rho, sigma, joint, t_steps=18)
     assert r.p_any_one == pytest.approx(1.0, abs=1e-12)
@@ -288,8 +281,8 @@ def test_or_bound_matched_projector_instance(rng):
     plus_b = np.array([1, 1], dtype=complex) / np.sqrt(2)
     joint = TwoOutcomeMeasurement(np.kron(np.outer(psi, psi.conj()),
                                           np.outer(plus_b, plus_b.conj())))
-    rho = DensityMatrix(np.outer(psi, psi.conj()), RegisterLayout.of(("a", 1)))
-    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), RegisterLayout.of(("b", 1)))
+    rho = DensityMatrix(np.outer(psi, psi.conj()))
+    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     r = or_bound_run(rho, sigma, joint, t_steps=18)
     assert r.params["eta"] == pytest.approx(0.5, abs=1e-12)
     assert r.p_any_one >= (0.5 - np.sqrt(2 / 18)) ** 2 - 1e-9
@@ -340,16 +333,16 @@ def test_monte_carlo_agrees_on_mixed_state(rng):
 def test_monte_carlo_holds_only_alive_rows(rng, mixed):
     # the walk keeps the surviving shots' rows and nothing of full size
     # beyond them, so its heap peak stays under three (shots, d) arrays
-    layout, shots = RegisterLayout.of(("a", 3)), 20_000
-    kraus0 = [random_effect(layout, rng, scale=0.2).m0 for _ in range(3)]
-    rho = random_density(layout, rng) if mixed else random_state(layout, rng)
+    shots = 20_000
+    kraus0 = [random_effect(3, rng, scale=0.2).m0 for _ in range(3)]
+    rho = random_density(3, rng) if mixed else random_state(3, rng)
     tracemalloc.start()
     try:
         monte_carlo_any_outcome1(rho, kraus0, 10, shots, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * shots * layout.dim * np.dtype(complex).itemsize
+    assert peak <= 3 * shots * 2 ** 3 * np.dtype(complex).itemsize
 
 
 def per_shot_walk(rho, kraus0, t_steps, shots, rng):
@@ -393,16 +386,16 @@ def _walk_instance(seed, qubits, n_choices, start):
     """Kraus operators sqrt(I - E) of random effects, one of them replaced by a
     0/1 diagonal projector, and a start of the given kind, all drawn from `seed`."""
     gen = np.random.default_rng(seed)
-    layout = RegisterLayout.of(("a", qubits)) if qubits else RegisterLayout.of()
-    kraus0 = [random_effect(layout, gen, scale=float(gen.uniform(0.0, 0.5))).m0
+    dim = 2 ** qubits
+    kraus0 = [random_effect(qubits, gen, scale=float(gen.uniform(0.0, 0.5))).m0
               for _ in range(n_choices)]
-    kraus0[int(gen.integers(n_choices))] = np.diag(gen.integers(0, 2, size=layout.dim)).astype(complex)
+    kraus0[int(gen.integers(n_choices))] = np.diag(gen.integers(0, 2, size=dim)).astype(complex)
     if start == "density":  # rank below the dimension whenever the dimension allows
-        rank = int(gen.integers(1, max(layout.dim, 2)))
-        g = gen.normal(size=(layout.dim, rank)) + 1j * gen.normal(size=(layout.dim, rank))
+        rank = int(gen.integers(1, max(dim, 2)))
+        g = gen.normal(size=(dim, rank)) + 1j * gen.normal(size=(dim, rank))
         rho = g @ g.conj().T
-        return kraus0, DensityMatrix(rho / np.trace(rho).real, layout)
-    psi = random_state(layout, gen)
+        return kraus0, DensityMatrix(rho / np.trace(rho).real)
+    psi = random_state(qubits, gen)
     return kraus0, (psi if start == "state" else psi.amplitudes)
 
 
