@@ -46,7 +46,7 @@ from .qlemmas import (
     monte_carlo_any_outcome1,
     or_bound_run,
     projector_or_instance,
-    random_or_instance,
+    random_or_audit,
     random_union_audit,
     random_union_instance,
 )
@@ -160,13 +160,8 @@ def _run_or_bound(args) -> dict:
         row["monte_carlo"] = {"estimate": est, "stderr": err,
                               "within_3_sigma": agrees_within_sigma(est, pinned.p_any_one,
                                                                     args.shots)}
-    rows = [row]
-    for i, ss in enumerate(seeds[1:]):
-        rng = np.random.default_rng(ss)
-        rho_i, sigma_i, joint_i, t_i = random_or_instance(rng, args.witness_qubits)
-        r = or_bound_run(rho_i, sigma_i, joint_i, t_i).to_json_dict()
-        r["case"] = f"random-{i}"
-        rows.append(r)
+    rows = [row] + [{**r.to_json_dict(), "case": f"random-{i}"}
+                    for i, r in enumerate(random_or_audit(seeds[1:], args.witness_qubits))]
     params = {"witness_qubits": args.witness_qubits, "instances": args.instances,
               "shots": args.shots}
     return _report(args, params, rows, csv_columns=["case", "lemma", "exact", "bound", "pass"])

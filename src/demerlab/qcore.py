@@ -33,7 +33,7 @@ __all__ = [
     "Gate",
     "UnitaryCircuit",
     "basis_state",
-    "tensor_product",
+    "kron_pairs",
     "trace_distance",
     "measure_two_outcome",
     "apply_kraus",
@@ -152,8 +152,10 @@ def effect_kraus(effect: np.ndarray, spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal real and imaginary parts, real part drawn first."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    """Standard normal real and imaginary parts, real part drawn first, in one draw call."""
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = rng.normal(size=(2, *out.shape))
+    return out
 
 
 def unit_trace_gram(g: np.ndarray) -> np.ndarray:
@@ -280,16 +282,18 @@ def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def average_channel_power(m: np.ndarray, kraus: Sequence[np.ndarray], t: int) -> np.ndarray:
-    """t applications of the averaged channel m -> sum_K K m K' / len(kraus)."""
+    """t applications of the averaged channel m -> sum_K K m K' / len(kraus).
+
+    `m` and each Kraus operator may be (B, d, d) stacks, one channel per member."""
     for _ in range(t):
         m = apply_kraus(m, kraus) / len(kraus)
     return m
 
 
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product a (x) b; a's qubits come first."""
-    a, b = as_density(a), as_density(b)
-    return DensityMatrix(np.kron(a.matrix, b.matrix))
+def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[i], b[i]) for each i of a (B, m, m) and a (B, n, n) stack; a's qubits first."""
+    (k, m, _), n = a.shape, b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, m * n, m * n)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -38,15 +38,15 @@ from .qcore import (
     complex_gaussian,
     effect_kraus,
     hermitize,
+    kron_pairs,
     measure_two_outcome,
     scaled_gram,
-    tensor_product,
     trace_distance,
     trace_norm,
     unit_trace_gram,
 )
 
-UNION_CHUNK = 64  # seeds per stacked batch in random_union_audit; bounds peak memory
+AUDIT_CHUNK = 64  # seeds per stacked batch in the random audits; bounds peak memory
 THREE_SIGMA_RATE = erfc(3.0 / sqrt(2.0))  # two-sided normal tail rate at 3 sigma, 0.0027
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "random_union_instance",
     "random_union_audit",
     "random_or_instance",
+    "random_or_audit",
     "projector_or_instance",
 ]
 
@@ -158,12 +159,12 @@ def _union_audit(rho: np.ndarray, steps: np.ndarray, effects: np.ndarray, m0: np
 def random_union_audit(seeds: list[np.random.SeedSequence]) -> list[MeasurementSequenceReport]:
     """`union_bound_run(*random_union_instance(np.random.default_rng(s)))` for each seed, in order.
 
-    Instances are drawn UNION_CHUNK seeds at a time; within a chunk, those of
+    Instances are drawn AUDIT_CHUNK seeds at a time; within a chunk, those of
     one dimension are built, checked and audited as one stack, most steps first.
     """
     reports = []
-    for start in range(0, len(seeds), UNION_CHUNK):
-        draws = [_union_draws(np.random.default_rng(s)) for s in seeds[start:start + UNION_CHUNK]]
+    for start in range(0, len(seeds), AUDIT_CHUNK):
+        draws = [_union_draws(np.random.default_rng(s)) for s in seeds[start:start + AUDIT_CHUNK]]
         chunk = {}
         for n in sorted({draw[0] for draw in draws}):
             members = sorted((k for k, draw in enumerate(draws) if draw[0] == n),
@@ -194,33 +195,46 @@ def or_bound_run(rho, sigma, joint: TwoOutcomeMeasurement,
     """Exact accept probability of T induced measurements at random basis states.
 
     eta is measured from the supplied instance rather than declared, so the
-    precondition T >= N/eta^2 can never go stale.
+    precondition T >= N/eta^2 can never go stale. This is `_or_audit` on a
+    stack of one instance.
     """
     rho, sigma = as_density(rho), as_density(sigma)
-    joint_state = tensor_product(rho, sigma)
-    eta = joint.outcome1_probability(joint_state)
-    n_b = sigma.dim
-    if eta <= 0.0:
-        raise ValueError("joint effect never accepts the product state (eta = 0)")
-    if t_steps < n_b / eta ** 2:
-        raise ValueError(
-            f"need T >= N/eta^2 = {n_b / eta ** 2:.3f}, got T = {t_steps}")
-    kraus0 = [m.m0 for m in induced_effects(joint, rho.dim, n_b)]
-    state = average_channel_power(rho.matrix, kraus0, t_steps)
-    p_any = 1.0 - float(np.trace(state).real)
-    p_any = min(max(p_any, 0.0), 1.0)
-    bound = (eta - sqrt(n_b / t_steps)) ** 2
-    tr = float(np.trace(state).real)
-    if tr > 1e-15:
-        survivor = DensityMatrix(hermitize(state) / tr)
-        drift = trace_distance(rho, survivor)
-    else:
-        drift = 1.0
-    return MeasurementSequenceReport(
-        lemma="or-bound", t_steps=t_steps, p_any_one=p_any, bound=bound,
-        averaged_state_drift=drift,
-        params={"eta": float(eta), "n_witness_states": n_b},
-        passed=p_any >= bound - ATOL)
+    if joint.dim != rho.dim * sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim * sigma.dim} vs {joint.dim}")
+    return _or_audit(rho.matrix[None], sigma.matrix[None], joint.effect[None], t_steps)[0]
+
+
+def _or_audit(rho: np.ndarray, sigma: np.ndarray, effects: np.ndarray,
+              t_steps: int) -> list[MeasurementSequenceReport]:
+    """`or_bound_run` on (B, d, d), (B, N, N) and (B, dN, dN) stacks at once, all with T = t_steps.
+
+    The induced effects form one (B, N, d, d) stack, and one averaged walk runs all members.
+    """
+    (b, d, _), n_b = rho.shape, sigma.shape[-1]
+    joint = kron_pairs(rho, sigma)
+    for m in (rho, sigma, joint):
+        check_density(m)
+    etas = np.trace(effects @ joint, axis1=-2, axis2=-1).real.tolist()
+    for eta in etas:
+        if eta <= 0.0:
+            raise ValueError("joint effect never accepts the product state (eta = 0)")
+        if t_steps < n_b / eta ** 2:
+            raise ValueError(f"need T >= N/eta^2 = {n_b / eta ** 2:.3f}, got T = {t_steps}")
+    induced = effects.reshape(b, d, n_b, d, n_b).diagonal(axis1=2, axis2=4).transpose(0, 3, 1, 2)
+    m0, _ = effect_kraus(hermitize(induced), None)
+    state = average_channel_power(rho, list(m0.swapaxes(0, 1)), t_steps)
+    tr = np.trace(state, axis1=-2, axis2=-1).real
+    p_any = np.clip(1.0 - tr, 0.0, 1.0)
+    drift, kept = np.ones(b), tr > 1e-15
+    if kept.any():
+        survivors = hermitize(state[kept]) / tr[kept, None, None]
+        check_density(survivors)
+        drift[kept] = 0.5 * trace_norm(rho[kept] - survivors)
+    bounds = [(eta - sqrt(n_b / t_steps)) ** 2 for eta in etas]
+    return [MeasurementSequenceReport(
+        lemma="or-bound", t_steps=t_steps, p_any_one=p, bound=bd, averaged_state_drift=dr,
+        params={"eta": eta, "n_witness_states": n_b}, passed=p >= bd - ATOL)
+        for eta, p, bd, dr in zip(etas, p_any.tolist(), bounds, drift.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +353,21 @@ def random_union_instance(rng: np.random.Generator, max_qubits: int = 4,
 OR_ALICE_QUBITS = 1
 OR_MIN_ETA = 0.34  # eta floor that makes T = 9N rounds enough
 OR_MAX_WITNESS_QUBITS = 3  # above it random draws' eta stays below OR_MIN_ETA
+OR_MAX_DRAWS = 1000  # candidates one random OR instance may draw
 
 
-def random_or_instance(rng: np.random.Generator, witness_qubits: int,
-                       ) -> tuple[DensityMatrix, DensityMatrix, TwoOutcomeMeasurement, int]:
-    """Random OR-bound instance with measured eta large enough for T = 9N.
-
-    Only the accepted draw is built into (and checked as) states and a measurement.
-    Past OR_MAX_WITNESS_QUBITS it raises before drawing: in 300 draws at W = 4 the
-    largest eta was 0.328.
-    """
+def _or_draw(rng: np.random.Generator, witness_qubits: int):
+    """The first of up to OR_MAX_DRAWS random candidates, drawn one at a time, with
+    eta >= OR_MIN_ETA, as unchecked (rho, sigma, effect, effect spectrum). Past
+    OR_MAX_WITNESS_QUBITS it raises before drawing: in 300 draws at W = 4 the
+    largest eta was 0.328."""
     if witness_qubits > OR_MAX_WITNESS_QUBITS:
         raise ValueError(
             f"random OR instances reach eta >= {OR_MIN_ETA} only up to "
             f"{OR_MAX_WITNESS_QUBITS} witness qubits, got {witness_qubits}; larger W "
             "needs a constructed family (ROADMAP item 14)")
     da, db = 2 ** OR_ALICE_QUBITS, 2 ** witness_qubits
-    for _ in range(1000):
+    for _ in range(OR_MAX_DRAWS):
         g_rho = complex_gaussian(rng, (da, da))
         g_sigma = complex_gaussian(rng, (db, db))
         scale = float(rng.uniform(0.5, 1.0))
@@ -364,9 +376,34 @@ def random_or_instance(rng: np.random.Generator, witness_qubits: int,
         effect, spectrum = scaled_gram(g_effect, scale)
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:
-            return (DensityMatrix(rho), DensityMatrix(sigma),
-                    TwoOutcomeMeasurement(effect, spectrum=spectrum), 9 * db)
+            return rho, sigma, effect, spectrum
     raise ValueError("could not draw an instance with eta above the floor")
+
+
+def random_or_instance(rng: np.random.Generator, witness_qubits: int,
+                       ) -> tuple[DensityMatrix, DensityMatrix, TwoOutcomeMeasurement, int]:
+    """Random OR-bound instance with measured eta large enough for T = 9N.
+
+    Only the accepted draw is built into (and checked as) states and a measurement."""
+    rho, sigma, effect, spectrum = _or_draw(rng, witness_qubits)
+    return (DensityMatrix(rho), DensityMatrix(sigma),
+            TwoOutcomeMeasurement(effect, spectrum=spectrum), 9 * len(sigma))
+
+
+def random_or_audit(seeds: list[np.random.SeedSequence],
+                    witness_qubits: int) -> list[MeasurementSequenceReport]:
+    """`or_bound_run(*random_or_instance(np.random.default_rng(s), witness_qubits))` per seed.
+
+    The instances, which share T = 9N, are audited AUDIT_CHUNK at a time as one stack;
+    their effects get `TwoOutcomeMeasurement`'s check as one stack, from their spectra."""
+    reports = []
+    for start in range(0, len(seeds), AUDIT_CHUNK):
+        rho, sigma, effects, spectra = zip(*(_or_draw(np.random.default_rng(s), witness_qubits)
+                                             for s in seeds[start:start + AUDIT_CHUNK]))
+        effects = np.array(effects)
+        effect_kraus(effects, tuple(map(np.array, zip(*spectra))))
+        reports += _or_audit(np.array(rho), np.array(sigma), effects, 9 * 2 ** witness_qubits)
+    return reports
 
 
 def projector_or_instance(witness_qubits: int,

@@ -23,6 +23,7 @@ from demerlab.qcore import (
     UnitaryCircuit,
     basis_state,
     complex_gaussian,
+    kron_pairs,
     mcx,
     ry_gate,
     scaled_gram,
@@ -37,8 +38,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def two_call_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """The two-call draw, real part first, that `qcore.complex_gaussian` makes in one call."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = two_call_gaussian(rng, (dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -50,6 +56,11 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     z = complex_gaussian(rng, 2 ** n_qubits)
     return StateVector(z / np.linalg.norm(z))
+
+
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """a (x) b through `qcore.kron_pairs` on stacks of one; a's qubits come first."""
+    return DensityMatrix(kron_pairs(a.matrix[None], b.matrix[None])[0])
 
 
 def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:

@@ -38,6 +38,7 @@ COMMANDS = {
     "advice-qcma-train": "advice qcma-train --n 1 --seed 7",
     "advice-qcma-train-n2": "advice qcma-train --n 2 --seed 7",
     "lemma-or-bound-w2": "lemma or-bound --witness-qubits 2 --shots 20000 --seed 7",
+    "lemma-or-bound-w3": "lemma or-bound --witness-qubits 3 --seed 7",
     "demerlin-run-rac4": "demerlin run --toy rac4",
 }
 

@@ -12,14 +12,15 @@ from demerlab.qcore import (
     apply_kraus,
     basis_state,
     cnot,
+    complex_gaussian,
     majority_gate,
     measure_two_outcome,
     mcx,
     ry_gate,
     increment_gate,
     counter_threshold_gate,
+    kron_pairs,
     kron_power,
-    tensor_product,
     top_eigenpair,
     trace_distance,
 )
@@ -30,6 +31,8 @@ from conftest import (
     random_effect,
     random_state,
     random_unitary,
+    tensor_product,
+    two_call_gaussian,
 )
 
 
@@ -102,6 +105,15 @@ def test_basis_state_takes_a_qubit_count():
         basis_state(40, 0)
 
 
+@pytest.mark.parametrize("shape", [4, (2, 2), (16, 16)])
+def test_complex_gaussian_is_the_two_call_draw(shape):
+    rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+    got, want = complex_gaussian(rng, shape), two_call_gaussian(oracle, shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == oracle.random()
+
+
 # ---------------------------------------------------------------------------
 # tensor product
 
@@ -113,6 +125,13 @@ def test_tensor_basis_case():
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.allclose(out.matrix, expected)
+
+
+def test_kron_pairs_match_np_kron(rng):
+    a = random_density(1, rng).matrix, random_density(1, rng).matrix
+    b = random_density(2, rng).matrix, random_density(2, rng).matrix
+    got = kron_pairs(np.array(a), np.array(b))
+    assert got.tobytes() == np.array([np.kron(x, y) for x, y in zip(a, b)]).tobytes()
 
 
 def test_tensor_maximally_mixed_composes():

@@ -15,6 +15,8 @@ from demerlab.qcore import (
     StateVector,
     TwoOutcomeMeasurement,
     hermitize,
+    scaled_gram,
+    unit_trace_gram,
 )
 from demerlab.qlemmas import (
     agrees_within_sigma,
@@ -23,6 +25,7 @@ from demerlab.qlemmas import (
     monte_carlo_any_outcome1,
     or_bound_run,
     projector_or_instance,
+    random_or_audit,
     random_or_instance,
     random_union_audit,
     random_union_instance,
@@ -31,7 +34,7 @@ from demerlab.qlemmas import (
 import demerlab.qlemmas as qlemmas
 from demerlab.cli import main
 from demerlab.toys import coin_protocol, demerlin_toy
-from conftest import random_density, random_effect, random_state
+from conftest import random_density, random_effect, random_state, two_call_gaussian
 
 def plus():
     return StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
@@ -177,7 +180,7 @@ def test_stacked_audit_chunks_mix_dimensions_and_step_counts(monkeypatch):
         return audit(rho, steps, *kraus)
 
     monkeypatch.setattr(qlemmas, "_union_audit", recording)
-    seeds = np.random.SeedSequence(7).spawn(qlemmas.UNION_CHUNK)
+    seeds = np.random.SeedSequence(7).spawn(qlemmas.AUDIT_CHUNK)
     stacked = random_union_audit(seeds)
     assert {r.params["dim"] for r in stacked} == {2, 4, 8, 16}
     assert {r.t_steps for r in stacked} == set(range(1, 9))
@@ -307,6 +310,97 @@ def test_or_bound_random_sweep():
         rho, sigma, joint, t = random_or_instance(rng, w)
         r = or_bound_run(rho, sigma, joint, t)
         assert r.passed, f"instance {i} violated the bound: {r}"
+
+
+def one_at_a_time_or_draw(rng, witness_qubits):
+    """`random_or_instance`'s candidate loop with the two-call Gaussian draw: the
+    accepted (rho, sigma, effect) and how many candidates were drawn, the last one accepted."""
+    da, db = 2, 2 ** witness_qubits
+    for count in range(1, qlemmas.OR_MAX_DRAWS + 1):
+        g_rho = two_call_gaussian(rng, (da, da))
+        g_sigma = two_call_gaussian(rng, (db, db))
+        scale = rng.uniform(0.5, 1.0)
+        g_effect = two_call_gaussian(rng, (da * db, da * db))
+        rho, sigma = unit_trace_gram(g_rho), unit_trace_gram(g_sigma)
+        effect, _ = scaled_gram(g_effect, scale)
+        if np.real(np.trace(effect @ np.kron(rho, sigma))) >= qlemmas.OR_MIN_ETA:
+            return rho, sigma, effect, count
+    raise AssertionError("no candidate accepted")
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_random_or_audit_matches_single_instances(w):
+    seeds = np.random.SeedSequence(100 + w).spawn(40)
+    rows = random_or_audit(seeds, w)
+    assert len(rows) == len(seeds)
+    for ss, r in zip(seeds, rows):
+        single = or_bound_run(*random_or_instance(np.random.default_rng(ss), w))
+        assert r.t_steps == single.t_steps and r.to_json_dict() == single.to_json_dict()
+    # some seed rejects candidates before the one it accepts
+    counts = [one_at_a_time_or_draw(np.random.default_rng(ss), w)[3] for ss in seeds]
+    assert max(counts) > 1
+
+
+def test_random_or_audit_stacks_each_chunk(monkeypatch):
+    sizes = []
+    audit = qlemmas._or_audit
+
+    def recording(rho, sigma, effects, t_steps):
+        sizes.append(len(rho))
+        return audit(rho, sigma, effects, t_steps)
+
+    monkeypatch.setattr(qlemmas, "_or_audit", recording)
+    assert random_or_audit([], 2) == [] and random_or_audit([], 4) == []
+    seeds = np.random.SeedSequence(3).spawn(qlemmas.AUDIT_CHUNK + 6)
+    rows = random_or_audit(seeds, 1)
+    assert sizes == [qlemmas.AUDIT_CHUNK, 6] and len(rows) == len(seeds)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_or_instance(rng, 1),
+    lambda rng: random_or_audit([np.random.SeedSequence(0)], 1),
+])
+def test_or_draws_stop_at_the_cap(draw, monkeypatch):
+    drawn = []
+    gaussian = qlemmas.complex_gaussian
+    monkeypatch.setattr(qlemmas, "OR_MIN_ETA", 1.5)
+    monkeypatch.setattr(qlemmas, "complex_gaussian",
+                        lambda rng, shape: drawn.append(shape) or gaussian(rng, shape))
+    with pytest.raises(ValueError, match="could not draw an instance with eta above the floor"):
+        draw(np.random.default_rng(0))
+    assert drawn.count((4, 4)) == qlemmas.OR_MAX_DRAWS == 1000
+
+
+def test_random_or_audit_checks_each_effect(monkeypatch):
+    # the second of three members gets 1.5 times the projector on (|00> + |11>)/sqrt 2:
+    # its top eigenvalue is 1.5, yet every induced effect is 0.75 |j><j|, so only the
+    # joint effects' check can fail
+    psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    bad = 1.5 * np.outer(psi, psi.conj())
+    draw, drawn = qlemmas._or_draw, []
+
+    def second_bad(rng, witness_qubits):
+        rho, sigma, effect, spectrum = draw(rng, witness_qubits)
+        drawn.append(effect)
+        return (rho, sigma, bad, np.linalg.eigh(bad)) if len(drawn) == 2 else (
+            rho, sigma, effect, spectrum)
+
+    monkeypatch.setattr(qlemmas, "_or_draw", second_bad)
+    with pytest.raises(ValueError, match=r"effect spectrum .* outside \[0, 1\]"):
+        random_or_audit(np.random.SeedSequence(5).spawn(3), 1)
+    assert len(drawn) == 3
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_random_or_instance_draws_like_the_one_at_a_time_loop(w):
+    for ss in np.random.SeedSequence(w).spawn(20):
+        rng, oracle = np.random.default_rng(ss), np.random.default_rng(ss)
+        rho, sigma, joint, t = random_or_instance(rng, w)
+        want_rho, want_sigma, want_effect, _ = one_at_a_time_or_draw(oracle, w)
+        assert rho.matrix.tobytes() == want_rho.tobytes()
+        assert sigma.matrix.tobytes() == want_sigma.tobytes()
+        assert joint.effect.tobytes() == want_effect.tobytes() and t == 9 * 2 ** w
+        assert rng.random() == oracle.random()
 
 
 def test_or_bound_no_damage_geometric_oracle(rng):

@@ -8,9 +8,10 @@ subprocess per tree, importing that tree's `src/demerlab`:
 
 * runs every workload named in BENCHMARK.json once per seed (0, 1 and 7)
   through that tree's `bench/workloads.py` `run_pass`;
-* runs every command in that tree's `tests/test_golden.py` `COMMANDS` with
-  `--out` into a temporary file, so the goldens are recaptured in both
-  trees on the machine that runs the check and compared byte for byte.
+* runs every command in the working tree's `tests/test_golden.py`
+  `COMMANDS` with `--out` into a temporary file, so the goldens are
+  recaptured in both trees on the machine that runs the check and compared
+  byte for byte, a golden added since REV included.
 
 It prints each job or golden whose exit code or text differs, with the
 largest absolute difference between the numbers in the two texts, and exits
@@ -36,7 +37,7 @@ NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 def emit(tree: Path) -> None:
     """Child side: print one JSON list of [kind, key, exit code, text]; a job's
     kind is its workload and its key "seed S: job", a golden's kind is "golden"."""
-    sys.path[:0] = [str(tree / "src"), str(tree / "bench"), str(tree / "tests")]
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench"), str(REPO / "tests")]
     import workloads
     from demerlab.cli import main
     from test_golden import COMMANDS
