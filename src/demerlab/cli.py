@@ -55,7 +55,6 @@ from .rac import (
     build_code,
     cheat_detection_profile,
     fingerprint_collisions,
-    honest_merlin,
     rac_round,
     rounds_for_soundness,
     tight_reduction,
@@ -239,16 +238,26 @@ def _run_demerlin_run(args) -> dict:
 # rac subcommands
 
 
+RAC_MAX_INPUT_BITS = 16  # the rac audits enumerate all 2^n inputs
+
+
+def _check_input_bits(n: int) -> None:
+    if n > RAC_MAX_INPUT_BITS:
+        raise ValueError(f"the audit enumerates all 2^n inputs; n = {n} is above the cap "
+                         f"of {RAC_MAX_INPUT_BITS} bits")
+
+
 def _run_rac_audit(args) -> dict:
     if args.n % args.w:
         raise ValueError("--n must be a multiple of --w")
+    _check_input_bits(args.n)
     a = args.n // args.w
     code = build_code(args.w, seed=args.seed)
     rounds = rounds_for_soundness(code)
     completeness_failures = 0
-    min_detection = 1.0
     rng = np.random.default_rng(_child_seeds(args.seed, 1)[0])
-    # a profile depends only on the true substring and the bit's offset in it
+    # a profile depends only on the true substring, which honest Merlin sends, and
+    # the bit's offset in it
     min_flipping: dict[tuple[str, int], Fraction] = {}
     for xv in range(2 ** args.n):
         x = format(xv, f"0{args.n}b")
@@ -256,10 +265,10 @@ def _run_rac_audit(args) -> dict:
             t = rac_round(x, i, code, rng=rng)
             if not (t.accepted and t.output == int(x[i])):
                 completeness_failures += 1
-            key = (honest_merlin(x, i, code), i % args.w)
+            key = (t.merlin_message, i % args.w)
             if key not in min_flipping:
                 min_flipping[key] = cheat_detection_profile(x, i, code).min_flipping
-            min_detection = min(min_detection, float(min_flipping[key]))
+    min_detection = float(min(min_flipping.values()))
     soundness = float((Fraction(1) - code.distance_ratio) ** rounds)
     row = {
         "n": args.n, "w": args.w, "a": a, "seed": args.seed,
@@ -278,6 +287,7 @@ def _run_rac_audit(args) -> dict:
 
 def _run_rac_reduce(args) -> dict:
     n = args.n if args.n is not None else 2 * args.w
+    _check_input_bits(n)
     code = build_code(args.w, seed=args.seed)
     base = wrapped_code_protocol(code, n)
     reduced = tight_reduction(base)

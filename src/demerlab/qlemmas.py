@@ -354,13 +354,19 @@ OR_ALICE_QUBITS = 1
 OR_MIN_ETA = 0.34  # eta floor that makes T = 9N rounds enough
 OR_MAX_WITNESS_QUBITS = 3  # above it random draws' eta stays below OR_MIN_ETA
 OR_MAX_DRAWS = 1000  # candidates one random OR instance may draw
+OR_SCREEN_MARGIN = 1e-9  # far above the ~1e-15 by which a screened eta rounds off the exact one
 
 
 def _or_draw(rng: np.random.Generator, witness_qubits: int):
     """The first of up to OR_MAX_DRAWS random candidates, drawn one at a time, with
     eta >= OR_MIN_ETA, as unchecked (rho, sigma, effect, effect spectrum). Past
     OR_MAX_WITNESS_QUBITS it raises before drawing: in 300 draws at W = 4 the
-    largest eta was 0.328."""
+    largest eta was 0.328.
+
+    A candidate is screened first, with eta from the top eigenvalue alone and
+    without forming rho (x) sigma; one that the screen puts OR_SCREEN_MARGIN or
+    more below the floor is skipped. Only the exact eta below, computed as for
+    the accepted instance, decides acceptance."""
     if witness_qubits > OR_MAX_WITNESS_QUBITS:
         raise ValueError(
             f"random OR instances reach eta >= {OR_MIN_ETA} only up to "
@@ -373,6 +379,10 @@ def _or_draw(rng: np.random.Generator, witness_qubits: int):
         scale = float(rng.uniform(0.5, 1.0))
         g_effect = complex_gaussian(rng, (da * db, da * db))
         rho, sigma = unit_trace_gram(g_rho), unit_trace_gram(g_sigma)
+        gram = g_effect @ g_effect.conj().T
+        overlap = np.einsum("ijkl,ki,lj->", gram.reshape(da, db, da, db), rho, sigma).real
+        if overlap * scale / np.linalg.eigvalsh(gram)[-1] < OR_MIN_ETA - OR_SCREEN_MARGIN:
+            continue
         effect, spectrum = scaled_gram(g_effect, scale)
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -256,7 +255,9 @@ class MerlinRacProtocol:
 
     `accept_prob(x, i, z)` is the probability (over Alice's randomness) that
     Bob accepts claim z as a proof that x_i = 1. Accepting conventionally
-    requires the claimed bit to be 1.
+    requires the claimed bit to be 1. It reads x only through the w-bit
+    substring holding bit i and i's offset in it (with w = 0, freely);
+    `audit_reduced` relies on this.
     """
 
     n_bits: int
@@ -325,13 +326,16 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
     probability; for x_i = 0 it is at most the union over claims asserting 1
     of their majority-accept probabilities. Both are exact binomial tails;
     the union may overcount but never undercounts, so a certificate <= 1/3
-    is sound.
+    is sound. By the protocol's contract each bound depends only on the
+    substring holding bit i, i's offset in it and the bit's value, so it is
+    computed once per such key and shared by every (x, i) that has it.
     """
     base = reduced.base
     w = base.substring_bits
     maj = majority_threshold(reduced.copies)
     records = []
     tail_cache: dict[tuple[int, int], float] = {}
+    bounds: dict[tuple, float] = {}  # by (substring holding bit i, i mod w, value)
 
     def tail(p: Fraction) -> float:
         key = p.numerator, p.denominator
@@ -339,22 +343,27 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
             tail_cache[key] = float(binom_tail(reduced.copies, p, maj))
         return tail_cache[key]
 
+    def bound(x: str, i: int, value: int, honest: str) -> float:
+        if value == 1:
+            return 1.0 - tail(base.accept_prob(x, i, honest))
+        err = 0.0
+        for z in claims:
+            p = base.accept_prob(x, i, z)
+            if p:
+                err += tail(p)
+        return min(err, 1.0)
+
     # with w = 0 the one claim is the empty string
     claims = [format(m, f"0{w}b") for m in range(2 ** w)] if w else [""]
     for x in inputs:
+        parts = _split(x, w) if w else None
         for i in range(base.n_bits):
             value = bit_of(x, i)
-            if value == 1:
-                p = base.accept_prob(x, i, _split(x, w)[i // w] if w else "")
-                err = 1.0 - tail(p)
-            else:
-                err = 0.0
-                for z in claims:
-                    p = base.accept_prob(x, i, z)
-                    if p:
-                        err += tail(p)
-                err = min(err, 1.0)
-            records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=err))
+            honest = parts[i // w] if w else ""
+            key = (honest, i % w, value) if w else (x, i, value)
+            if key not in bounds:
+                bounds[key] = bound(x, i, value, honest)
+            records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=bounds[key]))
     return records
 
 
@@ -362,7 +371,7 @@ def audit_reduced(reduced: ReducedRacProtocol, bit_of: Callable[[str, int], int]
 # pairwise-independent fingerprinting
 
 DEFAULT_MODULUS = (1 << 89) - 1  # Mersenne prime, 89-bit capacity
-_RAW_CHUNK = 4096  # raw PCG64 words turned into Python ints at a time; bounds memory
+_RAW_CHUNK = 4096  # raw PCG64 words read as one block of trials at a time; bounds memory
 
 
 def _check_output_range(modulus: int, output_bits: int) -> None:
@@ -374,6 +383,17 @@ def _check_capacity(data_bits: int, modulus: int) -> None:
     capacity = modulus.bit_length() - 1
     if data_bits > capacity:
         raise ValueError(f"data length {data_bits} exceeds capacity {capacity}")
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 word array as a Python int, the first column leading."""
+    values = [0] * len(bits)
+    for lo in range(0, bits.shape[1], 64):
+        chunk = bits[:, lo:lo + 64]
+        shifts = np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
+        packed = (chunk << shifts).sum(axis=1, dtype=np.uint64).tolist()
+        values = [v << chunk.shape[1] | p for v, p in zip(values, packed)]
+    return values
 
 
 def _hash(value: int, alpha: int, beta: int, modulus: int, output_bits: int) -> int:
@@ -410,40 +430,62 @@ def fingerprint_collisions(seed: np.random.SeedSequence, bits: int, output_bits:
     for the scheme (alpha from the first pair of words, beta from the second, each
     pair joined high word first, reduced mod p), then `integers(0, 2, size=bits)` for
     x, then again for y until y != x; the first bit drawn leads the string. Those
-    values are replayed from a fresh PCG64's raw words, read _RAW_CHUNK at a time: a
-    63-bit draw is a word >> 1 (Lemire's method never rejects at that range), and a
-    bit draw is the top bit of the next 32-bit half, the low half of a new word
-    first. PCG64 keeps an unused high half for the next bit draw, past 64-bit draws.
+    values are replayed from a fresh PCG64's raw words: a 63-bit draw is a word >> 1
+    (Lemire's method never rejects at that range), and a bit draw is the top bit of
+    the next 32-bit half, the low half of a new word first. PCG64 keeps an unused
+    high half for the next bit draw, past 64-bit draws.
+
+    Until y is redrawn, every trial takes 4 + bits whole words, and whether a high
+    half is pending stays the same, so up to _RAW_CHUNK words are read as one block
+    of trials, one row each. The trials before the block's first x == y are hashed
+    from it; that trial's redraws are replayed one bit at a time, and the next block
+    starts after them.
     """
     _check_output_range(DEFAULT_MODULUS, output_bits)
     _check_capacity(bits, DEFAULT_MODULUS)
     bit_generator = np.random.PCG64(seed)
+    width = 4 + bits
+    raw = np.empty(0, dtype=np.uint64)  # drawn words not yet used
+    pending = None  # top bit of the unused high half, if there is one
 
-    def raw_words():
-        while True:
-            yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
-
-    def half_top_bits():
-        for word in words:  # resumes after any whole words taken in between
-            yield word >> 31 & 1
-            yield word >> 63
-
-    def bit_string() -> int:
+    def draw_bits() -> int:
+        nonlocal raw, pending
         value = 0
-        for bit in islice(halves, bits):
+        for _ in range(bits):
+            if pending is None:
+                if not len(raw):
+                    raw = bit_generator.random_raw(_RAW_CHUNK)
+                word, raw = int(raw[0]), raw[1:]
+                bit, pending = word >> 31 & 1, word >> 63
+            else:
+                bit, pending = pending, None
             value = value << 1 | bit
         return value
 
-    words = raw_words()
-    halves = half_top_bits()
     collisions = 0
-    for _ in range(trials):
-        a_hi, a_lo, b_hi, b_lo = islice(words, 4)
-        alpha = (a_hi >> 1 << 63 | a_lo >> 1) % DEFAULT_MODULUS
-        beta = (b_hi >> 1 << 63 | b_lo >> 1) % DEFAULT_MODULUS
-        x = y = bit_string()
-        while y == x:
-            y = bit_string()
-        collisions += (_hash(x, alpha, beta, DEFAULT_MODULUS, output_bits)
-                       == _hash(y, alpha, beta, DEFAULT_MODULUS, output_bits))
+    while trials:
+        n = min(trials, _RAW_CHUNK // width)
+        if len(raw) < n * width:
+            raw = np.concatenate((raw, bit_generator.random_raw(_RAW_CHUNK)))
+        block = raw[:n * width].reshape(n, width)
+        halves = np.empty((n, 2 * bits), dtype=np.uint64)
+        halves[:, 0::2], halves[:, 1::2] = block[:, 4:] >> 31 & 1, block[:, 4:] >> 63
+        if pending is not None:  # each trial starts with the high half the last one left
+            last = halves[:, -1].copy()
+            halves[:, 1:] = halves[:, :-1]
+            halves[0, 0], halves[1:, 0] = pending, last[:-1]
+        redraw = (halves[:, :bits] == halves[:, bits:]).all(axis=1)
+        rows = int(redraw.argmax()) + 1 if redraw.any() else n
+        raw = raw[rows * width:]
+        if pending is not None:
+            pending = int(last[rows - 1])
+        x, y = _pack_rows(halves[:rows, :bits]), _pack_rows(halves[:rows, bits:])
+        while y[-1] == x[-1]:
+            y[-1] = draw_bits()
+        for (a_hi, a_lo, b_hi, b_lo), xv, yv in zip((block[:rows, :4] >> 1).tolist(), x, y):
+            alpha = (a_hi << 63 | a_lo) % DEFAULT_MODULUS
+            beta = (b_hi << 63 | b_lo) % DEFAULT_MODULUS
+            collisions += (_hash(xv, alpha, beta, DEFAULT_MODULUS, output_bits)
+                           == _hash(yv, alpha, beta, DEFAULT_MODULUS, output_bits))
+        trials -= rows
     return collisions

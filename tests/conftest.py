@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from demerlab.advice import AdviceVerifier, RandomizedAdvice
-from demerlab.amplify import majority_threshold
+from demerlab.amplify import binom_tail, majority_threshold
 from demerlab.protocol import (
     ADVICE_REGISTER,
     ANCILLA_REGISTER,
@@ -29,7 +29,13 @@ from demerlab.qcore import (
     scaled_gram,
     unit_trace_gram,
 )
-from demerlab.rac import DEFAULT_MODULUS, FingerprintScheme, LinearCode, fingerprint
+from demerlab.rac import (
+    DEFAULT_MODULUS,
+    FingerprintScheme,
+    LinearCode,
+    ReducedAuditRecord,
+    fingerprint,
+)
 from demerlab.toys import _accept_angle, rac_claim_protocol
 
 
@@ -171,3 +177,28 @@ def per_call_collisions(seed: np.random.SeedSequence, bits: int, output_bits: in
             y = random_bits()
         collisions += fingerprint(x, scheme) == fingerprint(y, scheme)
     return collisions
+
+
+def per_pair_audit(reduced, bit_of, inputs: list[str]) -> list[ReducedAuditRecord]:
+    """The per-(x, i) loop that `rac.audit_reduced` runs once per (substring, offset,
+    value): every pair's bound computed from its own acceptance probabilities."""
+    base = reduced.base
+    w = base.substring_bits
+    maj = majority_threshold(reduced.copies)
+    claims = [format(m, f"0{w}b") for m in range(2 ** w)] if w else [""]
+    records = []
+    for x in inputs:
+        for i in range(base.n_bits):
+            value = bit_of(x, i)
+            if value == 1:
+                honest = x[i // w * w:i // w * w + w] if w else ""
+                err = 1.0 - float(binom_tail(reduced.copies, base.accept_prob(x, i, honest), maj))
+            else:
+                err = 0.0
+                for z in claims:
+                    p = base.accept_prob(x, i, z)
+                    if p:
+                        err += float(binom_tail(reduced.copies, p, maj))
+                err = min(err, 1.0)
+            records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=err))
+    return records

@@ -130,6 +130,10 @@ def exit_and_stderr(argv, capsys):
     ["advice", "ma-fix", "--n", "4"],
     ["advice", "qma-fix", "--n", "4"],
     ["advice", "qcma-train", "--n", "4"],
+    # the rac audits enumerate 2^n inputs, capped at n = 16
+    ["rac", "audit", "--n", "40"],
+    ["rac", "audit", "--n", "17", "--w", "1"],
+    ["rac", "reduce", "--w", "16"],  # n defaults to 2w = 32
 ])
 def test_invalid_input_exits_2_with_one_line(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)

@@ -403,6 +403,26 @@ def test_random_or_instance_draws_like_the_one_at_a_time_loop(w):
         assert rng.random() == oracle.random()
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_or_draw_screen_keeps_the_accepted_draw_and_candidate_count(w, monkeypatch):
+    d, shapes, exact, candidates = 2 * 2 ** w, [], [], 0
+    gaussian, gram = qlemmas.complex_gaussian, qlemmas.scaled_gram
+    monkeypatch.setattr(qlemmas, "complex_gaussian",
+                        lambda rng, shape: shapes.append(shape) or gaussian(rng, shape))
+    monkeypatch.setattr(qlemmas, "scaled_gram", lambda g, scale: exact.append(1) or gram(g, scale))
+    for ss in np.random.SeedSequence(200 + w).spawn(40):
+        shapes.clear()
+        rng, oracle = np.random.default_rng(ss), np.random.default_rng(ss)
+        rho, sigma, effect, _ = qlemmas._or_draw(rng, w)
+        want_rho, want_sigma, want_effect, count = one_at_a_time_or_draw(oracle, w)
+        assert rho.tobytes() == want_rho.tobytes() and sigma.tobytes() == want_sigma.tobytes()
+        assert effect.tobytes() == want_effect.tobytes()
+        assert shapes.count((d, d)) == count and rng.random() == oracle.random()
+        candidates += count
+    # only the 40 accepted candidates pass the screen: the rejected ones get no exact test
+    assert len(exact) == 40 < candidates
+
+
 def test_or_bound_no_damage_geometric_oracle(rng):
     # with rho an eigenstate of every induced effect the rounds are i.i.d.,
     # so Pr[some accept] = 1 - (1 - mean_j q_j)^T exactly

@@ -24,6 +24,7 @@ from conftest import (
     draw_scheme,
     exact_collision_probability,
     per_call_collisions,
+    per_pair_audit,
     repetition_code,
 )
 
@@ -244,6 +245,33 @@ def test_reduced_protocol_w4_certificates():
     assert worst <= 2.0 ** (-base.substring_bits - 2) + 1e-12
 
 
+def _counting_protocol(base: MerlinRacProtocol, calls: list) -> MerlinRacProtocol:
+    def accept_prob(x, i, z):
+        calls.append((x, i, z))
+        return base.accept_prob(x, i, z)
+
+    return MerlinRacProtocol(n_bits=base.n_bits, substring_bits=base.substring_bits,
+                             accept_prob=accept_prob)
+
+
+@pytest.mark.parametrize("code, n", [
+    *((build_code(w, seed=0), 2 * w) for w in (1, 2, 3, 4)),
+    (repetition_code(3), 4),
+], ids=["w1", "w2", "w3", "w4", "repetition3"])
+def test_audit_reduced_matches_the_per_pair_oracle(code, n):
+    reduced = tight_reduction(wrapped_code_protocol(code, n))
+    inputs = [format(v, f"0{n}b") for v in range(2 ** n)]
+    calls = []
+    counted = tight_reduction(_counting_protocol(reduced.base, calls))
+    records = audit_reduced(counted, lambda x, i: int(x[i]), inputs)
+    assert records == per_pair_audit(reduced, lambda x, i: int(x[i]), inputs)
+    # one bound per (substring, offset): a 1 asks the honest claim, a 0 all 2^w claims
+    w = code.message_bits
+    assert len(calls) == 2 ** w * w // 2 * (1 + 2 ** w)
+    if w == 4:
+        assert len(calls) == 544  # not 2^8 inputs x 8 bits, 1024 x 1 + 1024 x 16 = 17408
+
+
 def test_wrapped_protocol_acceptance_values():
     code = build_code(4, seed=0)
     r = rounds_for_soundness(code)
@@ -388,13 +416,15 @@ def test_rac_audit_builds_one_profile_per_substring_and_offset(monkeypatch, tmp_
 
 
 @pytest.mark.parametrize("bits, output_bits", [
-    (1, 1), (2, 1), (7, 3), (8, 6), (16, 4), (16, 88), (88, 40)])
+    (1, 1), (2, 1), (3, 2), (7, 3), (8, 6), (16, 4), (16, 88), (88, 40)])
 def test_fingerprint_collisions_match_the_per_call_oracle(bits, output_bits):
     # bits 1 redraws y on about half the trials, odd widths leave a half word for
-    # the next draw, and 88-bit strings run past one raw-word chunk
-    for seed in np.random.SeedSequence(bits * 100 + output_bits).spawn(20):
-        assert (fingerprint_collisions(seed, bits, output_bits, 150)
-                == per_call_collisions(seed, bits, output_bits, 150))
+    # the next draw, 88-bit strings pack past one 64-bit word, and 3000 trials span
+    # several blocks of trials, at odd widths with a half word pending across their edges
+    seeds = np.random.SeedSequence(bits * 100 + output_bits).spawn(21)
+    for seed, trials in zip(seeds, [150] * 20 + [3000]):
+        assert (fingerprint_collisions(seed, bits, output_bits, trials)
+                == per_call_collisions(seed, bits, output_bits, trials))
 
 
 @pytest.mark.parametrize("bits, output_bits, message", [

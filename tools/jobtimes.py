@@ -4,8 +4,9 @@
 
 Imports `bench/workloads.py` and `src/demerlab` from this checkout (reading
 them only), runs the workload's job list `--repeat` times with `run_pass`,
-and prints each job's minimum time over those passes, then the minimum
-whole-pass time. A job that exits nonzero is marked with its exit code.
+and prints each job's minimum and median time over those passes, then the
+minimum and median whole-pass time. A job that exits nonzero is marked with
+its exit code.
 Last it prints the workload's p90 job time, computed as `bench/run.py`
 computes `job_s_p90` (`statistics.quantiles(n=10)[-1]` over every per-job
 sample), and the job whose sample lies nearest to it, so a `job_s_p90` claim
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
@@ -33,20 +34,22 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     jobs = workloads.build_jobs(args.workload, args.seed)
-    best = [float("inf")] * len(jobs)
+    times = [[] for _ in jobs]
     codes = [0] * len(jobs)
-    total = float("inf")
-    samples = []  # (seconds, job name) for every job of every pass
+    totals = []
     for _ in range(args.repeat):
         results = workloads.run_pass(jobs)
-        total = min(total, sum(secs for _, secs, _, _ in results))
+        totals.append(sum(secs for _, secs, _, _ in results))
         for i, (_, secs, code, _) in enumerate(results):
-            best[i], codes[i] = min(best[i], secs), code or codes[i]
-            samples.append((secs, jobs[i].name))
+            times[i].append(secs)
+            codes[i] = code or codes[i]
     width = max(len(job.name) for job in jobs)
-    for job, secs, code in zip(jobs, best, codes):
-        print(f"{job.name:<{width}}  {secs:8.4f} s" + (f"  exit {code}" if code else ""))
-    print(f"{'pass':<{width}}  {total:8.4f} s")
+    print(f"{'job':<{width}}  {'min':>10}  {'median':>10}")
+    for job, secs, code in zip(jobs, times, codes):
+        print(f"{job.name:<{width}}  {min(secs):8.4f} s  {median(secs):8.4f} s"
+              + (f"  exit {code}" if code else ""))
+    print(f"{'pass':<{width}}  {min(totals):8.4f} s  {median(totals):8.4f} s")
+    samples = [(secs, job.name) for job, job_times in zip(jobs, times) for secs in job_times]
     p90 = quantiles([secs for secs, _ in samples], n=10)[-1]
     holder = min(samples, key=lambda sample: abs(sample[0] - p90))[1]
     print(f"{'p90 job':<{width}}  {p90:8.4f} s  held by {holder}")
