@@ -53,9 +53,8 @@ from .qlemmas import (
 from .rac import (
     audit_reduced,
     build_code,
-    cheat_detection_profile,
     fingerprint_collisions,
-    rac_round,
+    honest_round_audit,
     rounds_for_soundness,
     tight_reduction,
     wrapped_code_protocol,
@@ -254,21 +253,9 @@ def _run_rac_audit(args) -> dict:
     a = args.n // args.w
     code = build_code(args.w, seed=args.seed)
     rounds = rounds_for_soundness(code)
-    completeness_failures = 0
     rng = np.random.default_rng(_child_seeds(args.seed, 1)[0])
-    # a profile depends only on the true substring, which honest Merlin sends, and
-    # the bit's offset in it
-    min_flipping: dict[tuple[str, int], Fraction] = {}
-    for xv in range(2 ** args.n):
-        x = format(xv, f"0{args.n}b")
-        for i in range(args.n):
-            t = rac_round(x, i, code, rng=rng)
-            if not (t.accepted and t.output == int(x[i])):
-                completeness_failures += 1
-            key = (t.merlin_message, i % args.w)
-            if key not in min_flipping:
-                min_flipping[key] = cheat_detection_profile(x, i, code).min_flipping
-    min_detection = float(min(min_flipping.values()))
+    completeness_failures, min_flipping = honest_round_audit(code, args.n, rng)
+    min_detection = float(min(min_flipping))
     soundness = float((Fraction(1) - code.distance_ratio) ** rounds)
     row = {
         "n": args.n, "w": args.w, "a": a, "seed": args.seed,

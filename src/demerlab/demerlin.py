@@ -191,7 +191,9 @@ class _ReachableLoop:
     protocol), and B with its images, rounds and effect, which grow only when
     `cover` meets a vector outside span(B). Per x: nothing but the coordinates
     B' C of x's initial columns C, which are themselves built once per
-    (protocol, x); covering an already spanned C runs no verifier and no SVD.
+    (protocol, x). An x in `covered`, whose C the loop spanned when it was
+    built, gets B' C with no span check; covering any other already spanned C
+    runs the span check but no verifier and no SVD.
 
     The loop is memoized on its protocol, so it keeps no reference to it (that
     would be a cycle only the garbage collector frees): `cover` takes it.
@@ -208,9 +210,10 @@ class _ReachableLoop:
         self.perms = [idx ^ (z << p.ancilla_qubits) for z in range(2 ** p.witness_qubits)]
         self.basis = np.zeros((self.dim, 0), dtype=complex)
         self.images = np.zeros((len(self.perms), self.dim, 0), dtype=complex)  # P0_z B
-        self.rounds = [np.zeros((0, 0), dtype=complex) for _ in self.perms]
+        self.rounds = np.zeros((len(self.perms), 0, 0), dtype=complex)
         self.effect = np.zeros((0, 0), dtype=complex)
         self.residual = 0.0
+        self.covered: frozenset[str] = frozenset()  # Alice inputs spanned at build
 
     def round_images(self, p: OneWayQmaProtocol, cols: np.ndarray) -> np.ndarray:
         """P0_z cols = X^z V' Pi_0 V X^z cols for every z, shape (2^W, dim, m)."""
@@ -233,14 +236,13 @@ class _ReachableLoop:
             grown = self.round_images(p, new)
             images = np.concatenate([images, grown], axis=2)
             new = _new_directions(basis, np.hstack(list(grown)))
-        rounds = [basis.conj().T @ img for img in images]
-        residual = max(float(np.linalg.norm(img - basis @ m, 2))
-                       for img, m in zip(images, rounds))
+        rounds = basis.conj().T @ images
+        residual = float(np.linalg.norm(images - basis @ rounds, 2, axis=(1, 2)).max())
         if residual > RESIDUAL_BOUND:
             raise ValueError(f"reachable subspace is not invariant: residual "
                              f"{residual:.3g} > {RESIDUAL_BOUND:g}")
         effect = average_channel_power(np.eye(basis.shape[1], dtype=complex),
-                                       [m.conj().T for m in rounds], self.t_rounds)
+                                       rounds.conj().swapaxes(1, 2), self.t_rounds)
         # commit only a loop that passed its audit
         self.basis, self.images, self.rounds = basis, images, rounds
         self.residual, self.effect = residual, effect
@@ -255,6 +257,7 @@ def _loop(p: OneWayQmaProtocol, y: str, alice_inputs: tuple[str, ...]) -> _Reach
     loop = _ReachableLoop(p, y)
     if alice_inputs:
         loop.cover(p, np.hstack([_initial_columns(p, a) for a in alice_inputs]))
+        loop.covered = frozenset(alice_inputs)
     return loop
 
 
@@ -263,10 +266,13 @@ def _reachable_loop(d: DemerlinizedProtocol, x: str, y: str,
     """The cached loop for y and `d.f`'s Alice inputs, covering the initial state
     of x (or rho_alice).
 
-    Per x it only reads x's cached initial columns and projects them onto the
-    basis; `rho_alice`'s columns are built on every call.
+    For one of those inputs it only projects x's cached initial columns onto the
+    basis, which spans them since the build; any other x, and `rho_alice`, whose
+    columns are built on every call, go through `cover`.
     """
-    loop = _loop(d.base, y, tuple(d.f.alice_inputs()) if d.f is not None else ())
+    loop = _loop(d.base, y, d.f.alice_inputs() if d.f is not None else ())
+    if rho_alice is None and x in loop.covered:
+        return loop, loop.basis.conj().T @ _pure_columns(d.base, x)
     return loop, loop.cover(d.base, _initial_columns(d.base, x, rho_alice))
 
 

@@ -77,6 +77,7 @@ class CommunicationFunction:
     n_bits_alice: int
     m_bits_bob: int
     table: dict[tuple[str, str], int]
+    _alice_inputs: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.table:
@@ -86,6 +87,7 @@ class CommunicationFunction:
                 raise ValueError(f"entry ({x!r}, {y!r}) does not match declared widths")
             if v not in (0, 1):
                 raise ValueError(f"table value {v!r} is not a bit")
+        object.__setattr__(self, "_alice_inputs", tuple(sorted({x for x, _ in self.table})))
 
     def value(self, x: str, y: str) -> int | None:
         return self.table.get((x, y))
@@ -93,8 +95,9 @@ class CommunicationFunction:
     def pairs(self):
         return sorted(self.table.items())
 
-    def alice_inputs(self) -> list[str]:
-        return sorted({x for x, _ in self.table})
+    def alice_inputs(self) -> tuple[str, ...]:
+        """The sorted Alice inputs of the domain, computed once at construction."""
+        return self._alice_inputs
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,13 @@ def rest_columns(p: OneWayQmaProtocol, advice: np.ndarray, witness: np.ndarray) 
     """
     anc = np.zeros((2 ** p.ancilla_qubits, 1), dtype=complex)
     anc[0] = 1.0
-    return np.kron(advice, np.kron(witness, anc))
+    return _kron(advice, _kron(witness, anc))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices: the same products, without its shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def rest_projector(p: OneWayQmaProtocol, y: str, outcome: int) -> np.ndarray:
@@ -237,30 +246,27 @@ def induced_witness_operator(p: OneWayQmaProtocol, x: str, y: str) -> np.ndarray
     return witness_operators(p, y, [x])[0]
 
 
-def _best_acceptance(p: OneWayQmaProtocol, w: np.ndarray) -> tuple[float, StateVector]:
-    lam, vec = top_eigenpair(w)
-    return min(max(lam, 0.0), 1.0), StateVector(vec)
-
-
 def optimal_witness(p: OneWayQmaProtocol, x: str, y: str) -> tuple[float, StateVector]:
     """Best acceptance over all witnesses, with an attaining pure state.
 
     Linearity makes the top eigenvector dominate every mixed witness as well.
     """
-    return _best_acceptance(p, induced_witness_operator(p, x, y))
+    lam, vec = top_eigenpair(induced_witness_operator(p, x, y))
+    return min(max(lam, 0.0), 1.0), StateVector(vec)
 
 
 def optimal_acceptances(p: OneWayQmaProtocol,
                         pairs: list[tuple[str, str]]) -> dict[tuple[str, str], float]:
     """Best witness acceptance of every (x, y) pair, in the order given, with one
-    verifier run per distinct y."""
+    verifier run and one stacked `top_eigenpair` per distinct y."""
     xs_by_y: dict[str, list[str]] = {}
     for x, y in pairs:
         xs_by_y.setdefault(y, []).append(x)
     lams = {}
     for y, xs in xs_by_y.items():
-        for x, w in zip(xs, witness_operators(p, y, xs)):
-            lams[x, y] = _best_acceptance(p, w)[0]
+        tops, _ = top_eigenpair(np.array(witness_operators(p, y, xs)))
+        for x, lam in zip(xs, tops.tolist()):
+            lams[x, y] = min(max(lam, 0.0), 1.0)
     return {(x, y): lams[x, y] for x, y in pairs}
 
 

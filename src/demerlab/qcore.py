@@ -179,15 +179,17 @@ def trace_norm(m: np.ndarray):
 
 
 def top_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix."""
+    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix (a float and a
+    vector), or of each in a (B, d, d) stack (arrays, from one `eigh` of the stack)."""
     h = np.asarray(h, dtype=complex)
     _check_hermitian(h, "top_eigenpair")
     w, v = np.linalg.eigh(hermitize(h))
-    lam, vec = float(w[-1]), v[:, -1]
-    resid = float(np.linalg.norm(h @ vec - lam * vec))
+    lam, vec = w[..., -1], v[..., -1]
+    resid = float(np.max(np.linalg.norm((h @ vec[..., None])[..., 0] - lam[..., None] * vec,
+                                        axis=-1)))
     if resid > EIG_ATOL:
         raise ArithmeticError(f"eigenpair residual {resid:.3e} exceeds {EIG_ATOL}")
-    return lam, vec
+    return (float(lam), vec) if h.ndim == 2 else (lam, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +286,17 @@ def apply_kraus(rho: np.ndarray, kraus: Iterable[np.ndarray]) -> np.ndarray:
 def average_channel_power(m: np.ndarray, kraus: Sequence[np.ndarray], t: int) -> np.ndarray:
     """t applications of the averaged channel m -> sum_K K m K' / len(kraus).
 
-    `m` and each Kraus operator may be (B, d, d) stacks, one channel per member."""
+    `m` and each Kraus operator may be (B, d, d) stacks, one channel per member.
+    A round is one stacked product K m K' over all Kraus terms, summed over the
+    Kraus axis from zero in order, so it equals `apply_kraus` bit for bit. The sum
+    runs over real and imaginary parts as floats: on a complex axis alone (d = 1)
+    numpy would sum pairwise, in another order."""
+    k = np.asarray(kraus)
+    kh, n = _dagger(k), len(k)
     for _ in range(t):
-        m = apply_kraus(m, kraus) / len(kraus)
+        terms = (k @ m @ kh).astype(complex, copy=False)
+        flat = np.add.reduce(terms.reshape(n, -1).view(float), axis=0, initial=0.0)
+        m = flat.view(complex).reshape(terms.shape[1:]) / n
     return m
 
 

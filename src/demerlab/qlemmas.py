@@ -363,10 +363,11 @@ def _or_draw(rng: np.random.Generator, witness_qubits: int):
     OR_MAX_WITNESS_QUBITS it raises before drawing: in 300 draws at W = 4 the
     largest eta was 0.328.
 
-    A candidate is screened first, with eta from the top eigenvalue alone and
-    without forming rho (x) sigma; one that the screen puts OR_SCREEN_MARGIN or
-    more below the floor is skipped. Only the exact eta below, computed as for
-    the accepted instance, decides acceptance."""
+    A candidate is screened first, with eta from the top eigenvalue alone, from
+    the unnormalized Gram matrices of rho and sigma over their traces and without
+    forming rho (x) sigma; one that the screen puts OR_SCREEN_MARGIN or more below
+    the floor is skipped before rho and sigma are normalized. Only the exact eta
+    below, computed as for the accepted instance, decides acceptance."""
     if witness_qubits > OR_MAX_WITNESS_QUBITS:
         raise ValueError(
             f"random OR instances reach eta >= {OR_MIN_ETA} only up to "
@@ -378,11 +379,14 @@ def _or_draw(rng: np.random.Generator, witness_qubits: int):
         g_sigma = complex_gaussian(rng, (db, db))
         scale = float(rng.uniform(0.5, 1.0))
         g_effect = complex_gaussian(rng, (da * db, da * db))
-        rho, sigma = unit_trace_gram(g_rho), unit_trace_gram(g_sigma)
+        gram_rho, gram_sigma = g_rho @ g_rho.conj().T, g_sigma @ g_sigma.conj().T
+        tr_rho, tr_sigma = np.trace(gram_rho).real, np.trace(gram_sigma).real
         gram = g_effect @ g_effect.conj().T
-        overlap = np.einsum("ijkl,ki,lj->", gram.reshape(da, db, da, db), rho, sigma).real
+        overlap = np.einsum("ijkl,ki,lj->", gram.reshape(da, db, da, db),
+                            gram_rho, gram_sigma).real / (tr_rho * tr_sigma)
         if overlap * scale / np.linalg.eigvalsh(gram)[-1] < OR_MIN_ETA - OR_SCREEN_MARGIN:
             continue
+        rho, sigma = gram_rho / tr_rho, gram_sigma / tr_sigma  # as unit_trace_gram
         effect, spectrum = scaled_gram(g_effect, scale)
         eta = float(np.real(np.trace(effect @ np.kron(rho, sigma))))
         if eta >= OR_MIN_ETA:

@@ -36,6 +36,7 @@ __all__ = [
     "rac_round",
     "honest_merlin",
     "cheat_detection_profile",
+    "honest_round_audit",
     "rounds_for_soundness",
     "wrapped_code_protocol",
     "tight_reduction",
@@ -230,6 +231,32 @@ def cheat_detection_profile(x: str, i: int, code: LinearCode) -> DetectionProfil
         if claim[pos] != truth[pos]:
             min_flip = min(min_flip, detection)
     return DetectionProfile(x=x, i=i, per_message=per_message, min_flipping=min_flip)
+
+
+def honest_round_audit(code: LinearCode, n_bits: int,
+                       rng: np.random.Generator) -> tuple[int, list[Fraction]]:
+    """`rac_round` with honest Merlin on every n_bits-bit x and index i, x major: the
+    rounds that reject or output a bit other than x[i], and per bit offset the least
+    `cheat_detection_profile(x, i, code).min_flipping` over the (x, i) at it.
+
+    One `rng.integers` call draws every round's k, as one call per round would. By
+    linearity a claim c against the truth s is caught with probability
+    weight(c ^ s) / W and flips the answer iff c ^ s has the offset's bit set, so an
+    offset's minimum is the least weight of a word with that bit set, over W."""
+    w, big_w = code.message_bits, code.block_length
+    if n_bits % w:
+        raise ValueError(f"{n_bits} input bits do not split into {w}-bit substrings")
+    x, i = np.arange(2 ** n_bits)[:, None], np.arange(n_bits)
+    k = rng.integers(0, big_w, size=2 ** n_bits * n_bits).reshape(2 ** n_bits, n_bits)
+    truth = (x >> (n_bits - w * (i // w + 1))) & (2 ** w - 1)  # the substring holding bit i
+    claim = truth  # honest Merlin
+    accepted = code.table[claim, k] == code.table[truth, k]
+    output, bit = (claim >> (w - 1 - i % w)) & 1, (x >> (n_bits - 1 - i)) & 1
+    failures = int(np.count_nonzero(~accepted | (output != bit)))
+    d = np.arange(1, 2 ** w)
+    flips = [Fraction(int(code.weights[d[((d >> (w - 1 - pos)) & 1) == 1]].min()), big_w)
+             for pos in range(w)]
+    return failures, flips
 
 
 def rounds_for_soundness(code: LinearCode) -> int:

@@ -21,6 +21,7 @@ from demerlab.qcore import (
     StateVector,
     TwoOutcomeMeasurement,
     UnitaryCircuit,
+    apply_kraus,
     basis_state,
     complex_gaussian,
     kron_pairs,
@@ -34,7 +35,9 @@ from demerlab.rac import (
     FingerprintScheme,
     LinearCode,
     ReducedAuditRecord,
+    cheat_detection_profile,
     fingerprint,
+    rac_round,
 )
 from demerlab.toys import _accept_angle, rac_claim_protocol
 
@@ -202,3 +205,25 @@ def per_pair_audit(reduced, bit_of, inputs: list[str]) -> list[ReducedAuditRecor
                 err = min(err, 1.0)
             records.append(ReducedAuditRecord(x=x, i=i, value=value, error_bound=err))
     return records
+
+
+def per_round_rac_audit(code: LinearCode, n_bits: int,
+                        rng: np.random.Generator) -> tuple[int, list[Fraction]]:
+    """`rac.honest_round_audit` as one `rac_round` and one `cheat_detection_profile`
+    per (x, i), x major."""
+    w = code.message_bits
+    failures, flips = 0, [Fraction(1)] * w
+    for xv in range(2 ** n_bits):
+        x = format(xv, f"0{n_bits}b")
+        for i in range(n_bits):
+            t = rac_round(x, i, code, rng=rng)
+            failures += not (t.accepted and t.output == int(x[i]))
+            flips[i % w] = min(flips[i % w], cheat_detection_profile(x, i, code).min_flipping)
+    return failures, flips
+
+
+def per_kraus_channel_power(m: np.ndarray, kraus, t: int) -> np.ndarray:
+    """`qcore.average_channel_power` as one `apply_kraus` pass, Kraus term by term, per step."""
+    for _ in range(t):
+        m = apply_kraus(m, kraus) / len(kraus)
+    return m

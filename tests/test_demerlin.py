@@ -261,6 +261,39 @@ def test_residual_audit_raises_and_caches_nothing(monkeypatch):
     assert evaluate_demerlinized(d, "0", "1").passed
 
 
+def _u3_coin(angle):
+    base, f = coin_protocol(0.75, 0.25, witness_angle=angle)
+    plan = desk_plan(1, 1, Fraction(1, 4))
+    return demerlinize(build_outer(build_inner(base, plan.ell), plan.u), plan, f=f), f
+
+
+@pytest.mark.parametrize("make", [lambda: make_rac(2), make_rac, make_coin,
+                                  lambda: _u3_coin(0.0), lambda: _u3_coin(0.7)],
+                         ids=["rac2", "rac4", "coin", "coin-u3-0.0", "coin-u3-0.7"])
+def test_covered_starts_read_the_cover_path_coordinates(make):
+    d, f = make()
+    for (x, y), _ in f.pairs():
+        loop, coords = demerlin_mod._reachable_loop(d, x, y)
+        assert x in loop.covered
+        want = loop.cover(d.base, demerlin_mod._initial_columns(d.base, x))
+        assert coords.tobytes() == want.tobytes()
+
+
+def test_covered_starts_run_no_span_check(monkeypatch):
+    d, f = make_rac()
+    for y in sorted({y for (_, y), _ in f.pairs()}):
+        evaluate_demerlinized(d, f.alice_inputs()[0], y)
+    calls = []
+    new_directions = demerlin_mod._new_directions
+    monkeypatch.setattr(demerlin_mod, "_new_directions",
+                        lambda *args: calls.append(1) or new_directions(*args))
+    assert len([evaluate_demerlinized(d, x, y) for (x, y), _ in f.pairs()]) == 64
+    assert not calls
+    # a mixed start still goes through cover, which checks its span
+    evaluate_demerlinized(d, "0000", "00", rho_alice=maximally_mixed(4))
+    assert calls
+
+
 def test_cache_lives_on_the_protocol_instance():
     d, f = make_coin()
     key = ("1", tuple(f.alice_inputs()))

@@ -14,6 +14,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 UNCALLED = {  # exported names nothing in the package runs, each kept for a reason
     "emitted_circuit": "the paper's loop as a gate list; tests replay it against the exact value",
     "optimal_witness": "the paper's collapse of Merlin to a top eigenvector; tests check it",
+    "rac_round": "the paper's random-access round; tests run it as `honest_round_audit`'s oracle",
 }
 
 

@@ -17,6 +17,7 @@ from demerlab.protocol import (
     optimal_witness,
     project,
     protocol_layout,
+    rest_columns,
     rest_projector,
     witness_operators,
 )
@@ -432,6 +433,33 @@ def test_audit_records_keep_pair_order():
     assert [(r.x, r.y, r.f_value) for r in audit.records] == [
         (x, y, v) for (x, y), v in f.pairs()]
     assert all(r.lam == optimal_witness(p, r.x, r.y)[0] for r in audit.records)
+
+
+@pytest.mark.parametrize("make", [lambda: rac_claim_protocol(4), coin_protocol, amplified_coin_u3],
+                         ids=["rac4", "coin", "coin-u3"])
+def test_stacked_optimal_acceptances_equal_one_pair_calls(make):
+    p, f = make()
+    pairs = [pair for pair, _ in f.pairs()]
+    lams = optimal_acceptances(p, pairs)
+    assert all(lams[x, y] == optimal_witness(p, x, y)[0] for x, y in pairs)
+
+
+def test_rest_columns_are_np_kron_products(rng):
+    # negative and complex advice entries times the 0/1 factors give signed zeros,
+    # which must match np.kron's too
+    p, _ = rac_claim_protocol(4)
+    anc = np.eye(2 ** p.ancilla_qubits, 1, dtype=complex)
+    for advice, witness in [(random_unitary(16, rng)[:, :3], np.eye(2, dtype=complex)),
+                            (random_unitary(16, rng), np.eye(2, 1, dtype=complex)),
+                            (-np.ones((16, 1), dtype=complex), np.eye(2, dtype=complex))]:
+        want = np.kron(advice, np.kron(witness, anc))
+        assert rest_columns(p, advice, witness).tobytes() == want.tobytes()
+
+
+def test_alice_inputs_are_sorted_once_per_function():
+    f = CommunicationFunction(2, 1, {("10", "0"): 1, ("01", "1"): 0, ("10", "1"): 0})
+    assert f.alice_inputs() == ("01", "10")
+    assert f.alice_inputs() is f.alice_inputs()
 
 
 def test_optimal_acceptances_follow_the_given_order():

@@ -10,6 +10,7 @@ from demerlab.qcore import (
     TwoOutcomeMeasurement,
     UnitaryCircuit,
     apply_kraus,
+    average_channel_power,
     basis_state,
     cnot,
     complex_gaussian,
@@ -24,9 +25,11 @@ from demerlab.qcore import (
     top_eigenpair,
     trace_distance,
 )
+import demerlab.qcore as qcore_mod
 from conftest import (
     h_gate,
     maximally_mixed,
+    per_kraus_channel_power,
     random_density,
     random_effect,
     random_state,
@@ -205,6 +208,31 @@ def test_apply_kraus_matches_explicit_sum(rng):
     assert not apply_kraus(rho, []).any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_kraus=st.integers(1, 16), d=st.sampled_from([1, 2, 3, 4, 8]),
+       batch=st.sampled_from([None, 1, 3]), t=st.integers(0, 20),
+       adjoint=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_average_channel_power_matches_per_kraus_loop(n_kraus, d, batch, t, adjoint, seed):
+    # d = 1 is where numpy would sum a complex Kraus axis pairwise; `adjoint` passes
+    # transposed views, as the loop's dual picture does
+    rng = np.random.default_rng(seed)
+    shape = (d, d) if batch is None else (batch, d, d)
+    kraus = list(complex_gaussian(rng, (n_kraus, *shape)) / np.sqrt(2 * d))
+    if adjoint:
+        kraus = [k.conj().swapaxes(-1, -2) for k in kraus]
+    m = complex_gaussian(rng, shape)
+    got = average_channel_power(m, kraus, t)
+    assert got.tobytes() == per_kraus_channel_power(m, kraus, t).tobytes()
+
+
+def test_average_channel_power_of_real_inputs_is_complex():
+    kraus = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    m = np.array([[0.75, 0.25], [0.25, 0.25]])
+    got = average_channel_power(m, kraus, 3)
+    assert got.dtype == complex
+    assert got.tobytes() == per_kraus_channel_power(m, kraus, 3).tobytes()
+
+
 def test_kron_power_matches_kron_chain(rng):
     v = random_state(1, rng).amplitudes
     assert np.array_equal(kron_power(v, 1), v)
@@ -334,6 +362,29 @@ def test_top_eigenpair_full_spectrum_oracle(rng):
 def test_top_eigenpair_rejects_non_hermitian():
     with pytest.raises(ValueError, match="non-Hermitian"):
         top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_stacked_top_eigenpair_matches_one_matrix_calls(d, rng):
+    g = complex_gaussian(rng, (5, d, d))
+    stack = g + g.conj().swapaxes(1, 2)
+    lams, vecs = top_eigenpair(stack)
+    assert lams.shape == (5,) and vecs.shape == (5, d)
+    for h, lam, vec in zip(stack, lams, vecs):
+        one_lam, one_vec = top_eigenpair(h)
+        assert lam == one_lam and np.array_equal(vec, one_vec)
+
+
+def test_stacked_top_eigenpair_runs_both_checks(monkeypatch, rng):
+    g = complex_gaussian(rng, (3, 4, 4))
+    stack = g + g.conj().swapaxes(1, 2)
+    bad = stack.copy()
+    bad[1, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="^non-Hermitian input for top_eigenpair$"):
+        top_eigenpair(bad)
+    monkeypatch.setattr(qcore_mod, "EIG_ATOL", 0.0)
+    with pytest.raises(ArithmeticError, match="exceeds 0.0"):
+        top_eigenpair(stack)
 
 
 # ---------------------------------------------------------------------------

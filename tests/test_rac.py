@@ -15,6 +15,7 @@ from demerlab.rac import (
     fingerprint,
     fingerprint_collisions,
     honest_merlin,
+    honest_round_audit,
     rac_round,
     rounds_for_soundness,
     tight_reduction,
@@ -25,6 +26,7 @@ from conftest import (
     exact_collision_probability,
     per_call_collisions,
     per_pair_audit,
+    per_round_rac_audit,
     repetition_code,
 )
 
@@ -392,27 +394,28 @@ def test_draw_scheme_keeps_the_four_scalar_draw_stream():
         assert new.integers(0, 2 ** 63) == old.integers(0, 2 ** 63)
 
 
-def _count_calls(monkeypatch, modules, name):
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counting)
-    return calls
+@pytest.mark.parametrize("n_bits, w", [(1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (8, 4), (6, 6)])
+def test_honest_round_audit_matches_the_per_round_oracle(n_bits, w):
+    # one substring and several, one-bit messages and six-bit ones, three codes each
+    for seed in range(3):
+        code = build_code(w, seed=seed)
+        rng, oracle = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        assert honest_round_audit(code, n_bits, rng) == per_round_rac_audit(code, n_bits, oracle)
+        assert rng.random() == oracle.random()  # the one draw consumed what the rounds did
 
 
-def test_rac_audit_builds_one_profile_per_substring_and_offset(monkeypatch, tmp_path):
+def test_rac_audit_runs_no_round_and_builds_no_profile(monkeypatch, tmp_path):
     import demerlab.cli as cli
+    import demerlab.rac as rac
 
-    calls = _count_calls(monkeypatch, [cli], "cheat_detection_profile")
-    assert cli.main(["rac", "audit", "--n", "8", "--w", "4", "--out",
-                     str(tmp_path / "audit.json")]) == 0
-    assert len(calls) == 2 ** 4 * 4  # not 2^8 inputs x 8 bits
-    assert len({(honest_merlin(x, i, code), i % 4) for x, i, code in calls}) == len(calls)
+    def refuse(*args, **kwargs):
+        raise AssertionError("rac audit ran a per-(x, i) step")
+
+    for name in ("rac_round", "cheat_detection_profile", "honest_merlin"):
+        monkeypatch.setattr(rac, name, refuse)
+    out = tmp_path / "audit.json"
+    assert cli.main(["rac", "audit", "--n", "8", "--w", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["pass"] is True
 
 
 @pytest.mark.parametrize("bits, output_bits", [

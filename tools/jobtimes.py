@@ -2,9 +2,11 @@
 
     python3 tools/jobtimes.py --workload small-audits --seed 0 --repeat 3
 
-Imports `bench/workloads.py` and `src/demerlab` from this checkout (reading
-them only), runs the workload's job list `--repeat` times with `run_pass`,
-and prints each job's minimum and median time over those passes, then the
+Imports `bench/workloads.py`, `bench/worker.py` and `src/demerlab` from this
+checkout (reading them only). It first prints `worker.runtime_fingerprint()`:
+Python, numpy, the BLAS library and its thread count, which can change these
+timings several-fold. It then runs the workload's job list `--repeat` times with
+`run_pass`, and prints each job's minimum and median time over those passes, then the
 minimum and median whole-pass time. A job that exits nonzero is marked with
 its exit code.
 Last it prints the workload's p90 job time, computed as `bench/run.py`
@@ -23,6 +25,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
 
 import workloads  # noqa: E402
+from worker import runtime_fingerprint  # noqa: E402
 
 
 def main() -> int:
@@ -33,6 +36,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    print("runtime: " + ", ".join(f"{k} {v}" for k, v in runtime_fingerprint().items()))
     jobs = workloads.build_jobs(args.workload, args.seed)
     times = [[] for _ in jobs]
     codes = [0] * len(jobs)
