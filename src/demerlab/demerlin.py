@@ -39,6 +39,7 @@ from .protocol import (
     WITNESS_REGISTER,
     CommunicationFunction,
     OneWayQmaProtocol,
+    advice_amplitudes,
     block_circuit,
     optimal_acceptances,
     per_protocol,
@@ -161,7 +162,7 @@ def _initial_columns(p: OneWayQmaProtocol, x: str,
 def _pure_columns(p: OneWayQmaProtocol, x: str) -> np.ndarray:
     """The one column psi_x (x) |0...0>, built once per (protocol, x) and read-only."""
     zero = np.eye(2 ** p.witness_qubits, 1, dtype=complex)
-    cols = rest_columns(p, p.advice_state(x).amplitudes[:, None], zero)
+    cols = rest_columns(p, advice_amplitudes(p, x)[:, None], zero)
     cols.setflags(write=False)
     return cols
 

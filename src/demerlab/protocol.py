@@ -42,6 +42,7 @@ __all__ = [
     "optimal_acceptances",
     "audit_protocol",
     "per_protocol",
+    "advice_amplitudes",
     "block_circuit",
     "accept_rows",
     "project",
@@ -154,6 +155,14 @@ def per_protocol(build):
 
 
 @per_protocol
+def advice_amplitudes(p: OneWayQmaProtocol, x: str) -> np.ndarray:
+    """Alice's advice amplitudes for x, built once per (protocol, x) and read-only."""
+    amps = p.advice_state(x).amplitudes.copy()
+    amps.setflags(write=False)
+    return amps
+
+
+@per_protocol
 def block_circuit(p: OneWayQmaProtocol, y: str) -> UnitaryCircuit:
     """V on Bob's |y> block, as a circuit on the n - b rest qubits.
 
@@ -230,7 +239,7 @@ def witness_operators(p: OneWayQmaProtocol, y: str, xs: list[str]) -> list[np.nd
     z go through `block_circuit(p, y)` as one batch; each x's 2^W columns are
     then compressed into its own accept effect, as `accept_effect` does.
     """
-    advice = np.stack([p.advice_state(x).amplitudes for x in xs], axis=1)
+    advice = np.stack([advice_amplitudes(p, x) for x in xs], axis=1)
     m = 2 ** p.witness_qubits
     cols = rest_columns(p, advice, np.eye(m, dtype=complex))
     acc = block_circuit(p, y).apply(cols)[accept_rows(p, 1)]

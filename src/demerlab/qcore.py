@@ -19,12 +19,14 @@ ATOL = 1e-9              # construction / identity tolerance
 EIG_ATOL = 1e-8          # eigenpair residual tolerance
 MAX_QUBITS = 16          # statevector paths are capped at 2**16 amplitudes
 DENSITY_MAX_QUBITS = 12  # dense density matrices are capped at 2**12 x 2**12
+FUSE_QUBITS = 4          # a circuit step fuses adjacent gates on at most this many qubits
 
 __all__ = [
     "ATOL",
     "EIG_ATOL",
     "MAX_QUBITS",
     "DENSITY_MAX_QUBITS",
+    "FUSE_QUBITS",
     "RegisterLayout",
     "StateVector",
     "DensityMatrix",
@@ -465,49 +467,98 @@ class UnitaryCircuit:
         return 2 ** self.n_qubits
 
     def _compiled(self) -> tuple:
-        """Per gate, built on first use: the index fixing its control axes to their
-        values; `order`, the slice's axes with the gate's targets first and the batch
-        axis last; `undo`, its inverse permutation; and the gate's matrix."""
+        """The circuit's steps, built on first use. Walking the gates left to right,
+        each joins the current group while the group's qubits number at most
+        FUSE_QUBITS; a one-gate group is its gate's slice step, a larger group one
+        uncontrolled step on its qubits with the matrix of its gates."""
         if self._steps is None:
-            steps = []
+            groups: list[tuple[set, list[Gate]]] = []
             for g in self.gates:
-                select = [slice(None)] * self.n_qubits
-                for q, v in zip(g.controls, g.control_values):
-                    select[q] = v
-                free = [q for q in range(self.n_qubits) if q not in g.controls]
-                order = [free.index(t) for t in g.targets]
-                order += [a for a, q in enumerate(free) if q not in g.targets] + [len(free)]
-                undo = sorted(range(len(order)), key=order.__getitem__)
-                steps.append((tuple(select), tuple(order), tuple(undo), g.matrix))
+                if groups and len(groups[-1][0].union(g.qubits)) <= FUSE_QUBITS:
+                    groups[-1][0].update(g.qubits)
+                    groups[-1][1].append(g)
+                else:
+                    groups.append((set(g.qubits), [g]))
+            axes, steps = range(self.n_qubits), []
+            for qubits, gates in groups:
+                if len(gates) == 1:
+                    steps.append(_gate_step(gates[0], axes))
+                else:
+                    qubits = sorted(qubits)
+                    steps.append(_slice_step(axes, qubits, _group_matrix(qubits, gates)))
             object.__setattr__(self, "_steps", tuple(steps))
         return self._steps
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Run the circuit on a flat statevector (or a batch of columns); each
-        gate rewrites only the slice its controls select, in a working copy, by
-        one matrix product on that slice with the gate's targets moved first."""
+        """Run the circuit on a flat statevector (or a batch of columns), step by
+        step in a working copy (see `_run_steps`)."""
         amps = np.asarray(amps, dtype=complex)
         if amps.shape[:1] != (self.dim,):
             raise ValueError(f"circuit on {self.n_qubits} qubits needs {self.dim} rows, "
                              f"got shape {amps.shape}")
         t = amps.reshape((2,) * self.n_qubits + (amps.size // self.dim,)).copy()
-        for select, order, undo, m in self._compiled():
-            moved = t[select].transpose(order)
-            out = np.dot(m, moved.reshape(m.shape[0], -1))
-            t[select] = out.reshape(moved.shape).transpose(undo)
-        return t.reshape(amps.shape)
+        return _run_steps(self._compiled(), t).reshape(amps.shape)
 
     def inverse(self) -> "UnitaryCircuit":
-        """The reversed circuit of inverted gates, built on first use."""
+        """The reversed circuit of inverted gates, built on first use. Its steps are
+        this circuit's steps reversed, each matrix conjugate-transposed, so building
+        it compiles nothing."""
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", UnitaryCircuit(
-                self.n_qubits, tuple(g.inverse() for g in reversed(self.gates))))
+            inv = UnitaryCircuit(self.n_qubits,
+                                 tuple(g.inverse() for g in reversed(self.gates)))
+            object.__setattr__(inv, "_steps", tuple(
+                (select, order, undo, _dagger(m))
+                for select, order, undo, m in reversed(self._compiled())))
+            object.__setattr__(self, "_inverse", inv)
         return self._inverse
 
     def to_matrix(self) -> np.ndarray:
         if self.n_qubits > DENSITY_MAX_QUBITS:
             raise ValueError(f"full matrix capped at {DENSITY_MAX_QUBITS} qubits")
         return self.apply(np.eye(self.dim, dtype=complex))
+
+
+def _slice_step(axes: Sequence[int], targets: Sequence[int], matrix: np.ndarray,
+                controls: Sequence[int] = (), values: Sequence[int] = ()) -> tuple:
+    """A step on a tensor with one axis per qubit in `axes`, then a batch axis: the
+    index fixing the control axes to their values; `order`, the slice's axes with
+    the targets first and the batch axis last; `undo`, its inverse permutation;
+    and the matrix."""
+    axes = list(axes)
+    select = [slice(None)] * len(axes)
+    for q, v in zip(controls, values):
+        select[axes.index(q)] = v
+    free = [q for q in axes if q not in controls]
+    order = [free.index(t) for t in targets]
+    order += [a for a, q in enumerate(free) if q not in targets] + [len(free)]
+    undo = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(select), tuple(order), tuple(undo), matrix
+
+
+def _gate_step(g: Gate, axes: Sequence[int]) -> tuple:
+    return _slice_step(axes, g.targets, g.matrix, g.controls, g.control_values)
+
+
+def _group_matrix(qubits: list[int], gates: list[Gate]) -> np.ndarray:
+    """The matrix of `gates` run left to right on `qubits` (the first most
+    significant): their slice steps applied to the identity."""
+    k = len(qubits)
+    eye = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
+    return _run_steps([_gate_step(g, qubits) for g in gates], eye).reshape(2 ** k, 2 ** k)
+
+
+def _run_steps(steps, t: np.ndarray) -> np.ndarray:
+    """Apply steps to tensor t, which they may overwrite: each rewrites the slice
+    its controls select, by one matrix product on that slice with its targets
+    moved first. An uncontrolled step's product replaces t, with no copy back."""
+    for select, order, undo, m in steps:
+        moved = t[select].transpose(order)
+        out = np.dot(m, moved.reshape(m.shape[0], -1)).reshape(moved.shape).transpose(undo)
+        if moved.ndim == t.ndim:
+            t = out
+        else:
+            t[select] = out
+    return t
 
 
 # ---------------------------------------------------------------------------

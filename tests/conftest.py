@@ -227,3 +227,23 @@ def per_kraus_channel_power(m: np.ndarray, kraus, t: int) -> np.ndarray:
     for _ in range(t):
         m = apply_kraus(m, kraus) / len(kraus)
     return m
+
+
+def per_gate_apply(circ: UnitaryCircuit, amps: np.ndarray) -> np.ndarray:
+    """`UnitaryCircuit.apply` one step per gate, with no fusion: each gate rewrites
+    only the slice its controls select, by one matrix product on that slice with
+    its targets moved first."""
+    n, amps = circ.n_qubits, np.asarray(amps, dtype=complex)
+    t = amps.reshape((2,) * n + (amps.size // circ.dim,)).copy()
+    for g in circ.gates:
+        select = [slice(None)] * n
+        for q, v in zip(g.controls, g.control_values):
+            select[q] = v
+        select = tuple(select)
+        free = [q for q in range(n) if q not in g.controls]
+        order = [free.index(q) for q in g.targets]
+        order += [a for a, q in enumerate(free) if q not in g.targets] + [len(free)]
+        moved = t[select].transpose(order)
+        out = np.dot(g.matrix, moved.reshape(g.matrix.shape[0], -1))
+        t[select] = out.reshape(moved.shape).transpose(np.argsort(order))
+    return t.reshape(amps.shape)

@@ -29,7 +29,7 @@ from demerlab.qcore import (
 from demerlab.qlemmas import agrees_within_sigma
 from demerlab.toys import coin_protocol, demerlin_toy, rac_claim_protocol
 from conftest import maximally_mixed
-from test_protocol import dense_projectors
+from test_protocol import block_diagonal_protocols, dense_projectors
 
 
 def cached_loops(p):
@@ -173,6 +173,18 @@ def assert_matches_oracle(d, x, y, rho_alice=None):
     r = evaluate_demerlinized(d, x, y, rho_alice=rho_alice)
     assert r.p_accept == pytest.approx(dense_loop(d, x, y, rho_alice), abs=1e-12)
     assert r.residual <= 1e-9
+
+
+@given(block_diagonal_protocols(witness=(2, 3), ancilla=(1, 1)))
+@settings(max_examples=30, deadline=None)
+def test_random_wide_witness_loops_match_dense_oracle(case):
+    """Loops with W = 2 and 3 (T = 36 and 72, 4 to 8 witness coins per round) on
+    random block-diagonal verifiers of at most 6 rest qubits, from pure and from
+    maximally mixed advice."""
+    p, y, _, _ = case
+    d = DemerlinizedProtocol(base=p, f=None)  # no f: the precondition is skipped
+    assert_matches_oracle(d, "0", y)
+    assert_matches_oracle(d, "0", y, maximally_mixed(p.alice_qubits))
 
 
 @pytest.mark.parametrize("name", ["rac2", "rac4", "coin"])

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from demerlab.demerlin import _initial_columns, demerlinize, evaluate_demerliniz
 from demerlab.protocol import (
     CommunicationFunction,
     OneWayQmaProtocol,
+    advice_amplitudes,
     audit_protocol,
     block_circuit,
     induced_witness_operator,
@@ -25,11 +27,19 @@ from demerlab.qcore import (
     Gate,
     UnitaryCircuit,
     basis_state,
+    complex_gaussian,
     ry_gate,
     x_gate,
 )
-from demerlab.toys import coin_protocol, rac_claim_protocol
+from demerlab.toys import (
+    DEMERLIN_TOYS,
+    coin_protocol,
+    demerlin_toy,
+    rac_claim_protocol,
+    table_protocol,
+)
 from conftest import (
+    per_gate_apply,
     perturbed_rac_protocol,
     rac_plain_protocol,
     random_density,
@@ -282,12 +292,27 @@ def test_block_circuit_rejects_non_block_diagonal():
 
 def test_a_build_that_raises_caches_nothing():
     p = bob_targeting_protocol((ry_gate(0, 0.4),))
-    _initial_columns(p, "0")  # needs no verifier run, so it is cached
+    _initial_columns(p, "0")  # needs no verifier run: it and its advice amplitudes are cached
     before = dict(p._operators)
     for _ in range(2):
         with pytest.raises(ValueError, match="block diagonal"):
             block_circuit(p, "0")
-    assert p._operators == before and len(before) == 1
+    assert p._operators == before and len(before) == 2
+
+
+def test_each_advice_state_is_built_once_per_input():
+    """The precondition's witness operators and the loop's start columns share one
+    read-only copy of each input's advice amplitudes."""
+    p, f = rac_claim_protocol(4)
+    encoded = []
+    p = dataclasses.replace(p, alice_encode=lambda x, enc=p.alice_encode: encoded.append(x)
+                            or enc(x))
+    d = demerlinize(p, identity_plan(p.alice_qubits, 1), f=f)
+    for (x, y), _ in f.pairs():
+        evaluate_demerlinized(d, x, y)
+    assert sorted(encoded) == sorted(f.alice_inputs())
+    amps = advice_amplitudes(p, encoded[0])
+    assert amps is advice_amplitudes(p, encoded[0]) and not amps.flags.writeable
 
 
 def test_memo_takes_positional_arguments_only():
@@ -354,10 +379,11 @@ def dense_projectors(p, y):
 
 
 @st.composite
-def block_diagonal_protocols(draw):
-    """A random verifier of at most 8 qubits whose gates read Bob's bits only
-    as controls, with a Bob input y, a classical witness z and an outcome."""
-    b, a, w, c = (draw(st.integers(lo, 2)) for lo in (0, 1, 0, 1))
+def block_diagonal_protocols(draw, witness=(0, 2), ancilla=(1, 2)):
+    """A random verifier whose gates read Bob's bits only as controls, with a Bob
+    input y, a classical witness z and an outcome. Bob's and the advice register
+    have at most 2 qubits; the witness and ancilla widths lie in the given ranges."""
+    b, a, w, c = (draw(st.integers(lo, hi)) for lo, hi in ((0, 2), (1, 2), witness, ancilla))
     n = b + a + w + c
     rest = list(range(b, n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
@@ -410,6 +436,35 @@ def amplified_coin_u3():
     plan = desk_plan(1, 1, Fraction(1, 4))
     assert plan.u == 3
     return build_outer(build_inner(base, plan.ell), plan.u), f
+
+
+def amplified_coin_u5(angle: float) -> OneWayQmaProtocol:
+    base, _ = coin_protocol(0.7, 0.3, witness_angle=angle)
+    plan = desk_plan(1, 1, Fraction(3, 10))
+    assert plan.u == 5
+    return build_outer(build_inner(base, plan.ell), plan.u)
+
+
+FUSED_BLOCK_CASES = {
+    **{name: lambda name=name: demerlin_toy(name)[0] for name in DEMERLIN_TOYS},
+    **{f"table{n}": lambda n=n: table_protocol(n, 0.7) for n in (1, 2, 3)},
+    "coin-u3": lambda: amplified_coin_u3()[0],
+    "coin-u5-angle0": lambda: amplified_coin_u5(0.0),
+    "coin-u5-angle0.7": lambda: amplified_coin_u5(0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_BLOCK_CASES))
+def test_fused_blocks_match_per_gate_kernel(name, rng):
+    """Every Bob input's block and its inverse, fused, against one step per gate."""
+    p = FUSED_BLOCK_CASES[name]()
+    for y in (format(v, f"0{p.bob_bits}b") for v in range(2 ** p.bob_bits)):
+        block = block_circuit(p, y)
+        cols = complex_gaussian(rng, (block.dim, 3))
+        cols /= np.linalg.norm(cols, axis=0)
+        for circ in (block, block.inverse()):
+            np.testing.assert_allclose(circ.apply(cols), per_gate_apply(circ, cols),
+                                       rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("make", [lambda: rac_claim_protocol(4), coin_protocol, amplified_coin_u3],

@@ -29,6 +29,7 @@ import demerlab.qcore as qcore_mod
 from conftest import (
     h_gate,
     maximally_mixed,
+    per_gate_apply,
     per_kraus_channel_power,
     random_density,
     random_effect,
@@ -471,10 +472,12 @@ def test_controlled_gate_blocks():
 
 @st.composite
 def random_gates(draw):
-    n = draw(st.integers(1, 6))
+    """Up to 12 gates on up to 7 qubits, each on up to 6 (3 targets, 3 controls), so
+    fused groups of at most 4 qubits both form and break."""
+    n = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     gates = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 12))):
         k = draw(st.integers(1, min(3, n)))
         c = draw(st.integers(0, min(3, n - k)))
         qubits = draw(st.permutations(range(n)))
@@ -491,42 +494,62 @@ def random_gates(draw):
 
 
 @given(random_gates())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_compiled_kernel_matches_dense_oracle(case):
     n, gates, amps = case
     circ = UnitaryCircuit(n, tuple(gates))
-    expected = amps
+    expected, inverted = amps, amps
     for g in gates:
         expected = dense_apply(expected, g, n)
+    for g in reversed(gates):
+        inverted = dense_apply(inverted, g.inverse(), n)
     before = amps.copy()
     out = circ.apply(amps)
     assert out.shape == amps.shape
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     assert np.array_equal(amps, before)  # the input is not written
+    np.testing.assert_allclose(circ.inverse().apply(amps), inverted, rtol=0, atol=1e-12)
     np.testing.assert_allclose(circ.inverse().apply(out), amps, rtol=0, atol=1e-12)
 
 
-def test_circuit_compiles_once(rng):
-    circ = UnitaryCircuit(3, (h_gate(0), mcx((0, 2), 1, (1, 0)), increment_gate((2, 0))))
+def test_circuit_compiles_once(rng, monkeypatch):
+    fused0 = (h_gate(0), cnot(0, 1), mcx((0, 2), 1, (1, 0)), increment_gate((3, 2)))
+    fused3 = (h_gate(5), cnot(5, 4))
+    wide = mcx((0, 1, 2, 3), 5, (1, 1, 0, 1))  # 5 qubits: a step of its own
+    circ = UnitaryCircuit(7, fused0 + (ry_gate(4, 0.3), wide) + fused3)
     assert circ._steps is None  # nothing is compiled before the first apply
-    psi = random_state(3, rng).amplitudes
+    psi = random_state(7, rng).amplitudes
     first = circ.apply(psi)
     steps = circ._steps
-    # mcx on target 1, controls 0=1 and 2=0: the slice keeps qubit 1 and the batch
-    # axis; the target comes first and `undo` inverts `order`
+    assert len(steps) == 4
+    # qubits 0-3 fuse into one uncontrolled step whose axes lead in qubit order
+    select, order, undo, m = steps[0]
+    assert select == (slice(None),) * 7 and order == undo == tuple(range(8))
+    np.testing.assert_allclose(m, per_gate_apply(UnitaryCircuit(4, fused0), np.eye(16)),
+                               rtol=0, atol=1e-15)
+    # ry on qubit 4 cannot join the wide gate, so it keeps its own slice step
     select, order, undo, m = steps[1]
-    assert len(steps) == 3 and select == (1, slice(None), 0)
-    assert order == (0, 1) and undo == (0, 1) and m.shape == (2, 2)
-    select, order, undo, m = steps[0]  # h on qubit 0 of an uncontrolled slice
-    assert select == (slice(None),) * 3 and order == (0, 1, 2, 3) and m.shape == (2, 2)
-    select, order, undo, m = steps[2]  # targets (2, 0) lead, in the gate's order
-    assert select == (slice(None),) * 3 and order == (2, 0, 1, 3) and undo == (1, 2, 0, 3)
-    assert m.shape == (4, 4)
-    assert circ.apply(np.zeros((8, 0), dtype=complex)).shape == (8, 0)
+    assert select == (slice(None),) * 7 and order == (4, 0, 1, 2, 3, 5, 6, 7)
+    assert m is circ.gates[4].matrix
+    # the wide gate's controls fix their axes; its target leads the slice
+    select, order, undo, m = steps[2]
+    assert select == (1, 1, 0, 1, slice(None), slice(None), slice(None))
+    assert order == (1, 0, 2, 3) and undo == (1, 0, 2, 3) and m is wide.matrix
+    select, order, undo, m = steps[3]  # h then cnot on qubits 4 and 5
+    assert order == (4, 5, 0, 1, 2, 3, 6, 7) and undo == (2, 3, 4, 5, 0, 1, 6, 7)
+    np.testing.assert_allclose(m, per_gate_apply(UnitaryCircuit(2, (h_gate(1), cnot(1, 0))),
+                                                 np.eye(4)), rtol=0, atol=1e-15)
+    assert circ.apply(np.zeros((128, 0), dtype=complex)).shape == (128, 0)
     assert np.array_equal(circ.apply(psi), first) and circ._steps is steps
-    inv = circ.inverse()  # built once, like the steps, and neither compared nor printed
+    # the inverse reads its steps off these: reversed, each matrix conjugate-transposed
+    monkeypatch.setattr(qcore_mod, "_slice_step", None)
+    monkeypatch.setattr(qcore_mod, "_group_matrix", None)
+    inv = circ.inverse()
+    assert [s[:3] for s in inv._steps] == [s[:3] for s in reversed(steps)]
+    assert all(np.array_equal(a[3], b[3].conj().T) for a, b in zip(inv._steps, reversed(steps)))
     assert circ.inverse() is inv
-    assert circ == UnitaryCircuit(3, circ.gates) and "_inverse" not in repr(circ)
+    assert [g.name for g in inv.gates] == [g.name + "^-1" for g in reversed(circ.gates)]
+    assert circ == UnitaryCircuit(7, circ.gates) and "_inverse" not in repr(circ)
     np.testing.assert_allclose(inv.apply(first), psi, rtol=0, atol=1e-12)
 
 

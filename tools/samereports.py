@@ -14,7 +14,8 @@ subprocess per tree, importing that tree's `src/demerlab`:
   byte for byte, a golden added since REV included.
 
 It prints each job or golden whose exit code or text differs, with the
-largest absolute difference between the numbers in the two texts, and exits
+largest absolute difference between the numbers in the two texts and whether
+the text outside the numbers (keys, strings, booleans) differs too, and exits
 1 if any differs, else 0. Both trees are only read.
 """
 from __future__ import annotations
@@ -68,7 +69,9 @@ def largest_difference(a: str, b: str) -> str:
     xs, ys = NUMBER.findall(a), NUMBER.findall(b)
     if len(xs) != len(ys):
         return f"number count {len(xs)} vs {len(ys)}"
-    return f"{max((abs(float(x) - float(y)) for x, y in zip(xs, ys)), default=0.0):.3g}"
+    rest = "same" if NUMBER.sub("#", a) == NUMBER.sub("#", b) else "differs"
+    largest = max((abs(float(x) - float(y)) for x, y in zip(xs, ys)), default=0.0)
+    return f"{largest:.3g}, text outside numbers {rest}"
 
 
 def main() -> int:
